@@ -372,8 +372,9 @@ def main(argv=None) -> int:
     except DiagnosticError as exc:
         print(f"diagnostic failure: {exc}", file=sys.stderr)
         if exc.iterate is not None:
-            exc.iterate.to_csv("diagnostic_iterate.csv")
-            print("iterate dumped to diagnostic_iterate.csv", file=sys.stderr)
+            path = os.path.join(_outdir(resolve_config(args)), "diagnostic_iterate.csv")
+            exc.iterate.to_csv(path)
+            print(f"iterate dumped to {path}", file=sys.stderr)
         return EXIT_NONCONFORMANCE
 
 

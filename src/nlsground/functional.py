@@ -9,20 +9,22 @@ For a profile u and the mass-preserving dilation
     I(s * u)  = 1/2 e^{2s} ||grad u||^2 - e^{-Ns} int F(e^{Ns/2} u)
     d/ds I(s * u) = P(s * u)
                   = e^{2s} [ ||grad u||^2
-                             - (N/2) sum_i w_i g(e^{Ns/2} u_i) |u_i|^{2+4/N} ]
+                             - (N/2) e^{-(N+2)s} int F_tilde(e^{Ns/2} u) ]
 
-The bracket in the last line is strictly decreasing in s whenever g is
-strictly monotone away from 0 (hypothesis f4), so s -> P(s * u) has
-exactly one sign change: the unique Pohozaev projection parameter s(u).
-The fiber map is always evaluated in this closed form on the fixed grid,
-never by resampling, which keeps the uniqueness structure exact; dilate()
-materializes a resampled profile only when a downstream consumer needs
-one.
+The bracket in the last line equals
+||grad u||^2 - (N/2) int g(e^{Ns/2} u) |u|^{2+4/N}, so it is strictly
+decreasing in s whenever g is strictly monotone away from 0 (hypothesis
+f4), and s -> P(s * u) has exactly one sign change: the unique Pohozaev
+projection parameter s(u).  The fiber map is always evaluated in this
+closed form on the fixed grid, never by resampling, which keeps the
+uniqueness structure exact; dilate() materializes a resampled profile
+only when a downstream consumer needs one.
 
-The root solve is bracket expansion (doubling from s = 0, capped at
-|s| = 50) plus bisection; monotonicity makes it globally convergent.
-Failure to bracket within the cap signals that the supplied nonlinearity
-violates f1/f3/f4 numerically.
+The root solve expands a sign-change bracket by doubling steps from a
+hint (capped at |s| = _BRACKET_CAP) and then runs one Brent solve on it;
+monotonicity makes it globally convergent.  Failure to bracket within
+the cap signals that the supplied nonlinearity violates f1/f3/f4
+numerically.
 """
 
 from __future__ import annotations
@@ -33,15 +35,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from .grid import GridFunction, grad_norm_sq, mass, neg_laplacian
-from .nonlinearity import NonlinearitySpec, g_quotient
+from .nonlinearity import NonlinearitySpec, f_tilde
 
 # The projection parameter from a gaussian start scales like pi/m for the
 # logarithmic nonlinearity at N=2, so small prescribed masses legitimately
 # need s well above 50; 200 still terminates fast for nonconforming f.
 _BRACKET_CAP = 200.0
-_BISECT_WIDTH = 1e-13
+_ROOT_WIDTH = 1e-13
+# exp(_LOG_MAX) is still finite in double precision
+_LOG_MAX = 709.0
 
 
 class NonconformanceError(RuntimeError):
@@ -111,27 +116,30 @@ def _fiber_bracket(u: GridFunction, nl: NonlinearitySpec, s: float,
                    T: float | None = None) -> float:
     """The strictly decreasing bracket of d/ds I(s * u):
 
-        ||grad u||^2 - (N/2) sum_i w_i g(e^{Ns/2} u_i) |u_i|^{2+4/N}.
+        ||grad u||^2 - (N/2) e^{-(N+2)s} int F_tilde(e^{Ns/2} u).
 
-    At extreme dilations the scaled arguments overflow f(t) t - 2 F(t)
-    into inf - inf; under f4 the quotient g diverges there, so non-finite
-    entries at huge arguments are replaced by a large positive value,
-    which preserves the bracket's sign.
+    The exponential factor and the integral are combined in log form, so
+    neither an underflowing e^{-(N+2)s} nor an overflowing integral can
+    produce 0 * inf; the term is capped at e^{_LOG_MAX}, a finite double.
+    Under f3/f4 F_tilde grows without bound, so a non-finite F_tilde at a
+    huge scaled argument counts as +inf, which keeps the bracket's sign
+    (negative); non-finite values at moderate arguments count as 0.
     """
     g = u.grid
     N = g.dimension
     if T is None:
         T = grad_norm_sq(u)
-    scale = math.exp(min(0.5 * N * s, 700.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = scale * u.values
-        gv = g_quotient(nl, scaled, N)
-        bad = ~np.isfinite(gv)
+        scaled = math.exp(min(0.5 * N * s, 700.0)) * u.values
+        ft = f_tilde(nl, scaled)
+        bad = ~np.isfinite(ft)
         if np.any(bad):
-            gv = np.where(bad & (np.abs(scaled) > 1e30), 1e300, gv)
-            gv = np.where(~np.isfinite(gv), 0.0, gv)
-        term = g.integrate(gv * np.abs(u.values) ** (2.0 + 4.0 / N))
-    return T - 0.5 * N * term
+            ft = np.where(bad, np.where(np.abs(scaled) > 1e30, np.inf, 0.0), ft)
+        integral = g.integrate(ft)
+    if integral == 0.0:
+        return T
+    log_term = math.log(0.5 * N * abs(integral)) - (N + 2) * s
+    return T - math.copysign(math.exp(min(log_term, _LOG_MAX)), integral)
 
 
 def fiber_pohozaev(u: GridFunction, nl: NonlinearitySpec, s: float) -> float:
@@ -140,14 +148,16 @@ def fiber_pohozaev(u: GridFunction, nl: NonlinearitySpec, s: float) -> float:
 
 
 def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
-            width: float = _BISECT_WIDTH) -> FiberResult:
+            width: float = _ROOT_WIDTH) -> FiberResult:
     """Find the unique s(u) with P(s(u) * u) = 0 and the value I(s(u) * u).
 
-    s_hint recenters the bracket expansion (cheap warm start inside descent
-    loops); width is the terminal bisection bracket width.
+    The bracket is expanded by doubling steps from s_hint (cheap warm start
+    inside descent loops) into a sign-change interval, which is returned as
+    FiberResult.bracket; one Brent solve on it then locates s(u) to the
+    absolute tolerance width.
 
     Raises ValueError for the zero profile and NonconformanceError when no
-    sign change of the monotone bracket exists within |s| <= 50.
+    sign change of the monotone bracket exists within |s| <= _BRACKET_CAP.
     """
     if mass(u) <= 0.0:
         raise ValueError("cannot project the zero profile")
@@ -156,48 +166,46 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
         raise NonconformanceError(
             "profile carries no gradient energy; projection undefined"
         )
+    seen = {}
+
+    def bracket(s):
+        # Brent re-evaluates the expansion's end points and the residual
+        # needs the root's value: each s is evaluated once
+        if s not in seen:
+            seen[s] = _fiber_bracket(u, nl, s, T)
+        return seen[s]
+
     anchor = float(np.clip(s_hint, -_BRACKET_CAP, _BRACKET_CAP))
-    b0 = _fiber_bracket(u, nl, anchor, T)
+    b0 = bracket(anchor)
     if b0 == 0.0:
         lo = hi = anchor
     elif b0 > 0.0:
         # bracket decreasing: root lies above the anchor
         lo, hi = anchor, anchor + 0.5
-        while _fiber_bracket(u, nl, hi, T) > 0.0:
+        while bracket(hi) > 0.0:
             lo, hi = hi, anchor + 2.0 * (hi - anchor)
             if hi > _BRACKET_CAP:
                 raise NonconformanceError(
-                    "no Pohozaev sign change up to s = 50: the nonlinearity "
-                    "numerically violates (f3) or (f4) (bracket never turns negative)"
+                    f"no Pohozaev sign change up to s = {_BRACKET_CAP:g}: the "
+                    "nonlinearity numerically violates (f3) or (f4) "
+                    "(bracket never turns negative)"
                 )
     else:
         lo, hi = anchor - 0.5, anchor
-        while _fiber_bracket(u, nl, lo, T) < 0.0:
+        while bracket(lo) < 0.0:
             lo, hi = anchor - 2.0 * (anchor - lo), lo
             if lo < -_BRACKET_CAP:
                 raise NonconformanceError(
-                    "no Pohozaev sign change down to s = -50: the nonlinearity "
-                    "numerically violates (f1) or (f4) (bracket never turns positive)"
+                    f"no Pohozaev sign change down to s = {-_BRACKET_CAP:g}: the "
+                    "nonlinearity numerically violates (f1) or (f4) "
+                    "(bracket never turns positive)"
                 )
-    blo, bhi = lo, hi
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if _fiber_bracket(u, nl, mid, T) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    s_star = 0.5 * (lo + hi)
-    # one secant polish on the bracket tightens the Pohozaev residual
-    f_lo, f_hi = _fiber_bracket(u, nl, lo, T), _fiber_bracket(u, nl, hi, T)
-    if f_lo != f_hi and np.isfinite(f_lo) and np.isfinite(f_hi):
-        s_sec = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-        if blo <= s_sec <= bhi:
-            s_star = s_sec
+    s_star = lo if lo == hi else brentq(bracket, lo, hi, xtol=width)
     return FiberResult(
         s_star=float(s_star),
         value=fiber_action(u, nl, s_star),
-        residual=abs(fiber_pohozaev(u, nl, s_star)),
-        bracket=(float(blo), float(bhi)),
+        residual=abs(math.exp(2.0 * s_star) * bracket(s_star)),
+        bracket=(float(lo), float(hi)),
     )
 
 

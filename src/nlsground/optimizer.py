@@ -174,7 +174,9 @@ def multiplier(u: GridFunction, nl: NonlinearitySpec, m: float) -> float:
 
 
 def _gate(nl: NonlinearitySpec, N: int):
-    key = (id(nl), nl.name, tuple(sorted(nl.params.items())), N)
+    # the key holds f and F themselves: an id() could be reused by a new
+    # spec once the old one is freed and hand it a stale verdict
+    key = (nl.f, nl.F, nl.name, tuple(sorted(nl.params.items())), N)
     if key not in _gate_cache:
         _gate_cache[key] = check_conditions(nl, N)
     report = _gate_cache[key]

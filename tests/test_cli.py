@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from nlsground import GridFunction, make_grid
+from nlsground import cli
 from nlsground.cli import (
     EXIT_HYPOTHESIS_FAIL,
+    EXIT_NONCONFORMANCE,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_USAGE,
@@ -15,6 +18,7 @@ from nlsground.cli import (
     parse_config_file,
 )
 from nlsground.expressions import ExpressionError, compile_expression
+from nlsground.optimizer import DiagnosticError
 
 
 class TestExpressions:
@@ -143,6 +147,21 @@ class TestSolveCommand:
                     if not ln.startswith("output.dir")]
 
         assert stripped(a / "resolved.cfg") == stripped(b / "resolved.cfg")
+
+    def test_diagnostic_iterate_goes_to_out_dir(self, tmp_path, monkeypatch):
+        grid = make_grid(1, 30.0, 101)
+        iterate = GridFunction(grid, np.exp(-grid.nodes ** 2))
+
+        def failing_solve(*args, **kw):
+            raise DiagnosticError("non-finite J", iterate=iterate)
+
+        monkeypatch.setattr(cli, "multistart_minimize", failing_solve)
+        cwd, out = tmp_path / "cwd", tmp_path / "out"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(self.ARGS + ["--out", str(out)]) == EXIT_NONCONFORMANCE
+        assert (out / "diagnostic_iterate.csv").exists()
+        assert not (cwd / "diagnostic_iterate.csv").exists()
 
     def test_missing_mass_usage(self, tmp_path):
         assert main(["solve", "--builtin", "pure_power", "--param", "p=8",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsground import (
     GridFunction,
@@ -19,6 +21,7 @@ from nlsground import (
     reduced_gradient,
     reduced_value,
 )
+from nlsground import functional
 from nlsground.nonlinearity import from_callables
 from nlsground.oracles import Bubble, Soliton1D
 
@@ -49,6 +52,20 @@ def bump(grid, sigma=1.3, amp=1.2):
     vals = amp * np.exp(-((grid.nodes / sigma) ** 2))
     vals[-1] = 0.0
     return GridFunction(grid, vals)
+
+
+def subcritical_quartic():
+    # mass-subcritical power: the bracket increases in s, so no
+    # projection exists
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return np.abs(t) ** 2.0 * t
+
+    def F(t):
+        t = np.asarray(t, dtype=float)
+        return np.abs(t) ** 4.0 / 4.0
+
+    return from_callables("subcritical_quartic", f, F)
 
 
 class TestActionPohozaev:
@@ -132,6 +149,27 @@ class TestFiberMap:
         for s in (-3.0, 0.0, 3.0):
             assert fiber_pohozaev(z, p8, s) == 0.0
 
+    @pytest.mark.parametrize("name, N, kw", [
+        ("pure_power", 1, {"p": 8.0}),
+        ("log_supercritical", 2, {}),
+        ("critical_piecewise", 5, {}),
+        ("f6prime_example", 3, {"beta": 1.0, "beta_N": 1.0 / 3.0}),
+        ("subcritical_quartic", 1, None),
+    ])
+    def test_overflow_guard_at_cap(self, name, N, kw):
+        # at s = +cap the scaled profile overflows F_tilde and at -cap
+        # e^{-(N+2)s} would overflow: the bracket stays a number, with the
+        # sign f1/f3/f4 dictate wherever they hold
+        nl = subcritical_quartic() if kw is None else builtin(name, N, **kw)
+        cap = functional._BRACKET_CAP
+        g = make_grid(N, 16.0, 801)
+        for u in random_profiles(g, 4, seed=5):
+            at_top = functional._fiber_bracket(u, nl, cap)
+            at_bottom = functional._fiber_bracket(u, nl, -cap)
+            assert not math.isnan(at_top) and not math.isnan(at_bottom)
+            if kw is not None:
+                assert at_top < 0.0 < at_bottom
+
     def test_bracket_strictly_decreasing(self, line_grid, p8):
         u = bump(line_grid)
         brackets = [fiber_pohozaev(u, p8, s) / math.exp(2.0 * s)
@@ -194,20 +232,56 @@ class TestProject:
             project(z, p8)
 
     def test_nonconforming_nonlinearity(self, line_grid):
-        # mass-subcritical power: the bracket increases in s and no
-        # projection exists; the failure must name the hypothesis
-        def f(t):
-            t = np.asarray(t, dtype=float)
-            return np.abs(t) ** 2.0 * t
-
-        def F(t):
-            t = np.asarray(t, dtype=float)
-            return np.abs(t) ** 4.0 / 4.0
-
-        sub = from_callables("subcritical_quartic", f, F)
+        # the failure must name the hypothesis and the real search limit
         u = bump(line_grid)
-        with pytest.raises(NonconformanceError, match=r"f[134]"):
-            project(u, sub)
+        cap = f"{functional._BRACKET_CAP:g}"
+        with pytest.raises(NonconformanceError, match=rf"s = {cap}:.*f[134]"):
+            project(u, subcritical_quartic())
+
+    @pytest.mark.parametrize("N, p", [(1, 8.0), (2, 5.5), (3, 4.5)])
+    @given(seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_pure_power_closed_form(self, N, p, seed):
+        # for F = |t|^p / p the bracket is T - (N/2)(1 - 2/p) A e^{ks},
+        # k = N(p-2)/2 - 2, with A = int |u|^p, so s(u) is explicit
+        nl = builtin("pure_power", N, p=p)
+        g = make_grid(N, 16.0, 801)
+        k = 0.5 * N * (p - 2.0) - 2.0
+        for u in random_profiles(g, 3, seed=seed):
+            A = g.integrate(np.abs(u.values) ** p)
+            s_exact = math.log(grad_norm_sq(u) / (0.5 * N * (1.0 - 2.0 / p) * A)) / k
+            fr = project(u, nl)
+            assert fr.s_star == pytest.approx(s_exact, abs=1e-10)
+            assert fr.bracket[0] <= fr.s_star <= fr.bracket[1]
+
+    def test_evaluation_budget(self, monkeypatch, line_grid, p8, log2d):
+        # measured: warm projections take 6-8 bracket evaluations and cold
+        # ones 7-15; the bounds add a margin
+        calls = [0]
+        inner = functional._fiber_bracket
+
+        def counted(*args, **kw):
+            calls[0] += 1
+            return inner(*args, **kw)
+
+        monkeypatch.setattr(functional, "_fiber_bracket", counted)
+
+        def evaluations(u, nl, s_hint=0.0):
+            calls[0] = 0
+            fr = project(u, nl, s_hint=s_hint)
+            return calls[0], fr
+
+        cold, warm = [], []
+        for nl, g in ((p8, line_grid), (log2d, make_grid(2, 16.0, 1201))):
+            profiles = random_profiles(g, 12, seed=3)
+            for a, b in zip(profiles, profiles[1:]):
+                n, fr = evaluations(a, nl)
+                cold.append(n)
+                for eps in (1e-3, 1e-2):
+                    near = GridFunction(g, (1.0 - eps) * a.values + eps * b.values)
+                    warm.append(evaluations(near, nl, fr.s_star)[0])
+        assert np.mean(warm) <= 10
+        assert max(cold) <= 20
 
 
 class TestReducedFunctional:

@@ -222,6 +222,28 @@ class TestMinimize:
         with pytest.raises(NonconformanceError):
             minimize(g, sub, opts2)
 
+    def test_gate_cache_ignores_object_identity(self, monkeypatch):
+        # a freed spec's id can be handed to a new spec with the same name
+        # and params; force that collision and require separate verdicts
+        from nlsground import optimizer
+
+        monkeypatch.setattr(optimizer, "id", lambda obj: 0, raising=False)
+
+        def spec(power):
+            def f(t):
+                t = np.asarray(t, dtype=float)
+                return np.abs(t) ** power * t
+
+            def F(t):
+                t = np.asarray(t, dtype=float)
+                return np.abs(t) ** (power + 2.0) / (power + 2.0)
+
+            return from_callables("gate_probe", f, F)
+
+        optimizer._gate(spec(6.0), 1)
+        with pytest.raises(NonconformanceError):
+            optimizer._gate(spec(1.5), 1)
+
     def test_option_validation(self):
         with pytest.raises(ConfigurationError):
             SolveOptions(mass=-1.0)
