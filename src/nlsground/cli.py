@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -62,6 +61,17 @@ def dump_config(cfg: dict) -> str:
     return "".join(f"{k} = {cfg[k]}\n" for k in sorted(cfg))
 
 
+# every dotted key the commands read, besides problem.param.<name>
+_CONFIG_KEYS = frozenset({
+    "problem.dim", "problem.builtin", "problem.f_expr", "problem.F_expr",
+    "grid.radius", "grid.points", "grid.stretch",
+    "solve.mass", "solve.masses", "solve.seed", "solve.restarts",
+    "solve.cold_restarts", "solve.max_iters", "solve.grad_tol", "solve.noise",
+    "solve.init_width", "solve.pde_tol", "solve.pohozaev_tol", "solve.force",
+    "output.dir",
+})
+
+
 def _set_if(cfg, key, value):
     if value is not None:
         cfg[key] = str(value)
@@ -71,6 +81,10 @@ def resolve_config(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
         cfg.update(parse_config_file(args.config))
+        unknown = sorted(k for k in cfg if k not in _CONFIG_KEYS
+                         and not k.startswith("problem.param."))
+        if unknown:
+            raise UsageError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
     _set_if(cfg, "problem.dim", getattr(args, "dim", None))
     _set_if(cfg, "problem.builtin", getattr(args, "builtin", None))
     for kv in getattr(args, "param", None) or []:
@@ -90,9 +104,7 @@ def resolve_config(args) -> dict:
     _set_if(cfg, "solve.cold_restarts", getattr(args, "cold_restarts", None))
     _set_if(cfg, "solve.max_iters", getattr(args, "max_iters", None))
     _set_if(cfg, "solve.grad_tol", getattr(args, "grad_tol", None))
-    _set_if(cfg, "solve.absify_every", getattr(args, "absify_every", None))
     _set_if(cfg, "output.dir", getattr(args, "out", None))
-    _set_if(cfg, "threads", getattr(args, "threads", None))
     if getattr(args, "force", False):
         cfg["solve.force"] = "true"
     return cfg
@@ -129,7 +141,6 @@ def build_options(cfg: dict, mass: float) -> SolveOptions:
         seed=int(cfg.get("solve.seed", 0)),
         noise=float(cfg.get("solve.noise", 0.0)),
         init_width=float(cfg.get("solve.init_width", 1.0)),
-        absify_every=int(cfg.get("solve.absify_every", 0)),
         pde_tol=float(cfg.get("solve.pde_tol", 1e-5)),
         pohozaev_tol=float(cfg.get("solve.pohozaev_tol", 1e-6)),
         check_hypotheses=cfg.get("solve.force", "false").lower() != "true",
@@ -182,14 +193,7 @@ def cmd_solve(args) -> int:
     grid = build_grid(cfg, N)
     opts = build_options(cfg, mass)
     restarts = int(cfg.get("solve.restarts", 5))
-    threads = int(cfg.get("threads", 1))
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        best, reports = multistart_minimize(grid, nl, opts, restarts=restarts,
-                                            executor=executor)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    best, reports = multistart_minimize(grid, nl, opts, restarts=restarts)
     out = _outdir(cfg)
     _write(os.path.join(out, "resolved.cfg"), dump_config(cfg))
     best.profile.to_csv(os.path.join(out, "profile.csv"))
@@ -218,14 +222,7 @@ def cmd_sweep(args) -> int:
     grid = build_grid(cfg, N)
     opts = build_options(cfg, masses[0])
     cold = int(cfg.get("solve.cold_restarts", 0))
-    threads = int(cfg.get("threads", 1))
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        result = sweep(grid, nl, masses, opts, cold_restarts=cold,
-                       executor=executor)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    result = sweep(grid, nl, masses, opts, cold_restarts=cold)
     if getattr(args, "test_perturb_energies", None):
         # test hook: bump alternating energies to exercise the verdict logic
         amp = float(args.test_perturb_energies)
@@ -297,7 +294,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--F-expr", dest="F_expr", help="expression for F(t)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int, help="base random seed")
-    p.add_argument("--threads", type=int, help="worker threads")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -320,7 +316,6 @@ def make_parser() -> argparse.ArgumentParser:
     s.add_argument("--restarts", type=int)
     s.add_argument("--max-iters", dest="max_iters", type=int)
     s.add_argument("--grad-tol", dest="grad_tol", type=float)
-    s.add_argument("--absify-every", dest="absify_every", type=int)
     s.add_argument("--force", action="store_true",
                    help="skip the hypothesis gate")
 

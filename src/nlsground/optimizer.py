@@ -67,7 +67,6 @@ class SolveOptions:
     init_width: float = 1.0
     custom_profile: GridFunction | None = None
     restart_path: str | None = None
-    absify_every: int = 0
     pde_tol: float = 1e-5
     pohozaev_tol: float = 1e-6
     check_hypotheses: bool = True
@@ -266,8 +265,7 @@ def _newton_polish(grid: RadialGrid, nl: NonlinearitySpec, u: GridFunction,
 
 
 class _Descent:
-    """Preconditioned L-BFGS engine shared by the main descent and the
-    post-materialization polish.
+    """Preconditioned L-BFGS engine of minimize's descent.
 
     Two structural safeguards make the mass-supercritical landscape safe
     to descend:
@@ -388,15 +386,18 @@ class _Descent:
         return None
 
     def run(self, u, budget):
-        """Descend until the shape-gradient test or the budget.
+        """Descend from u; returns (u, stationary).
 
-        Tracks the lowest-gradient iterate seen (best_gn, best_u) so a
-        run that limit-cycles near the minimizer still hands a
-        quasi-stationary point to the caller.
+        The loop has four exits: the gradient gate (stationary), a limit
+        cycle (no new lowest gradient for 100 iterations while the best
+        one is already small), a step collapse (stationary) and the
+        budget.  A non-stationary exit whose lowest-gradient iterate
+        (best_gn, best_u) is quasi-stationary hands that iterate back as
+        stationary, so a run that limit-cycles near the minimizer still
+        reaches the stationary finish.
         """
         stationary = False
         prev_vals = prev_grad = None
-        best_gn, best_u = math.inf, u
         self.best_gn, self.best_u, self.best_J = math.inf, u, math.inf
         since_best = 0
         while self.it < budget:
@@ -406,18 +407,16 @@ class _Descent:
             if gn <= self.opts.grad_tol * (1.0 + abs(J)):
                 stationary = True
                 break
-            if since_best > 100 and best_gn <= 1e-3 * (1.0 + abs(J)):
-                # limit cycle around the minimizer: the caller picks up the
-                # best iterate through the quasi-stationary gate
+            if since_best > 100 and self.best_gn <= 1e-3 * (1.0 + abs(J)):
+                # limit cycle around the minimizer
                 break
-            if gn < best_gn:
-                best_gn, best_u = gn, u
+            if gn < self.best_gn:
                 self.best_gn, self.best_u, self.best_J = gn, u, J
                 since_best = 0
-            elif gn > 30.0 * best_gn and self.pairs:
+            elif gn > 30.0 * self.best_gn and self.pairs:
                 # quasi-Newton wandered off along a soft mode: restart
                 # from the best point seen with a clean history
-                u = best_u
+                u = self.best_u
                 self.pairs.clear()
                 prev_vals = prev_grad = None
                 self.it += 1
@@ -438,17 +437,74 @@ class _Descent:
                 stationary = True
                 break
             u = cand
-            if self.opts.absify_every and self.it % self.opts.absify_every == 0:
-                u = sphere_retract(
-                    GridFunction(self.grid, np.abs(u.values)), self.opts.mass
-                )
-                prev_vals = prev_grad = None
-                self.pairs.clear()
+        if not stationary and self.best_gn <= 1e-4 * (1.0 + abs(self.best_J)):
+            return self.best_u, True
         return u, stationary
 
 
+def _bundle_ok(u: GridFunction, pde: float, poh: float, opts: SolveOptions) -> bool:
+    """The stationarity bundle: PDE residual and scaled Pohozaev residual."""
+    return pde <= opts.pde_tol and poh <= opts.pohozaev_tol * max(1.0, grad_norm_sq(u))
+
+
+def _finish(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions,
+            u: GridFunction, stationary: bool, s_hint: float):
+    """Pick the endpoint a solve reports.
+
+    Returns (profile, energy, converged, (mu, pde, poh)).  The fallback is
+    the frame: the descent iterate u itself at its own J, never
+    converged.  J is an honest, always positive upper bound for E_m,
+    whereas materializing an under-resolved profile through
+    interpolation produces garbage.
+
+    Stationary u is materialized onto the Pohozaev manifold as
+    dilate(s(u), u) (P vanishes there to root-solve accuracy), and a
+    bordered Newton tail from it trades the O(h^2) gap between the two
+    discrete stationarity notions into the Pohozaev budget while zeroing
+    the PDE residual.  The candidate with the smaller bundle violation is
+    kept if its action agrees with J (a large mismatch means the profile
+    was at grid scale and the interpolation destroyed it); the bundle
+    then decides convergence.
+
+    After the budget ran out, a Newton tail from the raw iterate
+    sometimes still lands on the discrete solution (soft near-critical
+    modes slow the first-order phase down without moving the iterate far
+    from the basin); it is kept only if the bundle holds and its action
+    is at most 1.05 J.
+    """
+    m = opts.mass
+    fiber = project(u, nl, s_hint=s_hint)
+    J = fiber.value
+    start = u
+    if stationary and abs(fiber.s_star) > 1e-14:
+        start = sphere_retract(dilate(fiber.s_star, u), m)
+    candidates = [start] if stationary else []
+    polished = _newton_polish(grid, nl, start, m)
+    if polished is not None:
+        candidates.append(polished)
+    checked = [(v, _diagnostics(v, nl, m)) for v in candidates]
+
+    def violation(item):
+        v, (_, pde, poh) = item
+        return max(pde / opts.pde_tol,
+                   poh / (opts.pohozaev_tol * max(1.0, grad_norm_sq(v))))
+
+    if checked:
+        v, diag = min(checked, key=violation)
+        energy = action(v, nl)
+        ok = _bundle_ok(v, diag[1], diag[2], opts)
+        if stationary:
+            keep = abs(energy - J) <= 0.05 * max(abs(J), 1.0)
+        else:
+            keep = ok and energy <= J * 1.05
+        if math.isfinite(energy) and energy > 0.0 and keep:
+            return v, energy, ok, diag
+    return u, J, False, _diagnostics(u, nl, m)
+
+
 def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions) -> SolveReport:
-    """Single descent run; see module docstring for the scheme."""
+    """Single descent run; see module docstring for the scheme and
+    _finish for the endpoint the report certifies."""
     if opts.check_hypotheses:
         _gate(nl, grid.dimension)
     m = opts.mass
@@ -457,102 +513,17 @@ def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions) -> Solv
                         restart_path=opts.restart_path)
     engine = _Descent(grid, nl, opts)
     u, stationary = engine.run(u, opts.max_iters)
-    it = engine.it
-    trace = engine.trace
-
-    if not stationary and engine.best_gn <= 1e-4 * (1.0 + abs(engine.best_J)):
-        # the descent limit-cycled around the minimizer without reaching
-        # the strict gradient gate: hand the best iterate to the polish
-        # pipeline and let the residual bundle decide convergence
-        u = engine.best_u
-        stationary = True
-
-    if not stationary:
-        # Budget exhausted mid-descent.  A Newton tail from the raw
-        # iterate sometimes still lands on the discrete solution (soft
-        # near-critical modes slow the first-order phase down without
-        # moving the iterate far from the basin); accept it only if the
-        # full bundle holds.  Otherwise report the last iterate in its
-        # own dilation frame: J is its honest, always positive upper
-        # bound for E_m, whereas materializing an under-resolved profile
-        # through interpolation produces garbage.
-        polished = _newton_polish(grid, nl, u, m)
-        if polished is not None:
-            mu, pde, poh = _diagnostics(polished, nl, m)
-            energy = action(polished, nl)
-            if (
-                math.isfinite(energy) and 0.0 < energy
-                and pde <= opts.pde_tol
-                and poh <= opts.pohozaev_tol * max(1.0, grad_norm_sq(polished))
-                and energy <= project(u, nl, s_hint=engine.s_hint).value * 1.05
-            ):
-                return SolveReport(
-                    profile=polished, energy=energy, multiplier=mu,
-                    pde_residual=pde, pohozaev_residual=poh,
-                    boundary_tail=abs(float(polished.values[-2])),
-                    iterations=it, trace=trace, converged=True,
-                    seed=opts.seed, mass=m,
-                )
-        fiber = project(u, nl, s_hint=engine.s_hint)
-        mu, pde, poh = _diagnostics(u, nl, m)
-        return SolveReport(
-            profile=u, energy=fiber.value, multiplier=mu, pde_residual=pde,
-            pohozaev_residual=poh, boundary_tail=abs(float(u.values[-2])),
-            iterations=it, trace=trace, converged=False, seed=opts.seed,
-            mass=m,
-        )
-
-    # Materialize the descent minimizer onto the Pohozaev manifold (its
-    # P vanishes to root-solve accuracy there), then try a bordered
-    # Newton tail toward the exact discrete PDE solution, which trades
-    # the O(h^2) gap between the two discrete stationarity notions into
-    # the Pohozaev budget while zeroing the PDE residual.  Keep whichever
-    # endpoint satisfies the stationarity bundle, preferring Newton.
-    fiber = project(u, nl, s_hint=engine.s_hint)
-    pre_frame = u
-    J_pre = fiber.value
-    if abs(fiber.s_star) > 1e-14:
-        u = sphere_retract(dilate(fiber.s_star, u), m)
-
-    def violation(v):
-        _, pde, poh = _diagnostics(v, nl, m)
-        return max(pde / opts.pde_tol,
-                   poh / (opts.pohozaev_tol * max(1.0, grad_norm_sq(v))))
-
-    candidates = [u]
-    polished = _newton_polish(grid, nl, u, m)
-    if polished is not None:
-        candidates.append(polished)
-    u = min(candidates, key=violation)
-
-    mu, pde, poh = _diagnostics(u, nl, m)
-    energy = action(u, nl)
-    # at a sane stationary point the materialized action equals J; a large
-    # mismatch means the profile was at grid scale and the interpolation
-    # destroyed it, so report the pre-materialization frame instead
-    sane = (
-        math.isfinite(energy)
-        and energy > 0.0
-        and abs(energy - J_pre) <= 0.05 * max(abs(J_pre), 1.0)
-    )
-    if not sane:
-        u = pre_frame
-        mu, pde, poh = _diagnostics(u, nl, m)
-        energy = J_pre
-    converged = (
-        sane
-        and pde <= opts.pde_tol
-        and poh <= opts.pohozaev_tol * max(1.0, grad_norm_sq(u))
-    )
+    profile, energy, converged, (mu, pde, poh) = _finish(
+        grid, nl, opts, u, stationary, engine.s_hint)
     return SolveReport(
-        profile=u,
+        profile=profile,
         energy=energy,
         multiplier=mu,
         pde_residual=pde,
         pohozaev_residual=poh,
-        boundary_tail=abs(float(u.values[-2])),
-        iterations=it,
-        trace=trace,
+        boundary_tail=abs(float(profile.values[-2])),
+        iterations=engine.it,
+        trace=engine.trace,
         converged=converged,
         seed=opts.seed,
         mass=m,
@@ -563,7 +534,7 @@ _WIDTH_CYCLE = (1.0, 0.5, 2.0, 0.25, 4.0, 0.125, 8.0)
 
 
 def multistart_minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions,
-                        restarts: int = 5, executor=None):
+                        restarts: int = 5):
     """Run seeded descent replicas and keep the lowest converged energy.
 
     Replicas differ in initial width and noise seed.  Returns
@@ -577,10 +548,7 @@ def multistart_minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptio
             noise=opts.noise if i == 0 else max(opts.noise, 0.1),
             init_width=opts.init_width * _WIDTH_CYCLE[i % len(_WIDTH_CYCLE)],
         ))
-    if executor is None:
-        reports = [minimize(grid, nl, ro) for ro in replicas]
-    else:
-        reports = list(executor.map(lambda ro: minimize(grid, nl, ro), replicas))
+    reports = [minimize(grid, nl, ro) for ro in replicas]
     converged = [r for r in reports if r.converged]
     pool = converged if converged else reports
     best = min(pool, key=lambda r: r.energy)

@@ -78,6 +78,16 @@ class SweepResult:
         return "".join(marks[i] for i in idx)
 
 
+def _small_mass_slope(m, e):
+    """Least-squares slope of log E against log m over the smallest
+    sampled decade; None with fewer than two points there or a
+    nonpositive energy among them."""
+    small = m <= m.min() * 10.0
+    if small.sum() < 2 or not np.all(e[small] > 0):
+        return None
+    return float(np.polyfit(np.log(m[small]), np.log(e[small]), 1)[0])
+
+
 def _verdicts(masses, energies, multipliers, converged):
     e = np.asarray(energies, dtype=float)
     m = np.asarray(masses, dtype=float)
@@ -89,12 +99,7 @@ def _verdicts(masses, energies, multipliers, converged):
     gaps = -diffs / np.maximum(scale, 1e-300)
     min_gap = float(np.min(gaps)) if gaps.size else 0.0
     strictly_decreasing = bool(np.all(gaps >= _STRICT_GAP))
-    # blowup slope over the smallest sampled decade
-    small = m <= m.min() * 10.0
-    slope = None
-    if small.sum() >= 2 and np.all(e[small] > 0):
-        x, y = np.log(m[small]), np.log(e[small])
-        slope = float(np.polyfit(x, y, 1)[0])
+    slope = _small_mass_slope(m, e)
     top = min(3, len(e))
     e_inf = float(np.mean(e[-top:]))
     e_inf_spread = float(np.max(e[-top:]) - np.min(e[-top:]))
@@ -131,7 +136,7 @@ def _merge(warm, colds, backfill):
 
 
 def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
-          cold_restarts: int = 0, executor=None) -> SweepResult:
+          cold_restarts: int = 0) -> SweepResult:
     """Compute E_m over an increasing mass grid.
 
     Runs an ascending warm-started chain (each point starts from the
@@ -162,9 +167,7 @@ def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
                 warm_reports[k] = minimize(grid, nl, warm)
             if cold_restarts > 0 or prev_profile is None:
                 best_cold, _ = multistart_minimize(
-                    grid, nl, point, restarts=max(cold_restarts, 1),
-                    executor=executor,
-                )
+                    grid, nl, point, restarts=max(cold_restarts, 1))
                 cold_reports[k].append(best_cold)
         except (NonconformanceError, ValueError, RuntimeError) as exc:
             failures.append({"mass": float(m), "error": str(exc)})
@@ -246,7 +249,7 @@ def small_mass_diagnostic(result: SweepResult) -> float:
     m, e = m[ok], e[ok]
     if m.size < 2 or m.max() / m.min() < 100.0:
         raise ValueError("sweep must cover at least two decades of masses")
-    small = m <= m.min() * 10.0
-    if small.sum() < 2:
+    slope = _small_mass_slope(m, e)
+    if slope is None:
         raise ValueError("not enough points in the smallest decade")
-    return float(np.polyfit(np.log(m[small]), np.log(e[small]), 1)[0])
+    return slope

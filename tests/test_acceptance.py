@@ -277,7 +277,7 @@ class TestCriterion6GradientCorrectness:
                 ) * np.exp(-((grid.nodes / 3.0) ** 2))
                 phi[-1] = 0.0
                 phi = tangent_project(GridFunction(grid, phi), u, mass(u)).values
-                eps = 1e-5
+                eps = 1e-6
                 up = GridFunction(grid, u.values + eps * phi)
                 um = GridFunction(grid, u.values - eps * phi)
                 fd = (reduced_value(up, nl) - reduced_value(um, nl)) / (2 * eps)

@@ -115,6 +115,14 @@ class TestCheckCommand:
         assert main(["check", "--builtin", "pure_power",
                      "--out", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("key", ["threads", "solve.absify_every", "solve.max_iter"])
+    def test_unknown_config_key_is_usage(self, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"problem.dim = 3\nproblem.builtin = log_supercritical\n{key} = 2\n")
+        code = main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "out").exists()
+
 
 class TestSolveCommand:
     ARGS = [
@@ -185,6 +193,17 @@ class TestSolveCommand:
         assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
         resolved = parse_config_file(out / "resolved.cfg")
         assert resolved["solve.mass"] == "1.0"  # flag wins
+
+    def test_resolved_config_round_trips(self, tmp_path):
+        # a run's own resolved.cfg is a valid --config that reproduces it
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(self.ARGS + ["--points", "501", "--max-iters", "40",
+                                 "--grad-tol", "1e-7", "--force",
+                                 "--out", str(first)]) in (EXIT_OK, EXIT_NOT_CONVERGED)
+        code = main(["solve", "--config", str(first / "resolved.cfg"),
+                     "--out", str(again)])
+        assert code in (EXIT_OK, EXIT_NOT_CONVERGED)
+        assert (again / "report.json").read_bytes() == (first / "report.json").read_bytes()
 
 
 class TestSweepCommand:

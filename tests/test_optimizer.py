@@ -18,6 +18,7 @@ from nlsground import (
     sphere_retract,
     tangent_project,
 )
+from nlsground.functional import action, reduced_value
 from nlsground.grid import ConfigurationError
 from nlsground.nonlinearity import from_callables
 from nlsground.oracles import Bubble, Soliton1D
@@ -251,6 +252,37 @@ class TestMinimize:
             SolveOptions(mass=1.0, armijo=(1.5, 1e-4))
         with pytest.raises(ConfigurationError):
             SolveOptions(mass=1.0, armijo=(0.5, 0.7))
+
+
+class TestFinishEndpoints:
+    """The endpoint a solve reports on each of minimize's finish paths."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return make_grid(1, 30.0, 2001, stretch=60.0)
+
+    def solve(self, grid, p8, max_iters):
+        opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=max_iters,
+                            check_hypotheses=False)
+        return opts, minimize(grid, p8, opts)
+
+    def test_budget_exit_reports_raw_frame(self, grid, p8):
+        # the Newton tail from an early iterate fails the bundle, so the
+        # report is the last iterate at its own J
+        _, rep = self.solve(grid, p8, 3)
+        assert not rep.converged
+        assert rep.iterations == 3
+        J = reduced_value(rep.profile, p8)
+        assert rep.energy == pytest.approx(J, rel=1e-10, abs=0)
+        assert rep.pde_residual > 1e-3
+
+    def test_limit_cycle_promotion_materializes(self, grid, p8):
+        # a near-stationary best iterate is handed to the stationary finish,
+        # which reports a materialized (or Newton-polished) profile
+        opts, rep = self.solve(grid, p8, 9)
+        assert rep.iterations == 9
+        assert rep.energy == action(rep.profile, p8)
+        assert rep.pde_residual <= opts.pde_tol
 
 
 class TestMultistart:
