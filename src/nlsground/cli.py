@@ -61,20 +61,21 @@ def dump_config(cfg: dict) -> str:
     return "".join(f"{k} = {cfg[k]}\n" for k in sorted(cfg))
 
 
+# argparse dest -> the dotted key its flag sets
+_FLAG_KEYS = {
+    "dim": "problem.dim", "builtin": "problem.builtin",
+    "f_expr": "problem.f_expr", "F_expr": "problem.F_expr",
+    "radius": "grid.radius", "points": "grid.points", "stretch": "grid.stretch",
+    "mass": "solve.mass", "masses": "solve.masses", "seed": "solve.seed",
+    "restarts": "solve.restarts", "cold_restarts": "solve.cold_restarts",
+    "max_iters": "solve.max_iters", "grad_tol": "solve.grad_tol",
+    "out": "output.dir",
+}
 # every dotted key the commands read, besides problem.param.<name>
-_CONFIG_KEYS = frozenset({
-    "problem.dim", "problem.builtin", "problem.f_expr", "problem.F_expr",
-    "grid.radius", "grid.points", "grid.stretch",
-    "solve.mass", "solve.masses", "solve.seed", "solve.restarts",
-    "solve.cold_restarts", "solve.max_iters", "solve.grad_tol", "solve.noise",
-    "solve.init_width", "solve.pde_tol", "solve.pohozaev_tol", "solve.force",
-    "output.dir",
-})
-
-
-def _set_if(cfg, key, value):
-    if value is not None:
-        cfg[key] = str(value)
+_CONFIG_KEYS = frozenset(_FLAG_KEYS.values()) | {
+    "solve.noise", "solve.init_width", "solve.pde_tol", "solve.pohozaev_tol",
+    "solve.force",
+}
 
 
 def resolve_config(args) -> dict:
@@ -85,26 +86,15 @@ def resolve_config(args) -> dict:
                          and not k.startswith("problem.param."))
         if unknown:
             raise UsageError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
-    _set_if(cfg, "problem.dim", getattr(args, "dim", None))
-    _set_if(cfg, "problem.builtin", getattr(args, "builtin", None))
+    for dest, key in _FLAG_KEYS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            cfg[key] = str(value)
     for kv in getattr(args, "param", None) or []:
         if "=" not in kv:
             raise UsageError(f"--param expects name=value, got {kv!r}")
         name, value = kv.split("=", 1)
         cfg[f"problem.param.{name.strip()}"] = value.strip()
-    _set_if(cfg, "problem.f_expr", getattr(args, "f_expr", None))
-    _set_if(cfg, "problem.F_expr", getattr(args, "F_expr", None))
-    _set_if(cfg, "grid.radius", getattr(args, "radius", None))
-    _set_if(cfg, "grid.points", getattr(args, "points", None))
-    _set_if(cfg, "grid.stretch", getattr(args, "stretch", None))
-    _set_if(cfg, "solve.mass", getattr(args, "mass", None))
-    _set_if(cfg, "solve.masses", getattr(args, "masses", None))
-    _set_if(cfg, "solve.seed", getattr(args, "seed", None))
-    _set_if(cfg, "solve.restarts", getattr(args, "restarts", None))
-    _set_if(cfg, "solve.cold_restarts", getattr(args, "cold_restarts", None))
-    _set_if(cfg, "solve.max_iters", getattr(args, "max_iters", None))
-    _set_if(cfg, "solve.grad_tol", getattr(args, "grad_tol", None))
-    _set_if(cfg, "output.dir", getattr(args, "out", None))
     if getattr(args, "force", False):
         cfg["solve.force"] = "true"
     return cfg
@@ -223,16 +213,6 @@ def cmd_sweep(args) -> int:
     opts = build_options(cfg, masses[0])
     cold = int(cfg.get("solve.cold_restarts", 0))
     result = sweep(grid, nl, masses, opts, cold_restarts=cold)
-    if getattr(args, "test_perturb_energies", None):
-        # test hook: bump alternating energies to exercise the verdict logic
-        amp = float(args.test_perturb_energies)
-        bump = np.ones(result.energies.size)
-        bump[1::2] += amp
-        result.energies = result.energies * bump
-        from .sweep import _verdicts
-        ok = ~np.isnan(result.energies)
-        result.verdicts = _verdicts(result.masses[ok], result.energies[ok],
-                                    result.multipliers[ok], result.converged[ok])
     out = _outdir(cfg)
     _write(os.path.join(out, "resolved.cfg"), dump_config(cfg))
     result.to_csv(os.path.join(out, "sweep.csv"))
@@ -329,8 +309,6 @@ def make_parser() -> argparse.ArgumentParser:
     w.add_argument("--max-iters", dest="max_iters", type=int)
     w.add_argument("--grad-tol", dest="grad_tol", type=float)
     w.add_argument("--force", action="store_true")
-    w.add_argument("--test-perturb-energies", dest="test_perturb_energies",
-                   help=argparse.SUPPRESS)
 
     o = sub.add_parser("oracle", help="emit closed-form reference tables")
     _add_common(o)

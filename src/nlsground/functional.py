@@ -29,7 +29,6 @@ numerically.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -62,17 +61,6 @@ class FiberResult:
     residual: float
     bracket: tuple
 
-    def as_dict(self) -> dict:
-        return {
-            "s_star": self.s_star,
-            "value": self.value,
-            "residual": self.residual,
-            "bracket": [self.bracket[0], self.bracket[1]],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
 
 def action(u: GridFunction, nl: NonlinearitySpec) -> float:
     """I(u) = 1/2 ||grad u||^2 - int F(u)."""
@@ -80,10 +68,9 @@ def action(u: GridFunction, nl: NonlinearitySpec) -> float:
 
 
 def pohozaev(u: GridFunction, nl: NonlinearitySpec) -> float:
-    """P(u) = ||grad u||^2 - (N/2) int (f(u) u - 2 F(u))."""
+    """P(u) = ||grad u||^2 - (N/2) int F_tilde(u)."""
     g = u.grid
-    ft = nl.f(u.values) * u.values - 2.0 * nl.F(u.values)
-    return grad_norm_sq(u) - 0.5 * g.dimension * g.integrate(ft)
+    return grad_norm_sq(u) - 0.5 * g.dimension * g.integrate(f_tilde(nl, u.values))
 
 
 def dilate(s: float, u: GridFunction) -> GridFunction:

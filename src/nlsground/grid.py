@@ -54,14 +54,12 @@ class RadialGrid:
         radius: truncation radius R.
         nodes: strictly increasing radii, nodes[0] = 0, nodes[-1] = R.
         weights: quadrature weights against omega_{N-1} r^{N-1} dr.
-        stretch: stretch parameter used to build the nodes (None if uniform).
     """
 
     dimension: int
     radius: float
     nodes: NDArray[np.float64]
     weights: NDArray[np.float64]
-    stretch: float | None = None
     # flux coefficients omega * r_{i+1/2}^{N-1} / h_i for the K-1 cells
     _flux_coef: NDArray[np.float64] = field(repr=False, default=None)
 
@@ -169,8 +167,7 @@ def make_grid(N: int, R: float, K: int, stretch: float | None = None) -> RadialG
     edges[0], edges[-1] = 0.0, R
     edges[1:-1] = 0.5 * (nodes[:-1] + nodes[1:])
     weights = (omega / N) * np.diff(edges**N)
-    return RadialGrid(dimension=int(N), radius=float(R), nodes=nodes,
-                      weights=weights, stretch=stretch)
+    return RadialGrid(dimension=int(N), radius=float(R), nodes=nodes, weights=weights)
 
 
 def mass(u: GridFunction) -> float:

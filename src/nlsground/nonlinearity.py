@@ -73,9 +73,6 @@ class ConditionReport:
     def failures(self) -> list:
         return [h for h, e in self.entries.items() if e["verdict"] == "fail"]
 
-    def inconclusive(self) -> list:
-        return [h for h, e in self.entries.items() if e["verdict"] == "inconclusive"]
-
     def all_pass(self, hypotheses) -> bool:
         return all(self.entries[h]["verdict"] == "pass" for h in hypotheses)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +44,9 @@ from .nonlinearity import NonlinearitySpec, check_conditions
 from .functional import NonconformanceError, dilate, action, pohozaev, project, reduced_gradient
 
 _GATE = ("f0", "f1", "f2", "f3", "f4")
-_gate_cache: dict = {}
+# Armijo backtracking factor and sufficient-decrease constant
+_BACKTRACK = 0.5
+_DECREASE = 1e-4
 
 
 class DiagnosticError(RuntimeError):
@@ -60,13 +62,10 @@ class SolveOptions:
     mass: float
     max_iters: int = 4000
     grad_tol: float = 1e-7
-    armijo: tuple = (0.5, 1e-4)
-    init: str = "gaussian"            # gaussian | custom | restart
     seed: int = 0
     noise: float = 0.0
     init_width: float = 1.0
-    custom_profile: GridFunction | None = None
-    restart_path: str | None = None
+    custom_profile: GridFunction | None = None  # start here instead of a gaussian
     pde_tol: float = 1e-5
     pohozaev_tol: float = 1e-6
     check_hypotheses: bool = True
@@ -74,11 +73,6 @@ class SolveOptions:
     def __post_init__(self):
         if not self.mass > 0:
             raise ConfigurationError(f"mass must be positive, got {self.mass}")
-        back, dec = self.armijo
-        if not (0.0 < back < 1.0 and 0.0 < dec < 0.5):
-            raise ConfigurationError(
-                f"armijo parameters need 0 < backtrack < 1, 0 < decrease < 1/2, got {self.armijo}"
-            )
         if not self.grad_tol > 0:
             raise ConfigurationError("grad_tol must be positive")
 
@@ -117,27 +111,18 @@ class SolveReport:
         return json.dumps(self.as_dict(), sort_keys=True, **kw)
 
 
-def initial_profile(grid: RadialGrid, m: float, kind: str = "gaussian",
-                    seed: int = 0, noise: float = 0.0, width: float = 1.0,
-                    custom: GridFunction | None = None,
-                    restart_path=None) -> GridFunction:
+def initial_profile(grid: RadialGrid, m: float, seed: int = 0,
+                    noise: float = 0.0, width: float = 1.0,
+                    custom: GridFunction | None = None) -> GridFunction:
     """Build a mass-m starting profile.
 
-    gaussian: exp(-(r/width)^2) rescaled to mass m; optional smooth
-    multiplicative noise keyed by seed.  custom/restart: rescale the given
-    or loaded profile.
+    The custom profile if one is given, else exp(-(r/width)^2), rescaled
+    to mass m; optional smooth multiplicative noise keyed by seed.
     """
-    if kind == "gaussian":
-        vals = np.exp(-((grid.nodes / width) ** 2))
-    elif kind == "custom":
-        if custom is None:
-            raise ConfigurationError("custom init requires a profile")
+    if custom is not None:
         vals = custom.values.copy()
-    elif kind == "restart":
-        loaded = GridFunction.from_csv(restart_path, grid)
-        vals = loaded.values.copy()
     else:
-        raise ConfigurationError(f"unknown init kind {kind!r}")
+        vals = np.exp(-((grid.nodes / width) ** 2))
     vals[-1] = 0.0
     if noise > 0.0:
         rng = np.random.default_rng(seed)
@@ -173,12 +158,7 @@ def multiplier(u: GridFunction, nl: NonlinearitySpec, m: float) -> float:
 
 
 def _gate(nl: NonlinearitySpec, N: int):
-    # the key holds f and F themselves: an id() could be reused by a new
-    # spec once the old one is freed and hand it a stale verdict
-    key = (nl.f, nl.F, nl.name, tuple(sorted(nl.params.items())), N)
-    if key not in _gate_cache:
-        _gate_cache[key] = check_conditions(nl, N)
-    report = _gate_cache[key]
+    report = check_conditions(nl, N)
     bad = [h for h in _GATE if report.verdict(h) == "fail"]
     if bad:
         raise NonconformanceError(
@@ -361,7 +341,6 @@ class _Descent:
                 self.pairs.pop(0)
 
     def step(self, u, J, dvec, slope):
-        back, dec = self.opts.armijo
         # warm-start the line search near the previously accepted step and
         # cap it so a single move cannot tunnel out of the current basin
         dn = self.grid.norm(dvec)
@@ -379,10 +358,10 @@ class _Descent:
                     f"non-finite J during line search at iteration {self.it}",
                     iterate=cand,
                 )
-            if Jc <= J - dec * t * slope:
+            if Jc <= J - _DECREASE * t * slope:
                 self.tau = t
                 return cand
-            t *= back
+            t *= _BACKTRACK
         return None
 
     def run(self, u, budget):
@@ -508,9 +487,8 @@ def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions) -> Solv
     if opts.check_hypotheses:
         _gate(nl, grid.dimension)
     m = opts.mass
-    u = initial_profile(grid, m, opts.init, seed=opts.seed, noise=opts.noise,
-                        width=opts.init_width, custom=opts.custom_profile,
-                        restart_path=opts.restart_path)
+    u = initial_profile(grid, m, seed=opts.seed, noise=opts.noise,
+                        width=opts.init_width, custom=opts.custom_profile)
     engine = _Descent(grid, nl, opts)
     u, stationary = engine.run(u, opts.max_iters)
     profile, energy, converged, (mu, pde, poh) = _finish(

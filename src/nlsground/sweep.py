@@ -21,7 +21,6 @@ strict-decrease verdict.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -56,9 +55,6 @@ class SweepResult:
             "verdicts": self.verdicts,
             "failures": self.failures,
         }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, **kw)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -118,20 +114,19 @@ def _verdicts(masses, energies, multipliers, converged):
     }
 
 
-def _merge(warm, colds, backfill):
-    """Pick a point's report: converged runs win by energy; otherwise a
-    sane descending-backfill run is the most trustworthy (it inherits its
-    shape from the resolvable side), then the warm ascending run."""
-    everything = [r for r in [warm, backfill, *colds] if r is not None]
+def _merge(record):
+    """Pick a point's report from its {"warm", "cold", "backfill"} record:
+    converged runs win by energy; otherwise a sane descending-backfill run
+    is the most trustworthy (it inherits its shape from the resolvable
+    side), then the warm ascending run."""
+    everything = [record[k] for k in ("warm", "backfill", "cold") if record[k] is not None]
     conv = [r for r in everything if r.converged]
     if conv:
         return min(conv, key=lambda r: r.energy)
-    def sane(r):
-        return r is not None and math.isfinite(r.energy) and r.energy > 0
-    if sane(backfill):
-        return backfill
-    if sane(warm):
-        return warm
+    for k in ("backfill", "warm"):
+        r = record[k]
+        if r is not None and math.isfinite(r.energy) and r.energy > 0:
+            return r
     return min(everything, key=lambda r: r.pde_residual) if everything else None
 
 
@@ -154,43 +149,40 @@ def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
     if not np.all(masses > 0):
         raise ValueError("masses must be positive")
     n = masses.size
-    warm_reports: list = [None] * n
-    cold_reports: list = [[] for _ in range(n)]
-    back_reports: list = [None] * n
+    # one record per mass point: the report each chain supplied there
+    records = [dict(warm=None, cold=None, backfill=None) for _ in range(n)]
     failures = []
     prev_profile = None
     for k, m in enumerate(masses):
         point = replace(opts, mass=float(m))
         try:
             if prev_profile is not None:
-                warm = replace(point, init="custom", custom_profile=prev_profile)
-                warm_reports[k] = minimize(grid, nl, warm)
+                warm = replace(point, custom_profile=prev_profile)
+                records[k]["warm"] = minimize(grid, nl, warm)
             if cold_restarts > 0 or prev_profile is None:
-                best_cold, _ = multistart_minimize(
+                records[k]["cold"], _ = multistart_minimize(
                     grid, nl, point, restarts=max(cold_restarts, 1))
-                cold_reports[k].append(best_cold)
         except (NonconformanceError, ValueError, RuntimeError) as exc:
             failures.append({"mass": float(m), "error": str(exc)})
             continue
-        chosen = _merge(warm_reports[k], cold_reports[k], None)
+        chosen = _merge(records[k])
         if chosen is not None:
             prev_profile = chosen.profile
     # descending backfill through the non-converged range
     prev_profile = None
     for k in range(n - 1, -1, -1):
-        current = _merge(warm_reports[k], cold_reports[k], None)
+        current = _merge(records[k])
         if current is not None and current.converged:
             prev_profile = current.profile
             continue
         if prev_profile is None:
             continue
-        point = replace(opts, mass=float(masses[k]), init="custom",
-                        custom_profile=prev_profile)
+        point = replace(opts, mass=float(masses[k]), custom_profile=prev_profile)
         try:
-            back_reports[k] = minimize(grid, nl, point)
+            records[k]["backfill"] = minimize(grid, nl, point)
         except (NonconformanceError, ValueError, RuntimeError):
             continue
-        merged = _merge(warm_reports[k], cold_reports[k], back_reports[k])
+        merged = _merge(records[k])
         if merged is not None:
             prev_profile = merged.profile
 
@@ -199,7 +191,7 @@ def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
     converged = np.zeros(n, dtype=bool)
     reports: list = [None] * n
     for k in range(n):
-        rep = _merge(warm_reports[k], cold_reports[k], back_reports[k])
+        rep = _merge(records[k])
         if rep is None:
             continue
         reports[k] = rep

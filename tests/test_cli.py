@@ -222,10 +222,27 @@ class TestSweepCommand:
         verdicts = json.loads((tmp_path / "verdicts.json").read_text())
         assert verdicts["verdicts"]["nonincreasing"]["verdict"]
 
-    def test_perturbation_flag_fails_verdict(self, tmp_path):
-        code = main(self.ARGS + ["--out", str(tmp_path),
-                                 "--test-perturb-energies", "30.0"])
+    def test_perturbation_flag_fails_verdict(self, tmp_path, monkeypatch):
+        # scaling alternate energies by 31 breaks monotonicity, and the
+        # command must report the failed verdict with exit 6
+        from nlsground.sweep import _verdicts, sweep
+
+        def perturbed_sweep(*args, **kw):
+            result = sweep(*args, **kw)
+            bump = np.ones(result.energies.size)
+            bump[1::2] += 30.0
+            result.energies = result.energies * bump
+            ok = ~np.isnan(result.energies)
+            result.verdicts = _verdicts(result.masses[ok], result.energies[ok],
+                                        result.multipliers[ok], result.converged[ok])
+            return result
+
+        monkeypatch.setattr(cli, "sweep", perturbed_sweep)
+        code = main(self.ARGS + ["--out", str(tmp_path)])
         assert code == EXIT_VERDICT_FAIL
+        # the perturbation is no longer a command-line flag
+        assert main(self.ARGS + ["--out", str(tmp_path),
+                                 "--test-perturb-energies", "30.0"]) == EXIT_USAGE
 
 
 class TestOracleCommand:
