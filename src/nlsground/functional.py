@@ -90,17 +90,23 @@ def dilate(s: float, u: GridFunction) -> GridFunction:
     return GridFunction(g, math.exp(0.5 * g.dimension * s) * vals)
 
 
+def _fiber_value(T: float, F_integral: float, s: float, N: int) -> float:
+    """I(s * u) = 1/2 e^{2s} T - e^{-Ns} int F(e^{Ns/2} u), T = ||grad u||^2."""
+    return 0.5 * math.exp(2.0 * s) * T - math.exp(-N * s) * F_integral
+
+
 def fiber_action(u: GridFunction, nl: NonlinearitySpec, s: float) -> float:
     """I(s * u) evaluated in closed form on the fixed grid."""
     g = u.grid
     N = g.dimension
     with np.errstate(over="ignore", invalid="ignore"):
         fval = g.integrate(nl.F(math.exp(0.5 * N * s) * u.values))
-    return 0.5 * math.exp(2.0 * s) * grad_norm_sq(u) - math.exp(-N * s) * fval
+    return _fiber_value(grad_norm_sq(u), fval, s, N)
 
 
 def _fiber_bracket(u: GridFunction, nl: NonlinearitySpec, s: float,
-                   T: float | None = None) -> float:
+                   T: float | None = None,
+                   F_integrals: dict | None = None) -> float:
     """The strictly decreasing bracket of d/ds I(s * u):
 
         ||grad u||^2 - (N/2) e^{-(N+2)s} int F_tilde(e^{Ns/2} u).
@@ -111,6 +117,10 @@ def _fiber_bracket(u: GridFunction, nl: NonlinearitySpec, s: float,
     Under f3/f4 F_tilde grows without bound, so a non-finite F_tilde at a
     huge scaled argument counts as +inf, which keeps the bracket's sign
     (negative); non-finite values at moderate arguments count as 0.
+
+    F_tilde is formed from one evaluation of F; when F_integrals is
+    given, int F(e^{Ns/2} u) is stored in it under s, so the caller can
+    form I(s * u) without evaluating F again.
     """
     g = u.grid
     N = g.dimension
@@ -118,7 +128,11 @@ def _fiber_bracket(u: GridFunction, nl: NonlinearitySpec, s: float,
         T = grad_norm_sq(u)
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = math.exp(min(0.5 * N * s, 700.0)) * u.values
-        ft = f_tilde(nl, scaled)
+        F = nl.F(scaled)
+        # the arithmetic of f_tilde, so the bracket keeps its bits
+        ft = nl.f(scaled) * scaled - 2.0 * F
+        if F_integrals is not None:
+            F_integrals[s] = g.integrate(F)
         bad = ~np.isfinite(ft)
         if np.any(bad):
             ft = np.where(bad, np.where(np.abs(scaled) > 1e30, np.inf, 0.0), ft)
@@ -154,12 +168,13 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
             "profile carries no gradient energy; projection undefined"
         )
     seen = {}
+    F_integrals = {}
 
     def bracket(s):
-        # Brent re-evaluates the expansion's end points and the residual
-        # needs the root's value: each s is evaluated once
+        # Brent re-evaluates the expansion's end points, and the residual
+        # and the value need the root's evaluation: each s is evaluated once
         if s not in seen:
-            seen[s] = _fiber_bracket(u, nl, s, T)
+            seen[s] = _fiber_bracket(u, nl, s, T, F_integrals)
         return seen[s]
 
     anchor = float(np.clip(s_hint, -_BRACKET_CAP, _BRACKET_CAP))
@@ -188,10 +203,12 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
                     "(bracket never turns positive)"
                 )
     s_star = lo if lo == hi else brentq(bracket, lo, hi, xtol=width)
+    # before the value: the root's evaluation records its F integral
+    residual = abs(math.exp(2.0 * s_star) * bracket(s_star))
     return FiberResult(
         s_star=float(s_star),
-        value=fiber_action(u, nl, s_star),
-        residual=abs(math.exp(2.0 * s_star) * bracket(s_star)),
+        value=_fiber_value(T, F_integrals[s_star], s_star, u.grid.dimension),
+        residual=residual,
         bracket=(float(lo), float(hi)),
     )
 

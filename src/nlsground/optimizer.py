@@ -25,7 +25,6 @@ certified only relative to multistart (multistart_minimize).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -88,6 +87,7 @@ class SolveReport:
     iterations: int
     trace: list
     converged: bool
+    termination: str  # the descent's exit, see _Descent.run
     seed: int = 0
     mass: float = 0.0
 
@@ -100,15 +100,13 @@ class SolveReport:
             "boundary_tail": self.boundary_tail,
             "iterations": self.iterations,
             "converged": self.converged,
+            "termination": self.termination,
             "seed": self.seed,
             "mass": self.mass,
         }
         if with_trace:
             d["trace"] = [[float(a), float(b), float(c)] for a, b, c in self.trace]
         return d
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, **kw)
 
 
 def initial_profile(grid: RadialGrid, m: float, seed: int = 0,
@@ -365,17 +363,34 @@ class _Descent:
         return None
 
     def run(self, u, budget):
-        """Descend from u; returns (u, stationary).
+        """Descend from u; returns (u, stationary) and sets termination.
 
-        The loop has four exits: the gradient gate (stationary), a limit
-        cycle (no new lowest gradient for 100 iterations while the best
-        one is already small), a step collapse (stationary) and the
-        budget.  A non-stationary exit whose lowest-gradient iterate
+        The loop has five exits, named in self.termination:
+
+          * "gradient": the shape gradient meets the gate (stationary);
+          * "roundoff": the search direction's slope is at most one ulp
+            of J (eps |J|), so even a unit step's predicted decrease is
+            below J's rounding and every Armijo test at t <= 1 is decided
+            by round-off, and the gradient set no new low, so it shows no
+            progress either (stationary);
+          * "limit_cycle": no new lowest gradient for 100 iterations
+            while the best one is already small;
+          * "step_collapse": backtracking fell below floating-point
+            resolution (stationary);
+          * "budget": max_iters spent.
+
+        The limit-cycle patience stays as the fallback for stalls the
+        round-off test cannot see: J flat to its last digits while the
+        slope stays a few ulps of J, as in a cold pure-power replica at
+        K=2001 whose slope sits at 4-6 ulps for 150 iterations.  A
+        non-stationary exit whose lowest-gradient iterate
         (best_gn, best_u) is quasi-stationary hands that iterate back as
         stationary, so a run that limit-cycles near the minimizer still
-        reaches the stationary finish.
+        reaches the stationary finish; termination keeps the exit that
+        fired.
         """
         stationary = False
+        self.termination = "budget"
         prev_vals = prev_grad = None
         self.best_gn, self.best_u, self.best_J = math.inf, u, math.inf
         since_best = 0
@@ -385,9 +400,11 @@ class _Descent:
             self.trace.append((J, gn, self.tau))
             if gn <= self.opts.grad_tol * (1.0 + abs(J)):
                 stationary = True
+                self.termination = "gradient"
                 break
             if since_best > 100 and self.best_gn <= 1e-3 * (1.0 + abs(J)):
                 # limit cycle around the minimizer
+                self.termination = "limit_cycle"
                 break
             if gn < self.best_gn:
                 self.best_gn, self.best_u, self.best_J = gn, u, J
@@ -407,6 +424,13 @@ class _Descent:
                 self.push_pair(u.values - prev_vals, gshape.values - prev_grad)
             prev_vals, prev_grad = u.values.copy(), gshape.values.copy()
             dvec, slope = self.direction(u, g, gshape, gen)
+            if since_best > 0 and slope <= np.finfo(float).eps * abs(J):
+                # J's round-off can no longer see the step and the gradient
+                # stopped falling: the iterate is numerically stationary;
+                # the residual bundle decides convergence
+                stationary = True
+                self.termination = "roundoff"
+                break
             cand = self.step(u, J, dvec, slope)
             self.it += 1
             if cand is None:
@@ -414,6 +438,7 @@ class _Descent:
                 # iterate is numerically stationary; the residual bundle
                 # decides convergence
                 stationary = True
+                self.termination = "step_collapse"
                 break
             u = cand
         if not stationary and self.best_gn <= 1e-4 * (1.0 + abs(self.best_J)):
@@ -503,6 +528,7 @@ def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions) -> Solv
         iterations=engine.it,
         trace=engine.trace,
         converged=converged,
+        termination=engine.termination,
         seed=opts.seed,
         mass=m,
     )

@@ -143,6 +143,15 @@ class TestSolveCommand:
             assert code == EXIT_NOT_CONVERGED
         assert report["energy"] == pytest.approx(12.16, rel=1e-2)
 
+    def test_descent_stops_at_roundoff(self, tmp_path):
+        # J stops seeing the steps after about a dozen iterations; the
+        # limit-cycle patience alone ran this descent 84 iterations
+        main(self.ARGS + ["--out", str(tmp_path)])
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["iterations"] <= 20
+        assert report["termination"] == "roundoff"
+        assert report["termination"] == report["replicas"][0]["termination"]
+
     def test_determinism_byte_for_byte(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(self.ARGS + ["--out", str(a)])

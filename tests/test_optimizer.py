@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -274,6 +275,39 @@ class TestFinishEndpoints:
         assert rep.energy == action(rep.profile, p8)
         assert rep.pde_residual <= opts.pde_tol
 
+    def test_promotion_keeps_the_exit_that_fired(self, grid, p8):
+        # the best iterate goes to the stationary finish, but the report
+        # still says the budget ended the descent
+        _, rep = self.solve(grid, p8, 9)
+        assert rep.termination == "budget"
+
+
+class TestTermination:
+    """The exit that ended the descent, recorded in SolveReport.termination."""
+
+    def test_roundoff_exit_ends_the_stall(self):
+        # J is converged to its last bit by iteration ~20 and the gradient
+        # stops falling; the limit-cycle patience alone ran 172 iterations
+        nl = builtin("log_supercritical", 2)
+        g = make_grid(2, 400.0, 2001, stretch=150.0)
+        opts = SolveOptions(mass=0.5, grad_tol=1e-8, max_iters=800,
+                            check_hypotheses=False)
+        rep = minimize(g, nl, opts)
+        assert rep.termination == "roundoff"
+        assert rep.iterations <= 30
+        assert rep.as_dict()["termination"] == "roundoff"
+
+    def test_progressing_descent_meets_gradient_gate(self, p8, soliton_grid):
+        # criterion 2's solve: in its best replica J is flat to the last
+        # bit from iteration 10 while the gradient still falls to the gate
+        # at iteration 15, so the round-off exit must not end it early
+        opts = SolveOptions(mass=1.0, grad_tol=1e-8, check_hypotheses=False)
+        best, reports = multistart_minimize(soliton_grid, p8, opts, restarts=3)
+        assert best.termination == "gradient"
+        assert best.iterations == 15
+        exits = {"gradient", "roundoff", "limit_cycle", "step_collapse", "budget"}
+        assert all(r.termination in exits for r in reports)
+
 
 class TestMultistart:
     def test_returns_min_energy(self, p8, soliton_grid):
@@ -292,4 +326,4 @@ class TestMultistart:
         }
         slim = solved.as_dict(with_trace=False)
         assert "trace" not in slim
-        assert isinstance(solved.to_json(), str)
+        assert isinstance(json.dumps(solved.as_dict()), str)
