@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -103,11 +104,14 @@ def resolve_config(args) -> dict:
 def build_nonlinearity(cfg: dict, N: int):
     name = cfg.get("problem.builtin")
     if name:
-        params = {}
-        for key, value in cfg.items():
-            if key.startswith("problem.param."):
-                params[key.split(".", 2)[2]] = float(value)
-        return builtin(name, N, **params)
+        try:
+            params = {key.split(".", 2)[2]: float(value)
+                      for key, value in cfg.items() if key.startswith("problem.param.")}
+            return builtin(name, N, **params)
+        except (ValueError, TypeError) as exc:
+            # an unknown name, a non-number, a parameter the builtin does
+            # not take or a value outside its range
+            raise UsageError(f"--builtin {name}: {exc}") from None
     f_expr, F_expr = cfg.get("problem.f_expr"), cfg.get("problem.F_expr")
     if f_expr and F_expr:
         f = compile_expression(f_expr)
@@ -196,10 +200,20 @@ def cmd_solve(args) -> int:
 
 
 def _parse_masses(text: str):
-    if ":" in text:
-        lo, hi, n = text.split(":")
-        return list(np.geomspace(float(lo), float(hi), int(n)))
-    return [float(x) for x in text.split(",") if x.strip()]
+    """lo:hi:n (log-spaced) or a comma list: at least two finite,
+    positive, increasing masses."""
+    try:
+        if ":" in text:
+            lo, hi, n = text.split(":")
+            masses = list(np.geomspace(float(lo), float(hi), int(n)))
+        else:
+            masses = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise UsageError(f"--masses {text!r}: {exc}") from None
+    if len(masses) < 2 or not all(0 < a < b < math.inf for a, b in zip(masses, masses[1:])):
+        raise UsageError(f"--masses {text!r}: need at least two finite, positive, "
+                         "increasing masses")
+    return masses
 
 
 def cmd_sweep(args) -> int:

@@ -36,11 +36,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 _SLOPE_TOL = 0.1
 _FIT_MIN_R2 = 0.9
 _GEOM_DECAY = 0.6
+# check_conditions samples |t| log-uniformly over [_T_MIN, _T_MAX]
+_T_MIN = 1e-6
+_T_MAX = 1e6
+_PER_DECADE = 9
 
 
 @dataclass(frozen=True)
@@ -69,12 +72,6 @@ class ConditionReport:
 
     def verdict(self, hypothesis: str) -> str:
         return self.entries[hypothesis]["verdict"]
-
-    def failures(self) -> list:
-        return [h for h, e in self.entries.items() if e["verdict"] == "fail"]
-
-    def all_pass(self, hypotheses) -> bool:
-        return all(self.entries[h]["verdict"] == "pass" for h in hypotheses)
 
     def as_dict(self) -> dict:
         return {
@@ -252,22 +249,6 @@ def from_callables(name: str, f, F, claimed=(), params=None) -> NonlinearitySpec
     )
 
 
-def primitive_consistency(nl: NonlinearitySpec, n: int = 64, t_max: float = 1e3) -> float:
-    """Max relative defect |F(t) - int_0^t f| / (1 + |F(t)|) over sampled t.
-
-    Guards against transcription errors between the analytic F and f.
-    """
-    worst = 0.0
-    ts = np.concatenate([np.geomspace(1e-3, t_max, n // 2),
-                         -np.geomspace(1e-3, t_max, n // 2)])
-    fn = lambda x: float(nl.f(np.asarray(x, dtype=float)))
-    for t in ts:
-        val, _ = quad(fn, 0.0, t, limit=200)
-        ref = float(nl.F(np.asarray(t)))
-        worst = max(worst, abs(ref - val) / (1.0 + abs(ref)))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # verdict machinery
 
@@ -374,18 +355,15 @@ def _scan_loose(ts, vals, increasing: bool):
     return np.where(d > scale * 1e-10)[0]
 
 
-def check_conditions(nl: NonlinearitySpec, N: int, t_min: float = 1e-6,
-                     t_max: float = 1e6, per_decade: int = 9) -> ConditionReport:
+def check_conditions(nl: NonlinearitySpec, N: int) -> ConditionReport:
     """Numerically certify the hypotheses f0-f7, f6', and oddness.
 
-    Limit hypotheses are decided from log-spaced samples, monotonicity
-    hypotheses by scanning; every verdict carries numeric witnesses.  The
-    sampling range must span at least [1e-6, 1e6].
+    Limit hypotheses are decided from log-spaced samples over
+    [_T_MIN, _T_MAX], monotonicity hypotheses by scanning; every verdict
+    carries numeric witnesses.
     """
-    if t_min > 1e-6 or t_max < 1e6:
-        raise ValueError("sampling range must span at least [1e-6, 1e6]")
-    n = max(int(per_decade * math.log10(t_max / t_min)), 24)
-    ts = np.geomspace(t_min, t_max, n)
+    n = int(_PER_DECADE * math.log10(_T_MAX / _T_MIN))
+    ts = np.geomspace(_T_MIN, _T_MAX, n)
     entries = {}
 
     def quotient(fn, denom_exp, sign=1.0):
@@ -437,7 +415,7 @@ def check_conditions(nl: NonlinearitySpec, N: int, t_min: float = 1e-6,
     elif N == 2:
         with np.errstate(over="ignore"):
             fv = np.abs(nl.f(ts))
-        slope, r2 = _loglog_slope(ts[-2 * per_decade:], fv[-2 * per_decade:])
+        slope, r2 = _loglog_slope(ts[-2 * _PER_DECADE:], fv[-2 * _PER_DECADE:])
         if slope is not None and r2 >= 0.99 and np.all(np.isfinite(fv)):
             entries["f2"] = {
                 "verdict": "pass",
@@ -575,5 +553,5 @@ def check_conditions(nl: NonlinearitySpec, N: int, t_min: float = 1e-6,
 
     return ConditionReport(
         name=nl.name, dimension=N, entries=entries,
-        sampling={"t_min": t_min, "t_max": t_max, "count": int(n)},
+        sampling={"t_min": _T_MIN, "t_max": _T_MAX, "count": n},
     )

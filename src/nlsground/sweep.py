@@ -21,7 +21,6 @@ strict-decrease verdict.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -115,33 +114,27 @@ def _verdicts(masses, energies, multipliers, converged):
 
 
 def _merge(record):
-    """Pick a point's report from its {"warm", "cold", "backfill"} record:
-    converged runs win by energy; otherwise a sane descending-backfill run
-    is the most trustworthy (it inherits its shape from the resolvable
-    side), then the warm ascending run."""
-    everything = [record[k] for k in ("warm", "backfill", "cold") if record[k] is not None]
-    conv = [r for r in everything if r.converged]
+    """Pick a point's report from its {"warm", "cold"} record: the
+    converged report with the lowest energy, else the warm report, else
+    the cold one."""
+    conv = [r for r in record.values() if r is not None and r.converged]
     if conv:
         return min(conv, key=lambda r: r.energy)
-    for k in ("backfill", "warm"):
-        r = record[k]
-        if r is not None and math.isfinite(r.energy) and r.energy > 0:
-            return r
-    return min(everything, key=lambda r: r.pde_residual) if everything else None
+    return record["warm"] if record["warm"] is not None else record["cold"]
 
 
 def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
           cold_restarts: int = 0) -> SweepResult:
     """Compute E_m over an increasing mass grid.
 
-    Runs an ascending warm-started chain (each point starts from the
-    previous minimizer rescaled to the new mass) with optional cold
-    multistart replicas, then backfills non-converged points by a
-    descending chain from the resolvable side: masses whose minimizer
-    sits below grid resolution otherwise inherit ascending-chain
-    artifacts.  A failing point (solver exception) is recorded and
-    skipped; the sweep itself fails only when more than a quarter of the
-    points fail.
+    Runs one ascending warm-started chain (each point starts from the
+    previous point's report rescaled to the new mass; the first point
+    starts cold) with optional cold multistart replicas at every point;
+    _merge picks each point's report.  A point whose minimizer sits below
+    grid resolution stays non-converged and reports its descent frame's
+    J.  A failing point (solver exception) is recorded and skipped; the
+    sweep itself fails only when more than a quarter of the points
+    fail.
     """
     masses = np.asarray(list(masses), dtype=float)
     if masses.size < 2 or not np.all(np.diff(masses) > 0):
@@ -150,7 +143,7 @@ def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
         raise ValueError("masses must be positive")
     n = masses.size
     # one record per mass point: the report each chain supplied there
-    records = [dict(warm=None, cold=None, backfill=None) for _ in range(n)]
+    records = [dict(warm=None, cold=None) for _ in range(n)]
     failures = []
     prev_profile = None
     for k, m in enumerate(masses):
@@ -165,26 +158,7 @@ def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
         except (NonconformanceError, ValueError, RuntimeError) as exc:
             failures.append({"mass": float(m), "error": str(exc)})
             continue
-        chosen = _merge(records[k])
-        if chosen is not None:
-            prev_profile = chosen.profile
-    # descending backfill through the non-converged range
-    prev_profile = None
-    for k in range(n - 1, -1, -1):
-        current = _merge(records[k])
-        if current is not None and current.converged:
-            prev_profile = current.profile
-            continue
-        if prev_profile is None:
-            continue
-        point = replace(opts, mass=float(masses[k]), custom_profile=prev_profile)
-        try:
-            records[k]["backfill"] = minimize(grid, nl, point)
-        except (NonconformanceError, ValueError, RuntimeError):
-            continue
-        merged = _merge(records[k])
-        if merged is not None:
-            prev_profile = merged.profile
+        prev_profile = _merge(records[k]).profile
 
     energies = np.full(n, np.nan)
     multipliers = np.full(n, np.nan)

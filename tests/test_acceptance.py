@@ -294,10 +294,11 @@ class TestCriterion7CheckerClassification:
         # its f6 quotient has the finite limit 2*, measured honestly by
         # the checker (see test_nonlinearity for the N = 3 verdicts)
         log2 = check_conditions(builtin("log_supercritical", 2), 2)
-        log_ok = log2.all_pass(["f0", "f1", "f2", "f3", "f4", "f5", "f6"])
+        log_ok = all(log2.verdict(h) == "pass"
+                     for h in ("f0", "f1", "f2", "f3", "f4", "f5", "f6"))
         cp = check_conditions(builtin("critical_piecewise", 5), 5)
         cp_ok = (cp.verdict("f5") == "fail"
-                 and cp.all_pass(["f0", "f1", "f2", "f3", "f4"]))
+                 and all(cp.verdict(h) == "pass" for h in ("f0", "f1", "f2", "f3", "f4")))
         f6p = check_conditions(
             builtin("f6prime_example", 3, beta=1.0, beta_N=1.0 / 3.0), 3
         )

@@ -115,6 +115,22 @@ class TestCheckCommand:
         assert main(["check", "--builtin", "pure_power",
                      "--out", str(tmp_path)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
+         "--masses", "1"],
+        ["sweep", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
+         "--masses", "2,1"],
+        ["solve", "--builtin", "nosuch", "--dim", "1", "--mass", "1"],
+        ["solve", "--builtin", "pure_power", "--param", "p=3", "--dim", "1",
+         "--mass", "1"],
+        ["solve", "--builtin", "pure_power", "--param", "p=abc", "--dim", "1",
+         "--mass", "1"],
+    ])
+    def test_bad_problem_is_usage(self, tmp_path, capsys, argv):
+        # rejected at the command-line boundary, with a message, not a traceback
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("key", ["threads", "solve.absify_every", "solve.max_iter"])
     def test_unknown_config_key_is_usage(self, tmp_path, key):
         cfg = tmp_path / "run.cfg"

@@ -258,14 +258,26 @@ class TestFinishEndpoints:
         return opts, minimize(grid, p8, opts)
 
     def test_budget_exit_reports_raw_frame(self, grid, p8):
-        # the Newton tail from an early iterate fails the bundle, so the
-        # report is the last iterate at its own J
+        # a budget exit whose best gradient is not small enough for the
+        # promotion reports the last iterate at its own J
         _, rep = self.solve(grid, p8, 3)
         assert not rep.converged
         assert rep.iterations == 3
         J = reduced_value(rep.profile, p8)
         assert rep.energy == pytest.approx(J, rel=1e-10, abs=0)
         assert rep.pde_residual > 1e-3
+
+    def test_budget_exit_skips_newton_polish(self, grid, p8, monkeypatch):
+        # the frame is reported as is: no Newton tail from the raw iterate
+        from nlsground import optimizer
+
+        calls = []
+        polish = optimizer._newton_polish
+        monkeypatch.setattr(optimizer, "_newton_polish",
+                            lambda *a, **kw: calls.append("polish") or polish(*a, **kw))
+        _, rep = self.solve(grid, p8, 3)
+        assert rep.termination == "budget" and not rep.converged
+        assert calls == []
 
     def test_limit_cycle_promotion_materializes(self, grid, p8):
         # a near-stationary best iterate is handed to the stationary finish,

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from nlsground import (
     NonconformanceError,
     SolveOptions,
+    SolveReport,
     builtin,
+    initial_profile,
     make_grid,
     mountain_pass_floor,
     small_mass_diagnostic,
@@ -99,9 +102,8 @@ class TestMountainPassFloor:
             mountain_pass_floor(g, nl)
 
     def test_rejects_diverging_f6(self):
-        g = make_grid(1, 50.0, 256)
-        # pure power on the line: f6' fails (quotient diverges at 0)
-        nl = builtin("pure_power", 1, p=8.0)
+        # pure power p = 4 < 2* = 6 in N = 3: f6' fails (F(t)/|t|^{2*}
+        # diverges at 0), so there is no critical comparison floor
         with pytest.raises(NonconformanceError):
             mountain_pass_floor(
                 make_grid(3, 50.0, 256), builtin("pure_power", 3, p=4.0)
@@ -163,6 +165,47 @@ class TestSweepSolver:
             sweep(grid, nl, [1.0], opts)
         with pytest.raises(ValueError):
             sweep(grid, nl, [-1.0, 2.0], opts)
+
+
+class TestAscendingChain:
+    """One warm descent per mass point after the first, plus the cold
+    replicas: no second chain revisits the non-converged points."""
+
+    @pytest.mark.parametrize("cold_restarts", [0, 2])
+    def test_minimize_calls_per_point(self, monkeypatch, cold_restarts):
+        grid = make_grid(1, 20.0, 301)
+        warm_calls, cold_calls = [], []
+
+        def report(opts):
+            # converged only at the two largest masses, so the two below
+            # them stay non-converged
+            m = opts.mass
+            return SolveReport(
+                profile=initial_profile(grid, m), energy=1.0 / m, multiplier=1.0,
+                pde_residual=0.0, pohozaev_residual=0.0, boundary_tail=0.0,
+                iterations=1, trace=[], converged=m >= 2.0,
+                termination="gradient", mass=m)
+
+        def fake_minimize(grid, nl, opts):
+            warm_calls.append(opts.mass)
+            return report(opts)
+
+        def fake_multistart(grid, nl, opts, restarts):
+            cold_calls.extend([opts.mass] * restarts)
+            return report(opts), []
+
+        module = importlib.import_module("nlsground.sweep")
+        monkeypatch.setattr(module, "minimize", fake_minimize)
+        monkeypatch.setattr(module, "multistart_minimize", fake_multistart)
+        masses = [0.5, 1.0, 2.0, 4.0]
+        opts = SolveOptions(mass=1.0, check_hypotheses=False)
+        res = sweep(grid, builtin("pure_power", 1, p=8.0), masses, opts,
+                    cold_restarts=cold_restarts)
+        assert warm_calls == masses[1:]
+        cold = masses[:1] if cold_restarts == 0 else masses
+        assert cold_calls == [m for m in cold for _ in range(max(cold_restarts, 1))]
+        assert list(res.converged) == [False, False, True, True]
+        assert list(res.energies) == [1.0 / m for m in masses]
 
 
 class TestSerialization:
