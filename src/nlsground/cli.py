@@ -45,8 +45,12 @@ class UsageError(ValueError):
 
 def parse_config_file(path: str) -> dict:
     """Read `key = value` lines with dotted keys; '#' starts a comment."""
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}") from None
     cfg = {}
-    with open(path) as fh:
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -101,6 +105,25 @@ def resolve_config(args) -> dict:
     return cfg
 
 
+def _number(cfg: dict, key: str, kind, default=None):
+    """cfg[key] (default when absent) as kind, int or float; a value that
+    is not one is a usage error naming the key."""
+    value = cfg.get(key, default)
+    try:
+        return kind(value)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise UsageError(f"{key} = {value!r} is not {what}") from None
+
+
+def _dimension(cfg: dict) -> int:
+    """problem.dim, checked before anything is built in that dimension."""
+    N = _number(cfg, "problem.dim", int)
+    if N < 1:
+        raise UsageError(f"problem.dim = {N}: the dimension must be at least 1")
+    return N
+
+
 def build_nonlinearity(cfg: dict, N: int):
     name = cfg.get("problem.builtin")
     if name:
@@ -121,22 +144,22 @@ def build_nonlinearity(cfg: dict, N: int):
 
 
 def build_grid(cfg: dict, N: int):
-    R = float(cfg.get("grid.radius", 30.0))
-    K = int(cfg.get("grid.points", 2001))
-    stretch = cfg.get("grid.stretch")
-    return make_grid(N, R, K, stretch=float(stretch) if stretch else None)
+    R = _number(cfg, "grid.radius", float, 30.0)
+    K = _number(cfg, "grid.points", int, 2001)
+    stretch = _number(cfg, "grid.stretch", float) if cfg.get("grid.stretch") else None
+    return make_grid(N, R, K, stretch=stretch)
 
 
 def build_options(cfg: dict, mass: float) -> SolveOptions:
     return SolveOptions(
         mass=mass,
-        max_iters=int(cfg.get("solve.max_iters", 4000)),
-        grad_tol=float(cfg.get("solve.grad_tol", 1e-8)),
-        seed=int(cfg.get("solve.seed", 0)),
-        noise=float(cfg.get("solve.noise", 0.0)),
-        init_width=float(cfg.get("solve.init_width", 1.0)),
-        pde_tol=float(cfg.get("solve.pde_tol", 1e-5)),
-        pohozaev_tol=float(cfg.get("solve.pohozaev_tol", 1e-6)),
+        max_iters=_number(cfg, "solve.max_iters", int, 4000),
+        grad_tol=_number(cfg, "solve.grad_tol", float, 1e-8),
+        seed=_number(cfg, "solve.seed", int, 0),
+        noise=_number(cfg, "solve.noise", float, 0.0),
+        init_width=_number(cfg, "solve.init_width", float, 1.0),
+        pde_tol=_number(cfg, "solve.pde_tol", float, 1e-5),
+        pohozaev_tol=_number(cfg, "solve.pohozaev_tol", float, 1e-6),
         check_hypotheses=cfg.get("solve.force", "false").lower() != "true",
     )
 
@@ -160,7 +183,7 @@ def cmd_check(args) -> int:
     cfg = resolve_config(args)
     if "problem.dim" not in cfg:
         raise UsageError("check requires --dim")
-    N = int(cfg["problem.dim"])
+    N = _dimension(cfg)
     nl = build_nonlinearity(cfg, N)
     report = check_conditions(nl, N)
     out = _outdir(cfg)
@@ -181,12 +204,12 @@ def cmd_solve(args) -> int:
     cfg = resolve_config(args)
     if "problem.dim" not in cfg or "solve.mass" not in cfg:
         raise UsageError("solve requires --dim and --mass")
-    N = int(cfg["problem.dim"])
-    mass = float(cfg["solve.mass"])
+    N = _dimension(cfg)
+    mass = _number(cfg, "solve.mass", float)
     nl = build_nonlinearity(cfg, N)
     grid = build_grid(cfg, N)
     opts = build_options(cfg, mass)
-    restarts = int(cfg.get("solve.restarts", 5))
+    restarts = _number(cfg, "solve.restarts", int, 5)
     best, reports = multistart_minimize(grid, nl, opts, restarts=restarts)
     out = _outdir(cfg)
     _write(os.path.join(out, "resolved.cfg"), dump_config(cfg))
@@ -220,12 +243,12 @@ def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     if "problem.dim" not in cfg or "solve.masses" not in cfg:
         raise UsageError("sweep requires --dim and --masses")
-    N = int(cfg["problem.dim"])
+    N = _dimension(cfg)
     masses = _parse_masses(cfg["solve.masses"])
     nl = build_nonlinearity(cfg, N)
     grid = build_grid(cfg, N)
     opts = build_options(cfg, masses[0])
-    cold = int(cfg.get("solve.cold_restarts", 0))
+    cold = _number(cfg, "solve.cold_restarts", int, 0)
     result = sweep(grid, nl, masses, opts, cold_restarts=cold)
     out = _outdir(cfg)
     _write(os.path.join(out, "resolved.cfg"), dump_config(cfg))

@@ -25,6 +25,13 @@ hint (capped at |s| = _BRACKET_CAP) and then runs one Brent solve on it;
 monotonicity makes it globally convergent.  Failure to bracket within
 the cap signals that the supplied nonlinearity violates f1/f3/f4
 numerically.
+
+The Brent solve (_brent; Brent, Algorithms for Minimization without
+Derivatives, 1973) and dilate's monotone cubic resample (_pchip;
+Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980) are ports of
+scipy.optimize.brentq and scipy.interpolate.PchipInterpolator that
+reproduce scipy's bits, so importing this module loads neither scipy
+subpackage nor the scipy.special they share.
 """
 
 from __future__ import annotations
@@ -33,8 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .grid import GridFunction, grad_norm_sq, mass, neg_laplacian
 from .nonlinearity import NonlinearitySpec, f_tilde
@@ -44,6 +49,9 @@ from .nonlinearity import NonlinearitySpec, f_tilde
 # need s well above 50; 200 still terminates fast for nonconforming f.
 _BRACKET_CAP = 200.0
 _ROOT_WIDTH = 1e-13
+# scipy.optimize.brentq's relative tolerance and iteration cap
+_ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
+_ROOT_ITERS = 100
 # exp(_LOG_MAX) is still finite in double precision
 _LOG_MAX = 709.0
 
@@ -73,19 +81,64 @@ def pohozaev(u: GridFunction, nl: NonlinearitySpec) -> float:
     return grad_norm_sq(u) - 0.5 * g.dimension * g.integrate(f_tilde(nl, u.values))
 
 
+def _pchip_end(h0, h1, m0, m1):
+    """One-sided three-point end derivative, limited to keep the shape."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x, y, xq):
+    """Fritsch-Carlson monotone cubic interpolant of (x, y) at xq.
+
+    A port of scipy.interpolate.PchipInterpolator(x, y,
+    extrapolate=False)(xq) for 1-D data that reproduces its bits: the
+    weighted-harmonic-mean derivatives d with limited ends, the cubic
+    Hermite power coefficients, and the evaluation on the interval
+    [x_i, x_{i+1}) (the last one closed) as 0.0 + y_i + d_i s + c1 s^2 +
+    c0 s^3, s = xq - x_i, whose leading 0.0 turns a -0.0 into +0.0.  NaN
+    outside [x_0, x_{-1}].
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.empty_like(y)
+    if y.size == 2:
+        d[:] = m[0]
+    else:
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        d[0] = _pchip_end(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    c0, c1 = t / h, (m - d[:-1]) / h - t
+    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, x.size - 2)
+    s = xq - x[i]
+    s2 = s * s
+    out = 0.0 + y[i] + d[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+    out[~((xq >= x[0]) & (xq <= x[-1]))] = np.nan
+    return out
+
+
 def dilate(s: float, u: GridFunction) -> GridFunction:
     """Materialize (s * u)(r) = e^{Ns/2} u(e^s r) on the same grid.
 
-    Resamples by shape-preserving monotone cubic interpolation and
-    extends by zero beyond the truncation radius; mass is preserved up to
+    Resamples by shape-preserving monotone cubic interpolation (_pchip,
+    which gives scipy's PchipInterpolator bit for bit) and extends by
+    zero beyond the truncation radius; mass is preserved up to
     interpolation error.
     """
     g = u.grid
     if s == 0.0:
         return u.copy()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        interp = PchipInterpolator(g.nodes, u.values, extrapolate=False)
-        vals = interp(math.exp(s) * g.nodes)
+        vals = _pchip(g.nodes, u.values, math.exp(s) * g.nodes)
     vals = np.where(np.isnan(vals), 0.0, vals)
     return GridFunction(g, math.exp(0.5 * g.dimension * s) * vals)
 
@@ -148,6 +201,71 @@ def fiber_pohozaev(u: GridFunction, nl: NonlinearitySpec, s: float) -> float:
     return math.exp(2.0 * s) * _fiber_bracket(u, nl, s)
 
 
+def _brent(f, a: float, b: float, xtol: float) -> float:
+    """Root of f on the sign-change interval [a, b] by Brent's method.
+
+    A port of scipy.optimize.brentq (rtol = 4 eps, 100 iterations) that
+    keeps its operations in their order, so every point it evaluates f at
+    and the root it returns carry scipy's bits.  Raises ValueError on a
+    NaN value or no sign change, RuntimeError when it does not converge.
+    """
+    def value(x):
+        # a C double, as scipy's routine sees it
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_ITERS):
+        # scipy skips this for a zero fcur, which returns below either way
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C's division gives inf or NaN, which the test below rejects
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {_ROOT_ITERS} iterations.")
+
+
 def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
             width: float = _ROOT_WIDTH) -> FiberResult:
     """Find the unique s(u) with P(s(u) * u) = 0 and the value I(s(u) * u).
@@ -202,7 +320,7 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
                     "nonlinearity numerically violates (f1) or (f4) "
                     "(bracket never turns positive)"
                 )
-    s_star = lo if lo == hi else brentq(bracket, lo, hi, xtol=width)
+    s_star = lo if lo == hi else _brent(bracket, lo, hi, width)
     # before the value: the root's evaluation records its F integral
     residual = abs(math.exp(2.0 * s_star) * bracket(s_star))
     return FiberResult(

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg import solveh_banded
 
 
 class ConfigurationError(ValueError):
@@ -213,8 +214,6 @@ def solve_shifted(grid: RadialGrid, c: float, beta: float, rhs) -> NDArray[np.fl
     O(K).  The inverse is the Sobolev-gradient preconditioner used by the
     optimizer.
     """
-    from scipy.linalg import solveh_banded
-
     if not (c > 0 and beta >= 0):
         raise ConfigurationError("shifted solve needs c > 0, beta >= 0")
     w = grid.weights[:-1]

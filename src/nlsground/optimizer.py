@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .grid import (
     ConfigurationError,
@@ -183,8 +184,6 @@ def _newton_polish(grid: RadialGrid, nl: NonlinearitySpec, u: GridFunction,
     are only assumed continuous.  Returns None when the iteration fails
     to contract.
     """
-    from scipy.linalg import solve_banded
-
     v = u.values.copy()
     n = grid.size - 1
     w = grid.weights

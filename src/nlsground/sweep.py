@@ -29,6 +29,7 @@ from .grid import RadialGrid
 from .nonlinearity import NonlinearitySpec, check_conditions
 from .functional import NonconformanceError
 from .optimizer import SolveOptions, SolveReport, minimize, multistart_minimize
+from .oracles import critical_grad_norm_sq
 
 _NONINC_TOL = 1e-4
 _STRICT_GAP = 1e-6
@@ -191,8 +192,6 @@ def mountain_pass_floor(grid: RadialGrid, nl: NonlinearitySpec) -> float:
     Reduces to the critical-power comparison level
     (1/N) S^{N/2} beta^{-(N-2)/2}, with S^{N/2} from the bubble oracle.
     """
-    from .oracles import critical_grad_norm_sq
-
     N = grid.dimension
     if N < 3:
         raise NonconformanceError("the mountain-pass floor needs N >= 3")

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,16 @@ from nlsground.cli import (
 )
 from nlsground.expressions import ExpressionError, compile_expression
 from nlsground.optimizer import DiagnosticError
+
+
+SOLVE_CFG = "problem.builtin = pure_power\nproblem.param.p = 8\nproblem.dim = 1\nsolve.mass = 1\n"
+# config files whose values are not numbers where the commands need them
+BAD_CONFIGS = {
+    "dim.cfg": "problem.builtin = pure_power\nproblem.param.p = 8\nproblem.dim = abc\n",
+    "points.cfg": SOLVE_CFG + "grid.points = abc\n",
+    "max_iters.cfg": SOLVE_CFG + "solve.max_iters = 1e3\n",
+    "grad_tol.cfg": SOLVE_CFG + "solve.grad_tol = small\n",
+}
 
 
 class TestExpressions:
@@ -125,11 +137,27 @@ class TestCheckCommand:
          "--mass", "1"],
         ["solve", "--builtin", "pure_power", "--param", "p=abc", "--dim", "1",
          "--mass", "1"],
+        ["check", "--config", "dim.cfg"],
+        ["check", "--config", "missing.cfg"],
+        ["solve", "--config", "points.cfg"],
+        ["solve", "--config", "max_iters.cfg"],
+        ["solve", "--config", "grad_tol.cfg"],
+        ["check", "--builtin", "pure_power", "--param", "p=8", "--dim", "0"],
+        ["check", "--builtin", "pure_power", "--param", "p=8", "--dim", "-2"],
     ])
-    def test_bad_problem_is_usage(self, tmp_path, capsys, argv):
+    def test_bad_problem_is_usage(self, tmp_path, capsys, monkeypatch, argv):
         # rejected at the command-line boundary, with a message, not a traceback
+        monkeypatch.chdir(tmp_path)
+        for name, text in BAD_CONFIGS.items():
+            (tmp_path / name).write_text(text)
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(BAD_CONFIGS["points.cfg"])
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "grid.points = 'abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["threads", "solve.absify_every", "solve.max_iter"])
     def test_unknown_config_key_is_usage(self, tmp_path, key):
@@ -293,3 +321,17 @@ class TestOracleCommand:
         assert code == EXIT_OK
         table = json.loads((tmp_path / "oracle.json").read_text())
         assert table["values"]["best_constant_estimate"] > 0
+
+
+def test_import_path_is_numpy_and_scipy_linalg():
+    # scipy.linalg's banded solves are paid at start-up, not in the first
+    # solve; the scipy subpackages that share scipy.special are never loaded
+    heavy = ("scipy.optimize", "scipy.interpolate", "scipy.special", "scipy.integrate")
+    code = ("import sys, nlsground.cli; "
+            f"print(*(m for m in ('scipy.linalg',) + {heavy!r} if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.split() == ["scipy.linalg"]

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from nlsground import (
     GridFunction,
@@ -256,7 +258,8 @@ class TestProject:
 
     def test_evaluation_budget(self, monkeypatch, line_grid, p8, log2d):
         # measured: warm projections take 6-8 bracket evaluations and cold
-        # ones 7-15; the bounds add a margin
+        # ones 7-15; the bounds add a margin, and the exact counts pin the
+        # root solver's iterates
         calls = [0]
         inner = functional._fiber_bracket
 
@@ -282,6 +285,85 @@ class TestProject:
                     warm.append(evaluations(near, nl, fr.s_star)[0])
         assert np.mean(warm) <= 10
         assert max(cold) <= 20
+        assert (cold[0], warm[0], sum(cold), sum(warm)) == (13, 6, 224, 299)
+
+
+# the criterion-5 builtins at their criterion-5 dimension and parameters
+FIBER_BUILTINS = [
+    ("pure_power", 1, {"p": 8.0}),
+    ("log_supercritical", 2, {}),
+    ("critical_piecewise", 5, {}),
+    ("f6prime_example", 3, {"beta": 1.0, "beta_N": 1.0 / 3.0}),
+]
+
+
+class TestScipyPorts:
+    """The in-house Brent solve and PCHIP resample give scipy's bits."""
+
+    @pytest.mark.parametrize("xtol", [1e-13, 1e-11])
+    @pytest.mark.parametrize("name, N, params", FIBER_BUILTINS)
+    def test_brent_matches_brentq(self, name, N, params, xtol):
+        nl = builtin(name, N, **params)
+        g = make_grid(N, 16.0, 801)
+        for u in random_profiles(g, 4, seed=11):
+            lo, hi = project(u, nl).bracket
+            T = grad_norm_sq(u)
+            points = {"ours": [], "scipy": []}
+
+            def bracket(key):
+                def f(s):
+                    points[key].append(s)
+                    return functional._fiber_bracket(u, nl, s, T)
+                return f
+
+            root = functional._brent(bracket("ours"), lo, hi, xtol)
+            assert root == brentq(bracket("scipy"), lo, hi, xtol=xtol)
+            assert points["ours"] == points["scipy"]
+
+    @staticmethod
+    def reference(g, vals, s):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = PchipInterpolator(g.nodes, vals, extrapolate=False)(math.exp(s) * g.nodes)
+        return math.exp(0.5 * g.dimension * s) * np.where(np.isnan(ref), 0.0, ref)
+
+    @staticmethod
+    def ragged(g, seed):
+        gen = np.random.default_rng(seed)
+        vals = np.round(gen.normal(size=g.size), 1)
+        vals[gen.random(g.size) < 0.3] = 0.0
+        vals[g.size // 4: g.size // 3] = 0.7
+        vals[-1] = 0.0
+        return vals
+
+    @pytest.mark.parametrize("N, R, K, stretch", [
+        (2, 400.0, 4001, 150.0),  # log_sweep
+        (1, 30.0, 4001, 60.0),  # criterion 2
+        (3, 600.0, 4001, 30.0),  # criterion 4
+    ])
+    def test_dilate_matches_pchip(self, N, R, K, stretch):
+        g = make_grid(N, R, K, stretch=stretch)
+        profiles = [self.ragged(g, 1), random_profiles(g, 1, seed=2, widths=(0.05 * R, 0.2 * R))[0].values]
+        for vals in profiles:
+            u = GridFunction(g, vals)
+            # s = 0 is a copy, not a resample
+            for s in np.linspace(-6.0, 6.0, 12):
+                assert np.array_equal(dilate(s, u).values, self.reference(g, vals, s))
+
+    def test_dilate_on_nodes_at_R_and_beyond(self):
+        # e^{ln 2} = 2 exactly, so on nodes 0, 1, ..., 16 the queries are
+        # the even nodes, R itself, and points beyond R
+        g = make_grid(1, 16.0, 17)
+        # zeros, plateaus, and a -0.0 on a steepening descent, where every
+        # term of the cubic at that node is -0.0
+        vals = np.array([0.5, 0.5, 1.0, 0.5, -0.0, -1.0, -4.0, -4.0, 0.75,
+                         0.0, 0.0, 2.0, 1.0, -0.0, -1.0, 0.25, 0.0])
+        for s in (math.log(2.0), math.log(0.5), 0.3):
+            got, ref = dilate(s, GridFunction(g, vals)).values, self.reference(g, vals, s)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+        # a -0.0 sample queried on its own node comes back as +0.0
+        with np.errstate(divide="ignore"):
+            assert not np.signbit(functional._pchip(g.nodes, vals, g.nodes)[4])
 
 
 class TestReducedFunctional:
