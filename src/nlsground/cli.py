@@ -275,25 +275,27 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     case = args.case
-    if case == "soliton":
-        table = Soliton1D(args.p or 8.0, args.mu or 1.0).table()
-    elif case == "bubble":
-        if args.dim is None:
-            raise UsageError("oracle --case bubble requires --dim")
-        eps = args.eps if args.eps is not None else Bubble.minimal_mass(args.dim) \
-            / Bubble(args.dim, 1.0).unit_mass
-        table = Bubble(args.dim, eps).table()
-    elif case == "gn":
-        if args.dim is None or args.p is None:
-            raise UsageError("oracle --case gn requires --dim and --p")
-        table = OracleTable(
-            case="gagliardo_nirenberg",
-            params={"N": args.dim, "p": args.p},
-            values={"best_constant_estimate": gn_check(args.dim, args.p)},
-            error_bounds={},
-        )
-    else:
-        raise UsageError(f"unknown oracle case {case!r}")
+    if case == "bubble" and args.dim is None:
+        raise UsageError("oracle --case bubble requires --dim")
+    if case == "gn" and (args.dim is None or args.p is None):
+        raise UsageError("oracle --case gn requires --dim and --p")
+    try:
+        if case == "soliton":
+            table = Soliton1D(args.p or 8.0, args.mu or 1.0).table()
+        elif case == "bubble":
+            eps = args.eps if args.eps is not None else Bubble.minimal_mass(args.dim) \
+                / Bubble(args.dim, 1.0).unit_mass
+            table = Bubble(args.dim, eps).table()
+        else:  # "gn"; argparse admits no other case
+            table = OracleTable(
+                case="gagliardo_nirenberg",
+                params={"N": args.dim, "p": args.p},
+                values={"best_constant_estimate": gn_check(args.dim, args.p)},
+                error_bounds={},
+            )
+    except ValueError as exc:
+        # the oracles' own range checks (dimension, exponent, eps, mu)
+        raise UsageError(f"oracle --case {case}: {exc}") from None
     cfg = resolve_config(args)
     out = _outdir(cfg)
     _write(os.path.join(out, "oracle.json"), _json(table.as_dict()))

@@ -89,6 +89,7 @@ class SolveReport:
     trace: list
     converged: bool
     termination: str  # the descent's exit, see _Descent.run
+    iterate: GridFunction  # the descent's endpoint, as handed to _finish
     seed: int = 0
     mass: float = 0.0
 
@@ -519,6 +520,7 @@ def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions) -> Solv
         trace=engine.trace,
         converged=converged,
         termination=engine.termination,
+        iterate=u,
         seed=opts.seed,
         mass=m,
     )

@@ -12,11 +12,13 @@ with S^{N/2} the gradient norm of the Aubin-Talenti bubble (computed by
 the independent oracle quadrature) and beta the coefficient bounding
 F(t) <= (beta/2*) |t|^{2*}.
 
-Each mass point is solved by warm-starting from the previous minimizer
-rescaled to the next mass, with optional cold multistart checks; the
-verdict block tolerates monotonicity violations up to 1e-4 E_m as
-discretization noise and requires gaps of at least 1e-6 E_m for the
-strict-decrease verdict.
+Each mass point is solved by a descent warm-started from the previous
+point, with optional cold multistart checks.  J is dilation-invariant,
+so the start is taken in the previous descent's own dilation class: its
+final iterate when that point converged, else its reported profile (see
+sweep).  The verdict block tolerates monotonicity violations up to
+1e-4 E_m as discretization noise and requires gaps of at least 1e-6 E_m
+for the strict-decrease verdict.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ class SweepResult:
     verdicts: dict
     reports: list = field(default_factory=list, repr=False)
     failures: list = field(default_factory=list)
+    # per point: the chain that supplied the report ("warm" or "cold"),
+    # None where the point failed, and the start the warm descent was
+    # given ("iterate" or "profile"), None where none ran
+    chains: list = field(default_factory=list)
+    warm_starts: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
@@ -54,6 +61,8 @@ class SweepResult:
             "converged": [bool(x) for x in self.converged],
             "verdicts": self.verdicts,
             "failures": self.failures,
+            "chains": self.chains,
+            "warm_starts": self.warm_starts,
         }
 
     def to_csv(self, path) -> None:
@@ -115,27 +124,34 @@ def _verdicts(masses, energies, multipliers, converged):
 
 
 def _merge(record):
-    """Pick a point's report from its {"warm", "cold"} record: the
-    converged report with the lowest energy, else the warm report, else
-    the cold one."""
-    conv = [r for r in record.values() if r is not None and r.converged]
+    """Name the chain whose report a point keeps, from its {"warm",
+    "cold"} record: the converged report with the lowest energy, else
+    the warm report, else the cold one."""
+    conv = [k for k, r in record.items() if r is not None and r.converged]
     if conv:
-        return min(conv, key=lambda r: r.energy)
-    return record["warm"] if record["warm"] is not None else record["cold"]
+        return min(conv, key=lambda k: record[k].energy)
+    return "warm" if record["warm"] is not None else "cold"
 
 
 def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
           cold_restarts: int = 0) -> SweepResult:
     """Compute E_m over an increasing mass grid.
 
-    Runs one ascending warm-started chain (each point starts from the
-    previous point's report rescaled to the new mass; the first point
-    starts cold) with optional cold multistart replicas at every point;
-    _merge picks each point's report.  A point whose minimizer sits below
-    grid resolution stays non-converged and reports its descent frame's
-    J.  A failing point (solver exception) is recorded and skipped; the
-    sweep itself fails only when more than a quarter of the points
-    fail.
+    Runs one ascending warm-started chain (the first point starts cold)
+    with optional cold multistart replicas at every point; _merge picks
+    each point's report.  When the previous point's report converged, the
+    warm descent starts from that report's descent iterate, retracted to
+    the new mass: it keeps the dilation class the descent chose, where
+    the materialized profile would reset it to the fixed-grid Pohozaev
+    manifold, whose tail at large mass presses against the box and
+    slows the next descent several-fold.  An unconverged point hands on
+    its reported profile instead: its iterate is uncertified, and a
+    chain started from one can stall (m = 4 after the unconverged m = 2
+    of the criterion-3 log sweep runs 157 iterations into the limit
+    cycle).  A point whose minimizer sits below grid resolution stays
+    non-converged and reports its descent frame's J.  A failing point
+    (solver exception) is recorded and skipped; the sweep itself fails
+    only when more than a quarter of the points fail.
     """
     masses = np.asarray(list(masses), dtype=float)
     if masses.size < 2 or not np.all(np.diff(masses) > 0):
@@ -145,31 +161,36 @@ def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
     n = masses.size
     # one record per mass point: the report each chain supplied there
     records = [dict(warm=None, cold=None) for _ in range(n)]
+    chains: list = [None] * n
+    warm_starts: list = [None] * n
     failures = []
-    prev_profile = None
+    prev = prev_kind = None
     for k, m in enumerate(masses):
         point = replace(opts, mass=float(m))
         try:
-            if prev_profile is not None:
-                warm = replace(point, custom_profile=prev_profile)
+            if prev is not None:
+                warm_starts[k] = prev_kind
+                warm = replace(point, custom_profile=prev)
                 records[k]["warm"] = minimize(grid, nl, warm)
-            if cold_restarts > 0 or prev_profile is None:
+            if cold_restarts > 0 or prev is None:
                 records[k]["cold"], _ = multistart_minimize(
                     grid, nl, point, restarts=max(cold_restarts, 1))
         except (NonconformanceError, ValueError, RuntimeError) as exc:
             failures.append({"mass": float(m), "error": str(exc)})
             continue
-        prev_profile = _merge(records[k]).profile
+        chains[k] = _merge(records[k])
+        rep = records[k][chains[k]]
+        prev_kind = "iterate" if rep.converged else "profile"
+        prev = rep.iterate if rep.converged else rep.profile
 
     energies = np.full(n, np.nan)
     multipliers = np.full(n, np.nan)
     converged = np.zeros(n, dtype=bool)
     reports: list = [None] * n
     for k in range(n):
-        rep = _merge(records[k])
-        if rep is None:
+        if chains[k] is None:
             continue
-        reports[k] = rep
+        rep = reports[k] = records[k][chains[k]]
         energies[k] = rep.energy
         multipliers[k] = rep.multiplier
         converged[k] = rep.converged
@@ -182,7 +203,7 @@ def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
     return SweepResult(
         masses=masses, energies=energies, multipliers=multipliers,
         converged=converged, verdicts=verdicts, reports=reports,
-        failures=failures,
+        failures=failures, chains=chains, warm_starts=warm_starts,
     )
 
 

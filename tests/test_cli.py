@@ -144,6 +144,8 @@ class TestCheckCommand:
         ["solve", "--config", "grad_tol.cfg"],
         ["check", "--builtin", "pure_power", "--param", "p=8", "--dim", "0"],
         ["check", "--builtin", "pure_power", "--param", "p=8", "--dim", "-2"],
+        ["oracle", "--case", "bubble", "--dim", "0"],
+        ["oracle", "--case", "gn", "--dim", "0", "--p", "3"],
     ])
     def test_bad_problem_is_usage(self, tmp_path, capsys, monkeypatch, argv):
         # rejected at the command-line boundary, with a message, not a traceback
@@ -274,6 +276,10 @@ class TestSweepCommand:
         assert len(rows) == 5
         verdicts = json.loads((tmp_path / "verdicts.json").read_text())
         assert verdicts["verdicts"]["nonincreasing"]["verdict"]
+        assert verdicts["chains"][0] == "cold"
+        assert verdicts["warm_starts"][0] is None
+        assert set(verdicts["chains"][1:]) <= {"warm", "cold"}
+        assert set(verdicts["warm_starts"][1:]) <= {"iterate", "profile"}
 
     def test_perturbation_flag_fails_verdict(self, tmp_path, monkeypatch):
         # scaling alternate energies by 31 breaks monotonicity, and the

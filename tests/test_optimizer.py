@@ -336,6 +336,8 @@ class TestMultistart:
             "energy", "multiplier", "pde_residual", "pohozaev_residual",
             "boundary_tail", "iterations", "converged", "trace",
         }
+        # the descent iterate stays out of report.json
+        assert "iterate" not in data
         slim = solved.as_dict(with_trace=False)
         assert "trace" not in slim
         assert isinstance(json.dumps(solved.as_dict()), str)

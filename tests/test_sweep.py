@@ -155,6 +155,17 @@ class TestSweepSolver:
         for a, b in zip(warm.energies, cold.energies):
             assert a == pytest.approx(b, rel=1e-3)
 
+    def test_warm_points_start_in_the_descent_class(self):
+        # each converged point hands on its descent iterate; warm starts
+        # from the materialized profiles took 14 + 43 + 110 iterations here
+        nl = builtin("log_supercritical", 2)
+        grid = make_grid(2, 400.0, 2001, stretch=150.0)
+        opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=800)
+        res = sweep(grid, nl, [4.0, 8.0, 16.0, 32.0], opts)
+        assert list(res.converged) == [True, True, True, False]
+        assert res.warm_starts == [None, "iterate", "iterate", "iterate"]
+        assert sum(r.iterations for r in res.reports[1:]) <= 30
+
     def test_rejects_bad_mass_grids(self):
         nl = builtin("pure_power", 1, p=8.0)
         grid = make_grid(1, 20.0, 301)
@@ -171,41 +182,64 @@ class TestAscendingChain:
     """One warm descent per mass point after the first, plus the cold
     replicas: no second chain revisits the non-converged points."""
 
-    @pytest.mark.parametrize("cold_restarts", [0, 2])
-    def test_minimize_calls_per_point(self, monkeypatch, cold_restarts):
+    MASSES = [0.5, 1.0, 2.0, 4.0]
+
+    @staticmethod
+    def fake_report(grid, m):
+        # converged only at masses >= 2; the descent iterate differs from
+        # the reported profile, so a warm start shows which one it took
+        return SolveReport(
+            profile=initial_profile(grid, m), energy=1.0 / m, multiplier=1.0,
+            pde_residual=0.0, pohozaev_residual=0.0, boundary_tail=0.0,
+            iterations=1, trace=[], converged=m >= 2.0,
+            termination="gradient", iterate=initial_profile(grid, m, width=0.5),
+            mass=m)
+
+    def run_chain(self, monkeypatch, cold_restarts):
         grid = make_grid(1, 20.0, 301)
         warm_calls, cold_calls = [], []
 
-        def report(opts):
-            # converged only at the two largest masses, so the two below
-            # them stay non-converged
-            m = opts.mass
-            return SolveReport(
-                profile=initial_profile(grid, m), energy=1.0 / m, multiplier=1.0,
-                pde_residual=0.0, pohozaev_residual=0.0, boundary_tail=0.0,
-                iterations=1, trace=[], converged=m >= 2.0,
-                termination="gradient", mass=m)
-
         def fake_minimize(grid, nl, opts):
-            warm_calls.append(opts.mass)
-            return report(opts)
+            warm_calls.append(opts)
+            return self.fake_report(grid, opts.mass)
 
         def fake_multistart(grid, nl, opts, restarts):
             cold_calls.extend([opts.mass] * restarts)
-            return report(opts), []
+            return self.fake_report(grid, opts.mass), []
 
         module = importlib.import_module("nlsground.sweep")
         monkeypatch.setattr(module, "minimize", fake_minimize)
         monkeypatch.setattr(module, "multistart_minimize", fake_multistart)
-        masses = [0.5, 1.0, 2.0, 4.0]
         opts = SolveOptions(mass=1.0, check_hypotheses=False)
-        res = sweep(grid, builtin("pure_power", 1, p=8.0), masses, opts,
+        res = sweep(grid, builtin("pure_power", 1, p=8.0), self.MASSES, opts,
                     cold_restarts=cold_restarts)
-        assert warm_calls == masses[1:]
+        return res, warm_calls, cold_calls
+
+    @pytest.mark.parametrize("cold_restarts", [0, 2])
+    def test_minimize_calls_per_point(self, monkeypatch, cold_restarts):
+        masses = self.MASSES
+        res, warm_calls, cold_calls = self.run_chain(monkeypatch, cold_restarts)
+        assert [o.mass for o in warm_calls] == masses[1:]
         cold = masses[:1] if cold_restarts == 0 else masses
         assert cold_calls == [m for m in cold for _ in range(max(cold_restarts, 1))]
         assert list(res.converged) == [False, False, True, True]
         assert list(res.energies) == [1.0 / m for m in masses]
+
+    @pytest.mark.parametrize("cold_restarts", [0, 2])
+    def test_warm_start_rule(self, monkeypatch, cold_restarts):
+        # a converged point hands on its descent iterate, an unconverged
+        # one its reported profile
+        res, warm_calls, _ = self.run_chain(monkeypatch, cold_restarts)
+        for prev, opts in zip(res.reports, warm_calls):
+            expected = prev.iterate if prev.converged else prev.profile
+            assert opts.custom_profile is expected
+        assert res.warm_starts == [None, "profile", "profile", "iterate"]
+        # the first point has only the cold chain; elsewhere the warm
+        # report wins the tie with the cold replicas' equal energy
+        assert res.chains == ["cold", "warm", "warm", "warm"]
+        payload = res.as_dict()
+        assert payload["chains"] == res.chains
+        assert payload["warm_starts"] == res.warm_starts
 
 
 class TestSerialization:
