@@ -259,6 +259,15 @@ def cmd_sweep(args) -> int:
     except NonconformanceError:
         pass
     _write(os.path.join(out, "verdicts.json"), _json(payload))
+    for m, rep, chain, start in zip(result.masses, result.reports,
+                                    result.chains, result.warm_starts):
+        line = f"m={m:.6g} chain={chain} warm_start={start}"
+        if rep is None:
+            line += " failed"
+        else:
+            line += (f" converged={rep.converged} iterations={rep.iterations}"
+                     f" termination={rep.termination}")
+        print(line, file=sys.stderr)
     print("E_m:", result.sparkline())
     v = result.verdicts
     print(f"positive={v['all_positive']} nonincreasing={v['nonincreasing']['verdict']} "

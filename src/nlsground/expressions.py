@@ -22,6 +22,8 @@ import re
 
 import numpy as np
 
+from .nonlinearity import power
+
 
 class ExpressionError(ValueError):
     """Malformed expression."""
@@ -111,14 +113,17 @@ class _Parser:
         if self.peek() == ("op", "^"):
             self.take()
             exponent = self.unary()
-            return (lambda a, b: lambda t: _pow(a(t), b(t)))(base, exponent)
+            p = getattr(exponent, "constant", None)
+            return (lambda a, b: lambda t: _pow(a(t), b(t), p))(base, exponent)
         return base
 
     def atom(self):
         kind, value = self.peek()
         if kind == "num":
             self.take()
-            return (lambda v: lambda t: np.full_like(np.asarray(t, float), v))(value)
+            node = (lambda v: lambda t: np.full_like(np.asarray(t, float), v))(value)
+            node.constant = value
+            return node
         if kind == "name":
             self.take()
             if value == "t":
@@ -172,9 +177,13 @@ def _div(a, b):
         return a / b
 
 
-def _pow(a, b):
+def _pow(a, b, p=None):
+    """np.power(a, b); for a literal exponent p (b = p everywhere), through
+    nonlinearity.power, which skips pow on lanes that underflow to +0.0."""
     with np.errstate(invalid="ignore", over="ignore"):
-        return np.power(a, b)
+        if p is None:
+            return np.power(a, b)
+        return power(a, p, exponent=b)
 
 
 def _ln(a):

@@ -44,6 +44,10 @@ _GEOM_DECAY = 0.6
 _T_MIN = 1e-6
 _T_MAX = 1e6
 _PER_DECADE = 9
+# numpy's ``**`` sends these exponents to its positive and square loops,
+# which stay faster than a masked pow even on underflowing lanes
+_FAST_EXPONENTS = (1.0, 2.0)
+_ALL_BITS = np.iinfo(np.uint64).max
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,38 @@ class ConditionReport:
 
     def to_json(self, **kw) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, **kw)
+
+
+def power(a, p: float, where=None, exponent=None):
+    """``np.power(a, exponent)`` on the lanes of ``where`` (all by
+    default) and +0.0 on the others, bit for bit, for a float array ``a``
+    and the float ``p``.  ``exponent`` is ``p`` or an array of ``p``: an
+    array exponent keeps pow's own bits at p = 0.5 and 2.0, where a float
+    one takes numpy's sqrt and square paths, which round differently.
+
+    A lane whose sign bit is clear and whose value lies below
+    2^(-1080/p), p > 0, has a true power below 2^-1080, under half the
+    smallest subnormal, so pow returns +0.0 there.  numpy's SIMD pow
+    takes a scalar fallback on every underflowing lane (on decaying
+    profiles, most of the grid), so those lanes are filled with +0.0
+    and pow runs on the rest.  NaN, inf, -0.0 and negative lanes still
+    go through pow.  Without ``where``, an exponent in _FAST_EXPONENTS
+    or an array with no lane below the floor takes plain ``a ** exponent``.
+    """
+    a = np.asarray(a)
+    e = p if exponent is None else exponent
+    if p > 0 and (where is not None or p not in _FAST_EXPONENTS):
+        floor = np.float64(2.0 ** (-1080.0 / p)).view(np.uint64)
+        bits = a.view(np.uint64)  # sign bit set: above every floor
+        if where is not None:
+            where = where & (bits >= floor)
+        elif bits.min(initial=_ALL_BITS) < floor:
+            where = bits >= floor
+    if where is None:
+        return a ** e
+    out = np.zeros_like(a)
+    np.power(a, e, out=out, where=where)
+    return out
 
 
 def f_tilde(nl: NonlinearitySpec, t):
@@ -129,11 +165,11 @@ def _pure_power(N: int, p: float) -> NonlinearitySpec:
 
     def f(t):
         t = np.asarray(t, dtype=float)
-        return np.abs(t) ** (p - 2.0) * t
+        return power(np.abs(t), p - 2.0) * t
 
     def F(t):
         t = np.asarray(t, dtype=float)
-        return np.abs(t) ** p / p
+        return power(np.abs(t), p) / p
 
     return NonlinearitySpec(
         name="pure_power", f=f, F=F,
@@ -148,12 +184,14 @@ def _log_supercritical(N: int) -> NonlinearitySpec:
 
     def f(t):
         t = np.asarray(t, dtype=float)
-        a = np.abs(t) ** alpha
-        return (q * np.log1p(a) + alpha * a / (1.0 + a)) * np.abs(t) ** (4.0 / N) * t
+        abs_t = np.abs(t)
+        a = power(abs_t, alpha)
+        return (q * np.log1p(a) + alpha * a / (1.0 + a)) * power(abs_t, 4.0 / N) * t
 
     def F(t):
         t = np.asarray(t, dtype=float)
-        return np.abs(t) ** q * np.log1p(np.abs(t) ** alpha)
+        abs_t = np.abs(t)
+        return power(abs_t, q) * np.log1p(power(abs_t, alpha))
 
     return NonlinearitySpec(
         name="log_supercritical", f=f, F=F,
@@ -177,14 +215,18 @@ def _critical_piecewise(N: int, p: float | None = None) -> NonlinearitySpec:
     def f(t):
         t = np.asarray(t, dtype=float)
         a = np.abs(t)
-        return np.where(a <= 1.0, a ** (two_star - 2.0), a ** (p - 2.0)) * t
+        lo = a <= 1.0
+        return np.where(lo, power(a, two_star - 2.0, where=lo),
+                        power(a, p - 2.0, where=~lo)) * t
 
     def F(t):
         t = np.asarray(t, dtype=float)
         a = np.abs(t)
-        inner = a**two_star / two_star
-        outer = 1.0 / two_star + (np.where(a > 1.0, a, 1.0) ** p - 1.0) / p
-        return np.where(a <= 1.0, inner, outer)
+        lo = a <= 1.0
+        inner = power(a, two_star, where=lo) / two_star
+        # a NaN lane takes the outer branch at |t| = 1
+        outer = 1.0 / two_star + (power(np.where(a > 1.0, a, 1.0), p, where=~lo) - 1.0) / p
+        return np.where(lo, inner, outer)
 
     return NonlinearitySpec(
         name="critical_piecewise", f=f, F=F,
@@ -207,14 +249,16 @@ def _f6prime_example(N: int, beta: float = 1.0, beta_N: float | None = None) -> 
 
     def f(t):
         t = np.asarray(t, dtype=float)
-        a = np.abs(t) ** beta_N
+        abs_t = np.abs(t)
+        a = power(abs_t, beta_N)
         damp = 1.0 - beta_N * (N - 2.0) * a / (2.0 * N * (1.0 + a))
-        return beta * damp * np.abs(t) ** (4.0 / (N - 2.0)) * t / (1.0 + a)
+        return beta * damp * power(abs_t, 4.0 / (N - 2.0)) * t / (1.0 + a)
 
     def F(t):
         t = np.asarray(t, dtype=float)
-        a = np.abs(t) ** beta_N
-        return beta * (N - 2.0) * np.abs(t) ** two_star / (2.0 * N * (1.0 + a))
+        abs_t = np.abs(t)
+        a = power(abs_t, beta_N)
+        return beta * (N - 2.0) * power(abs_t, two_star) / (2.0 * N * (1.0 + a))
 
     return NonlinearitySpec(
         name="f6prime_example", f=f, F=F,

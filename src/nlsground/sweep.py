@@ -73,14 +73,15 @@ class SweepResult:
                 fh.write(f"{m:.17g},{e:.17g},{mu:.17g},{int(c)}\n")
 
     def sparkline(self) -> str:
-        """ASCII sparkline of log E over the mass grid."""
+        """ASCII sparkline of log E over the mass grid; a failed point
+        (NaN energy) is a blank."""
         marks = "_▁▂▃▄▅▆▇█"
         with np.errstate(divide="ignore"):
             y = np.log10(np.maximum(self.energies, 1e-300))
-        lo, hi = float(np.min(y)), float(np.max(y))
+        lo, hi = float(np.nanmin(y)), float(np.nanmax(y))
         span = hi - lo if hi > lo else 1.0
-        idx = ((y - lo) / span * (len(marks) - 1)).astype(int)
-        return "".join(marks[i] for i in idx)
+        return "".join(" " if np.isnan(v) else marks[int((v - lo) / span * (len(marks) - 1))]
+                       for v in y)
 
 
 def _small_mass_slope(m, e):

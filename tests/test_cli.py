@@ -268,7 +268,7 @@ class TestSweepCommand:
         "--stretch", "60", "--max-iters", "600",
     ]
 
-    def test_verdicts_and_artifacts(self, tmp_path):
+    def test_verdicts_and_artifacts(self, tmp_path, capsys):
         code = main(self.ARGS + ["--out", str(tmp_path)])
         assert code == EXIT_OK
         rows = (tmp_path / "sweep.csv").read_text().splitlines()
@@ -280,6 +280,54 @@ class TestSweepCommand:
         assert verdicts["warm_starts"][0] is None
         assert set(verdicts["chains"][1:]) <= {"warm", "cold"}
         assert set(verdicts["warm_starts"][1:]) <= {"iterate", "profile"}
+        # one progress line per mass point on stderr, the same record as
+        # verdicts.json; stdout keeps its two lines
+        out, err = capsys.readouterr()
+        assert [line.split()[0] for line in out.splitlines()] == ["E_m:", "positive=True"]
+        lines = err.splitlines()
+        assert len(lines) == 4
+        for line, m, chain, start, conv in zip(lines, verdicts["masses"], verdicts["chains"],
+                                               verdicts["warm_starts"], verdicts["converged"]):
+            fields = dict(item.split("=") for item in line.split())
+            assert float(fields["m"]) == pytest.approx(m, rel=1e-5)
+            assert fields["chain"] == chain
+            assert fields["warm_start"] == str(start)
+            assert fields["converged"] == str(conv)
+            assert int(fields["iterations"]) > 0
+            assert fields["termination"] in {"gradient", "roundoff", "limit_cycle",
+                                             "step_collapse", "budget"}
+
+    def test_failed_point_on_stderr(self, tmp_path, monkeypatch, capsys):
+        from types import SimpleNamespace
+
+        from nlsground.sweep import SweepResult, _verdicts
+
+        masses = np.array([1.0, 2.0, 4.0])
+        energies = np.array([2.0, 1.5, np.nan])
+        multipliers = np.array([1.0, 1.0, np.nan])
+        converged = np.array([True, False, False])
+        reports = [SimpleNamespace(converged=True, iterations=12, termination="gradient"),
+                   SimpleNamespace(converged=False, iterations=800, termination="budget"),
+                   None]
+
+        def fake_sweep(grid, nl, masses_, opts, cold_restarts=0):
+            return SweepResult(
+                masses=masses, energies=energies, multipliers=multipliers,
+                converged=converged,
+                verdicts=_verdicts(masses[:2], energies[:2], multipliers[:2], converged[:2]),
+                reports=reports, failures=[{"mass": 4.0, "error": "boom"}],
+                chains=["cold", "warm", None], warm_starts=[None, "iterate", "profile"])
+
+        monkeypatch.setattr(cli, "sweep", fake_sweep)
+        main(self.ARGS + ["--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        # the failed point is a blank in the sparkline, not a traceback
+        assert out.splitlines()[0] == "E_m: █_ "
+        assert err.splitlines() == [
+            "m=1 chain=cold warm_start=None converged=True iterations=12 termination=gradient",
+            "m=2 chain=warm warm_start=iterate converged=False iterations=800 termination=budget",
+            "m=4 chain=None warm_start=profile failed",
+        ]
 
     def test_perturbation_flag_fails_verdict(self, tmp_path, monkeypatch):
         # scaling alternate energies by 31 breaks monotonicity, and the

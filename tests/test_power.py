@@ -1,0 +1,268 @@
+"""The underflow-skipping power kernel keeps numpy's bits.
+
+nonlinearity.power runs pow only on lanes whose result can be nonzero.
+These tests require it to return what numpy returns, bit for bit, on
+edge values and on dilated solver profiles, and pin that it really
+skips the underflowing lanes of a decaying profile.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nlsground import GridFunction, builtin, make_grid, sphere_retract
+from nlsground.expressions import compile_expression
+from nlsground.nonlinearity import from_callables, power
+
+# critical_piecewise's default p in dimension 5
+PIECEWISE_P = 0.5 * (2.0 + 4.0 / 5 + 8.0 / 25 + 10.0 / 3)
+# every exponent the builtins use in the tested dimensions, plus 0.5
+EXPONENTS = (1.0, 2.0, 0.5, 4.0, 6.0, 8.0, 4.0 / 3, 10.0 / 3, 8.0 / 3, 1.0 / 3,
+             PIECEWISE_P, PIECEWISE_P - 2.0)
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+         1.0, 1e300, math.inf, -math.inf, math.nan)
+VALUES = st.one_of(
+    st.sampled_from(EDGES),
+    st.floats(),  # every double, NaN, inf and subnormals included
+    st.floats(-690.0, 690.0).map(math.exp),  # 1e-300 ... 1e300
+    st.floats(-690.0, 690.0).map(lambda x: -math.exp(x)),
+)
+# the README user spec
+USER_F, USER_F_PRIMITIVE = "abs(t)^6 * t", "abs(t)^8 / 8"
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def with_floor(values, p):
+    """values plus the floor 2^(-1080/p) and its two neighbours."""
+    floor = 2.0 ** (-1080.0 / p)
+    near = [np.nextafter(floor, 0.0), floor, np.nextafter(floor, 1.0)]
+    return np.array(list(values) + near, dtype=float)
+
+
+def wide_range(p, n=4001):
+    """Both signs over 1e-320 .. 1e300 and around the floor, in long runs
+    (numpy's SIMD loops) mixed with short ones."""
+    mags = np.geomspace(1e-320, 1e300, n)
+    x = np.concatenate([mags, -mags[::-1], with_floor(EDGES, p)])
+    return np.concatenate([x, np.random.default_rng(0).permutation(x)])
+
+
+class TestPowerKernel:
+    @given(values=st.lists(VALUES, max_size=48), p=st.sampled_from(EXPONENTS))
+    @settings(max_examples=300, deadline=None)
+    def test_abs_power_matches_numpy(self, values, p):
+        a = np.abs(with_floor(values, p))
+        with np.errstate(all="ignore"):
+            assert np.array_equal(bits(power(a, p)), bits(a ** p))
+
+    def test_long_runs_match_numpy(self):
+        for p in EXPONENTS:
+            a = np.abs(wide_range(p))
+            with np.errstate(all="ignore"):
+                assert np.array_equal(bits(power(a, p)), bits(a ** p)), p
+
+    def test_masked_lanes_are_zero(self):
+        a = np.abs(wide_range(6.0))
+        lo = a <= 1.0
+        out = power(a, 6.0, where=lo)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(bits(out[lo]), bits(a[lo] ** 6.0))
+        assert np.array_equal(bits(out[~lo]), bits(np.zeros((~lo).sum())))
+
+    def test_empty_and_zero_dimensional(self):
+        assert power(np.zeros(0), 8.0).shape == (0,)
+        for x in (0.0, 1e-300, 3.0):
+            assert bits(power(np.asarray(x), 8.0)) == bits(np.asarray(x) ** 8.0)
+
+
+class TestExpressionPower:
+    @given(values=st.lists(VALUES, max_size=48),
+           p=st.sampled_from(EXPONENTS + (3.0, 5.0, 2.5, 1e-3)))
+    @settings(max_examples=300, deadline=None)
+    def test_literal_exponent_matches_numpy(self, values, p):
+        # negative bases give signed powers (integer p) or NaN (the rest)
+        t = with_floor(values, p)
+        with np.errstate(all="ignore"):
+            for text, base in ((f"t^{p!r}", t), (f"abs(t)^{p!r}", np.abs(t))):
+                got = compile_expression(text)(t)
+                assert np.array_equal(bits(got), bits(np.power(base, np.full_like(t, p)))), text
+
+    def test_long_runs_match_numpy(self):
+        for p in EXPONENTS + (3.0, 5.0):
+            t = wide_range(p)
+            with np.errstate(all="ignore"):
+                got = compile_expression(f"t^{p!r}")(t)
+                assert np.array_equal(bits(got), bits(np.power(t, np.full_like(t, p)))), p
+
+    def test_computed_exponents_keep_numpy(self):
+        t = wide_range(8.0)
+        with np.errstate(all="ignore"):
+            for text, exponent in (("t^t", t), ("abs(t)^-2", np.full_like(t, -2.0)),
+                                   ("abs(t)^(4/3)", np.full_like(t, 4.0) / 3.0)):
+                base = t if text == "t^t" else np.abs(t)
+                got = compile_expression(text)(t)
+                assert np.array_equal(bits(got), bits(np.power(base, exponent))), text
+
+
+# -- the builtins' f and F as they stood before the kernel, the reference
+# for bit identity
+
+
+def reference_pure_power(p):
+    return (lambda t: np.abs(t) ** (p - 2.0) * t,
+            lambda t: np.abs(t) ** p / p)
+
+
+def reference_log_supercritical(N, alpha):
+    q = 2.0 + 4.0 / N
+
+    def f(t):
+        a = np.abs(t) ** alpha
+        return (q * np.log1p(a) + alpha * a / (1.0 + a)) * np.abs(t) ** (4.0 / N) * t
+
+    return f, lambda t: np.abs(t) ** q * np.log1p(np.abs(t) ** alpha)
+
+
+def reference_critical_piecewise(N, p):
+    two_star = 2.0 * N / (N - 2.0)
+
+    def f(t):
+        a = np.abs(t)
+        return np.where(a <= 1.0, a ** (two_star - 2.0), a ** (p - 2.0)) * t
+
+    def F(t):
+        a = np.abs(t)
+        inner = a**two_star / two_star
+        outer = 1.0 / two_star + (np.where(a > 1.0, a, 1.0) ** p - 1.0) / p
+        return np.where(a <= 1.0, inner, outer)
+
+    return f, F
+
+
+def reference_f6prime_example(N, beta, beta_N):
+    two_star = 2.0 * N / (N - 2.0)
+
+    def f(t):
+        a = np.abs(t) ** beta_N
+        damp = 1.0 - beta_N * (N - 2.0) * a / (2.0 * N * (1.0 + a))
+        return beta * damp * np.abs(t) ** (4.0 / (N - 2.0)) * t / (1.0 + a)
+
+    def F(t):
+        a = np.abs(t) ** beta_N
+        return beta * (N - 2.0) * np.abs(t) ** two_star / (2.0 * N * (1.0 + a))
+
+    return f, F
+
+
+def reference_user(t):
+    """The README spec through the expression grammar's numpy calls."""
+    return (np.power(np.abs(t), np.full_like(t, 6.0)) * t,
+            np.power(np.abs(t), np.full_like(t, 8.0)) / np.full_like(t, 8.0))
+
+
+# the benchmark's fiber cases: builtin, dimension, parameters, mass range
+FIBER_CASES = (
+    ("pure_power", 1, {"p": 8.0}, (0.5, 2.0)),
+    ("log_supercritical", 2, {}, (1.5, 4.0)),
+    ("critical_piecewise", 5, {}, (0.5, 2.0)),
+    ("f6prime_example", 3, {"beta": 1.0, "beta_N": 1.0 / 3.0}, (0.5, 2.0)),
+    ("f6prime_example", 3, {}, (0.5, 2.0)),
+)
+
+
+def reference_for(nl):
+    p = nl.params
+    return {
+        "pure_power": lambda: reference_pure_power(p["p"]),
+        "log_supercritical": lambda: reference_log_supercritical(p["N"], p["alpha_N"]),
+        "critical_piecewise": lambda: reference_critical_piecewise(p["N"], p["p"]),
+        "f6prime_example": lambda: reference_f6prime_example(p["N"], p["beta"], p["beta_N"]),
+    }[nl.name]()
+
+
+def fiber_profiles(N, mass_range, count, seed):
+    """Smooth bumps on the mass sphere, built like the benchmark's."""
+    grid = make_grid(N, 24.0, 24001)
+    gen = np.random.default_rng(seed)
+    r = grid.nodes
+    out = []
+    for _ in range(count):
+        sigma = gen.uniform(0.9, 1.7)
+        base = np.exp(-((r / sigma) ** 2))
+        k = int(gen.integers(0, 3))
+        if k:
+            base = base * (1.0 + 0.25 * gen.uniform(-1, 1)
+                           * np.cos(k * math.pi * r / (5.0 * sigma)))
+        base[-1] = 0.0
+        out.append(sphere_retract(GridFunction(grid, base), gen.uniform(*mass_range)).values)
+    return out
+
+
+def dilated(values, N):
+    """e^{Ns/2} u for s in [-8, 8], and the negated profile."""
+    for s in np.linspace(-8.0, 8.0, 9):
+        scaled = math.exp(0.5 * N * s) * values
+        yield scaled
+        yield -scaled
+
+
+class TestBuiltinsBitIdentical:
+    def test_builtins_match_reference_formulas(self):
+        for k, (name, N, params, masses) in enumerate(FIBER_CASES):
+            nl = builtin(name, N, **params)
+            ref_f, ref_F = reference_for(nl)
+            for values in fiber_profiles(N, masses, 3, seed=k):
+                for t in dilated(values, N):
+                    with np.errstate(all="ignore"):
+                        assert np.array_equal(bits(nl.f(t)), bits(ref_f(t))), (name, "f")
+                        assert np.array_equal(bits(nl.F(t)), bits(ref_F(t))), (name, "F")
+
+    def test_user_spec_matches_reference(self):
+        nl = from_callables("user", compile_expression(USER_F),
+                            compile_expression(USER_F_PRIMITIVE))
+        for values in fiber_profiles(1, (0.5, 2.0), 3, seed=9):
+            for t in dilated(values, 1):
+                ref_f, ref_F = reference_user(t)
+                assert np.array_equal(bits(nl.f(t)), bits(ref_f))
+                assert np.array_equal(bits(nl.F(t)), bits(ref_F))
+
+    def test_edge_values_match_reference(self):
+        t = wide_range(8.0)
+        for name, N, params, _ in FIBER_CASES:
+            nl = builtin(name, N, **params)
+            ref_f, ref_F = reference_for(nl)
+            with np.errstate(all="ignore"):
+                assert np.array_equal(bits(nl.f(t)), bits(ref_f(t))), (name, "f")
+                assert np.array_equal(bits(nl.F(t)), bits(ref_F(t))), (name, "F")
+
+
+def test_pow_skips_the_underflowing_tail(monkeypatch):
+    # a Gaussian on [0, 30] decays through every exponent's floor; every
+    # masked np.power call must leave the lanes below its floor alone
+    calls = []
+    real_power = np.power
+
+    def spy(a, exponent, *args, **kw):
+        if kw.get("where") is not None:
+            calls.append((np.asarray(a), float(np.max(exponent)), np.asarray(kw["where"])))
+        return real_power(a, exponent, *args, **kw)
+
+    u = np.exp(-np.linspace(0.0, 30.0, 3001) ** 2)
+    for name, N, params, _ in FIBER_CASES:
+        nl = builtin(name, N, **params)
+        calls.clear()
+        monkeypatch.setattr(np, "power", spy)
+        nl.f(u), nl.F(u), nl.f(-u), nl.F(-u)
+        monkeypatch.undo()
+        assert calls, name
+        skipped = 0
+        for a, p, where in calls:
+            below = a.view(np.uint64) < np.float64(2.0 ** (-1080.0 / p)).view(np.uint64)
+            assert not np.any(where & below), (name, p)
+            skipped += int(below.sum())
+        assert skipped > 0, name
