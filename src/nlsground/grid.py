@@ -36,6 +36,9 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import solveh_banded
 
+# rows per write in GridFunction.to_csv
+_CSV_CHUNK = 2048
+
 
 class ConfigurationError(ValueError):
     """Invalid grid or run configuration."""
@@ -117,11 +120,17 @@ class GridFunction:
         return GridFunction(self.grid, self.values.copy())
 
     def to_csv(self, path) -> None:
-        """Write the profile as CSV with header "r,u", 17 significant digits."""
+        """Write the profile as CSV with header "r,u", 17 significant digits.
+
+        Rows are formatted and written _CSV_CHUNK at a time, which keeps
+        the transient strings small.
+        """
+        r, u = self.grid.nodes, self.values
         with open(path, "w") as fh:
             fh.write("r,u\n")
-            for r, u in zip(self.grid.nodes, self.values):
-                fh.write(f"{r:.17g},{u:.17g}\n")
+            for i in range(0, r.size, _CSV_CHUNK):
+                rows = np.column_stack((r[i:i + _CSV_CHUNK], u[i:i + _CSV_CHUNK]))
+                fh.write("%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist()))
 
     @staticmethod
     def from_csv(path, grid: RadialGrid) -> "GridFunction":

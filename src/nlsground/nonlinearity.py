@@ -91,24 +91,29 @@ class ConditionReport:
 
 def power(a, p: float, where=None, exponent=None):
     """``np.power(a, exponent)`` on the lanes of ``where`` (all by
-    default) and +0.0 on the others, bit for bit, for a float array ``a``
-    and the float ``p``.  ``exponent`` is ``p`` or an array of ``p``: an
+    default) and +0.0 on the others, for a float array ``a`` and the float
+    ``p``: numpy's bits, except +0.0 where numpy's result would be a
+    positive subnormal.  ``exponent`` is ``p`` or an array of ``p``: an
     array exponent keeps pow's own bits at p = 0.5 and 2.0, where a float
     one takes numpy's sqrt and square paths, which round differently.
 
-    A lane whose sign bit is clear and whose value lies below
-    2^(-1080/p), p > 0, has a true power below 2^-1080, under half the
-    smallest subnormal, so pow returns +0.0 there.  numpy's SIMD pow
-    takes a scalar fallback on every underflowing lane (on decaying
-    profiles, most of the grid), so those lanes are filled with +0.0
-    and pow runs on the rest.  NaN, inf, -0.0 and negative lanes still
-    go through pow.  Without ``where``, an exponent in _FAST_EXPONENTS
-    or an array with no lane below the floor takes plain ``a ** exponent``.
+    A lane whose sign bit is clear and whose value lies below the floor
+    2^(-1022/p), p > 0, has a power below 2^-1022, the smallest normal
+    double (to within 2^-42 relative, the floor's rounding).  numpy's
+    SIMD pow takes a scalar fallback on every lane whose result is
+    subnormal or zero (on decaying profiles, most of the grid), so those
+    lanes are filled with +0.0 and pow runs on the rest.  Times a finite
+    quadrature weight, a value below 2^-1022 moves a weighted sum only
+    when the whole sum lies near the subnormal range itself, which no
+    integral over a profile with normal powers on it does.  NaN, inf,
+    -0.0 and negative lanes still go through pow.  Without ``where``, an
+    exponent in _FAST_EXPONENTS, or an array with no lane below the
+    floor, takes plain ``a ** exponent``, subnormal results included.
     """
     a = np.asarray(a)
     e = p if exponent is None else exponent
     if p > 0 and (where is not None or p not in _FAST_EXPONENTS):
-        floor = np.float64(2.0 ** (-1080.0 / p)).view(np.uint64)
+        floor = np.float64(2.0 ** (-1022.0 / p)).view(np.uint64)
         bits = a.view(np.uint64)  # sign bit set: above every floor
         if where is not None:
             where = where & (bits >= floor)
@@ -223,10 +228,14 @@ def _critical_piecewise(N: int, p: float | None = None) -> NonlinearitySpec:
         t = np.asarray(t, dtype=float)
         a = np.abs(t)
         lo = a <= 1.0
-        inner = power(a, two_star, where=lo) / two_star
-        # a NaN lane takes the outer branch at |t| = 1
-        outer = 1.0 / two_star + (power(np.where(a > 1.0, a, 1.0), p, where=~lo) - 1.0) / p
-        return np.where(lo, inner, outer)
+        out = power(a, two_star, where=lo)
+        out /= two_star  # in place: a 0-d result stays assignable
+        # the outer branch on its own lanes only; a NaN lane takes it at |t| = 1
+        hi = ~lo
+        if hi.any():
+            b = a[hi]
+            out[hi] = 1.0 / two_star + (power(np.where(b > 1.0, b, 1.0), p) - 1.0) / p
+        return out
 
     return NonlinearitySpec(
         name="critical_piecewise", f=f, F=F,

@@ -534,8 +534,12 @@ def multistart_minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptio
     """Run seeded descent replicas and keep the lowest converged energy.
 
     Replicas differ in initial width and noise seed.  Returns
-    (best_report, all_reports); best prefers converged runs.
+    (best_report, all_reports); best prefers converged runs.  The
+    hypothesis gate runs once, before the first replica.
     """
+    if opts.check_hypotheses:
+        _gate(nl, grid.dimension)
+        opts = replace(opts, check_hypotheses=False)
     replicas = []
     for i in range(max(restarts, 1)):
         replicas.append(replace(

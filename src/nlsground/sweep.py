@@ -30,7 +30,7 @@ import numpy as np
 from .grid import RadialGrid
 from .nonlinearity import NonlinearitySpec, check_conditions
 from .functional import NonconformanceError
-from .optimizer import SolveOptions, SolveReport, minimize, multistart_minimize
+from .optimizer import SolveOptions, SolveReport, _gate, minimize, multistart_minimize
 from .oracles import critical_grad_norm_sq
 
 _NONINC_TOL = 1e-4
@@ -150,15 +150,20 @@ def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
     chain started from one can stall (m = 4 after the unconverged m = 2
     of the criterion-3 log sweep runs 157 iterations into the limit
     cycle).  A point whose minimizer sits below grid resolution stays
-    non-converged and reports its descent frame's J.  A failing point
-    (solver exception) is recorded and skipped; the sweep itself fails
-    only when more than a quarter of the points fail.
+    non-converged and reports its descent frame's J.  The hypothesis gate
+    runs once, before the first point, and raises NonconformanceError
+    for the whole sweep.  A failing point (solver exception) is recorded
+    and skipped; the sweep itself fails only when more than a quarter of
+    the points fail.
     """
     masses = np.asarray(list(masses), dtype=float)
     if masses.size < 2 or not np.all(np.diff(masses) > 0):
         raise ValueError("sweep needs an increasing grid of at least two masses")
     if not np.all(masses > 0):
         raise ValueError("masses must be positive")
+    if opts.check_hypotheses:
+        _gate(nl, grid.dimension)
+        opts = replace(opts, check_hypotheses=False)
     n = masses.size
     # one record per mass point: the report each chain supplied there
     records = [dict(warm=None, cold=None) for _ in range(n)]

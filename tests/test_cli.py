@@ -297,6 +297,15 @@ class TestSweepCommand:
             assert fields["termination"] in {"gradient", "roundoff", "limit_cycle",
                                              "step_collapse", "budget"}
 
+    def test_nonconforming_spec_exits_nonconformance(self, tmp_path, capsys):
+        # the gate runs once before the first point, so a spec that fails
+        # it ends the sweep as it ends a solve, not in a traceback
+        code = main(["sweep", "--dim", "1", "--f-expr", "abs(t)^2 * t",
+                     "--F-expr", "abs(t)^4 / 4", "--masses", "1,2", "--points", "401",
+                     "--radius", "20", "--out", str(tmp_path)])
+        assert code == EXIT_NONCONFORMANCE
+        assert capsys.readouterr().err.startswith("nonconformance: ")
+
     def test_failed_point_on_stderr(self, tmp_path, monkeypatch, capsys):
         from types import SimpleNamespace
 

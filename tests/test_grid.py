@@ -13,7 +13,7 @@ from nlsground import (
     mass,
     neg_laplacian,
 )
-from nlsground.grid import solve_shifted, sphere_area
+from nlsground.grid import _CSV_CHUNK, solve_shifted, sphere_area
 
 from conftest import random_profiles
 
@@ -199,6 +199,25 @@ class TestProfileIO:
         assert path.read_text().splitlines()[0] == "r,u"
         v = GridFunction.from_csv(path, g)
         assert np.array_equal(u.values, v.values)
+
+    @pytest.mark.parametrize("K", [_CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1, 24001])
+    def test_chunked_writer_matches_row_writer(self, tmp_path, K):
+        # the writer as it stood with one f-string per row
+        def row_writer(u, path):
+            with open(path, "w") as fh:
+                fh.write("r,u\n")
+                for r, v in zip(u.grid.nodes, u.values):
+                    fh.write(f"{r:.17g},{v:.17g}\n")
+
+        g = make_grid(3, 7.0, K, stretch=3.0)
+        values = np.random.default_rng(K).standard_normal(K) * np.geomspace(1e-3, 1e3, K)
+        values[: 7] = [-0.0, 0.0, 5e-324, -1e-310, 1e300, -1e300, -2.5]
+        values[K // 2] = 2.2250738585072014e-308
+        values[-1] = -0.0
+        u = GridFunction(g, values)
+        u.to_csv(tmp_path / "chunked.csv")
+        row_writer(u, tmp_path / "rows.csv")
+        assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
     def test_rejects_mismatched_grid(self, tmp_path):
         g = make_grid(2, 5.0, 64)

@@ -1,9 +1,12 @@
-"""The underflow-skipping power kernel keeps numpy's bits.
+"""The underflow-skipping power kernel keeps numpy's bits on normal results.
 
-nonlinearity.power runs pow only on lanes whose result can be nonzero.
-These tests require it to return what numpy returns, bit for bit, on
-edge values and on dilated solver profiles, and pin that it really
-skips the underflowing lanes of a decaying profile.
+nonlinearity.power runs pow only on lanes whose result is a normal
+double or can be non-finite.  These tests pin its contract against
+numpy (numpy's bits, except +0.0 on the lanes below 2^(-1022/p), whose
+power would be subnormal) on edge values, check that flushing those
+lanes moves none of the fiber layer's results against the kernel that
+flushed only the lanes rounding to zero, and pin that pow really skips
+the tail of a decaying profile.
 """
 
 import math
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlsground import GridFunction, builtin, make_grid, sphere_retract
+from nlsground import expressions, functional, nonlinearity
 from nlsground.expressions import compile_expression
 from nlsground.nonlinearity import from_callables, power
 
@@ -37,10 +41,35 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
+# exponents whose unmasked power is plain ``a ** p``
+FAST_EXPONENTS = (1.0, 2.0)
+
+
+def floor_of(p):
+    """Below this value |t|^p lies below the smallest normal double."""
+    return 2.0 ** (-1022.0 / p)
+
+
+def expected_power(a, p, exponent=None, where=None):
+    """The kernel's contract: numpy's ``np.power(a, exponent)`` on the
+    lanes of ``where``, +0.0 on the other lanes and on every lane whose
+    sign bit is clear and whose value lies below floor_of(p); an unmasked
+    call at p = 1.0 or 2.0 is plain numpy."""
+    a = np.asarray(a, dtype=float)
+    e = p if exponent is None else exponent
+    keep = np.ones(a.shape, dtype=bool) if where is None else np.asarray(where)
+    if p > 0 and (where is not None or p not in FAST_EXPONENTS):
+        keep = keep & ~(~np.signbit(a) & (a < floor_of(p)))
+    with np.errstate(all="ignore"):
+        return np.where(keep, a ** e, 0.0)
+
+
 def with_floor(values, p):
-    """values plus the floor 2^(-1080/p) and its two neighbours."""
-    floor = 2.0 ** (-1080.0 / p)
-    near = [np.nextafter(floor, 0.0), floor, np.nextafter(floor, 1.0)]
+    """values plus the floor 2^(-1022/p), the earlier floor 2^(-1080/p)
+    (below it the power rounds to zero) and their neighbours."""
+    near = []
+    for floor in (floor_of(p), 2.0 ** (-1080.0 / p)):
+        near += [np.nextafter(floor, 0.0), floor, np.nextafter(floor, 1.0)]
     return np.array(list(values) + near, dtype=float)
 
 
@@ -58,26 +87,66 @@ class TestPowerKernel:
     def test_abs_power_matches_numpy(self, values, p):
         a = np.abs(with_floor(values, p))
         with np.errstate(all="ignore"):
-            assert np.array_equal(bits(power(a, p)), bits(a ** p))
+            assert np.array_equal(bits(power(a, p)), bits(expected_power(a, p)))
+
+    @given(values=st.lists(VALUES, max_size=48), p=st.sampled_from(EXPONENTS))
+    @settings(max_examples=100, deadline=None)
+    def test_signed_lanes_go_through_pow(self, values, p):
+        # -0.0, negative, NaN and inf lanes keep numpy's value
+        t = with_floor(values, p)
+        with np.errstate(all="ignore"):
+            got, ref = power(t, p), t ** p
+        keep = np.signbit(t) | ~np.isfinite(t)
+        assert np.array_equal(bits(got[keep]), bits(ref[keep]))
+        assert np.array_equal(bits(got), bits(expected_power(t, p)))
 
     def test_long_runs_match_numpy(self):
         for p in EXPONENTS:
             a = np.abs(wide_range(p))
             with np.errstate(all="ignore"):
-                assert np.array_equal(bits(power(a, p)), bits(a ** p)), p
+                assert np.array_equal(bits(power(a, p)), bits(expected_power(a, p))), p
+
+    def test_flushed_lanes_are_the_subnormal_results(self):
+        # the kernel differs from numpy exactly where numpy's power lies
+        # below the smallest normal double, up to the floor's rounding:
+        # 2^(-1022/p) carries the rounding of -1022/p, which p amplifies
+        # to about 1022 ln 2 ulps of the power, below 2^-42 relative
+        tiny, slack = np.finfo(float).tiny, 2.0 ** -42
+        flushed = 0
+        for p in EXPONENTS:
+            if p in FAST_EXPONENTS:
+                continue
+            a = np.abs(wide_range(p))
+            with np.errstate(all="ignore"):
+                ref, got = a ** p, power(a, p)
+            changed = bits(got) != bits(ref)
+            assert np.all(ref[changed] <= tiny * (1.0 + slack)), p
+            assert np.all(bits(got[changed]) == 0), p
+            subnormal = (ref > 0.0) & (ref < tiny * (1.0 - slack))
+            assert np.all(changed[subnormal]), p
+            flushed += int(subnormal.sum())
+        assert flushed > 0
 
     def test_masked_lanes_are_zero(self):
-        a = np.abs(wide_range(6.0))
-        lo = a <= 1.0
-        out = power(a, 6.0, where=lo)
-        with np.errstate(all="ignore"):
-            assert np.array_equal(bits(out[lo]), bits(a[lo] ** 6.0))
-        assert np.array_equal(bits(out[~lo]), bits(np.zeros((~lo).sum())))
+        for p in (6.0, 2.0, 1.0):
+            a = np.abs(wide_range(p))
+            lo = a <= 1.0
+            with np.errstate(all="ignore"):
+                out = power(a, p, where=lo)
+            assert np.array_equal(bits(out), bits(expected_power(a, p, where=lo))), p
+            assert np.array_equal(bits(out[~lo]), bits(np.zeros((~lo).sum()))), p
 
     def test_empty_and_zero_dimensional(self):
         assert power(np.zeros(0), 8.0).shape == (0,)
-        for x in (0.0, 1e-300, 3.0):
-            assert bits(power(np.asarray(x), 8.0)) == bits(np.asarray(x) ** 8.0)
+        below = np.nextafter(floor_of(8.0), 0.0)
+        for x in (0.0, -0.0, 1e-300, below, floor_of(8.0), -below, 3.0, math.nan):
+            a = np.asarray(x)
+            with np.errstate(all="ignore"):
+                got = power(a, 8.0)
+            assert np.ndim(got) == 0
+            assert bits(got) == bits(expected_power(a, 8.0)), x
+        assert bits(power(np.asarray(below), 8.0)) == 0
+        assert bits(np.asarray(below) ** 8.0) != 0  # numpy's is subnormal
 
 
 class TestExpressionPower:
@@ -87,17 +156,26 @@ class TestExpressionPower:
     def test_literal_exponent_matches_numpy(self, values, p):
         # negative bases give signed powers (integer p) or NaN (the rest)
         t = with_floor(values, p)
-        with np.errstate(all="ignore"):
-            for text, base in ((f"t^{p!r}", t), (f"abs(t)^{p!r}", np.abs(t))):
+        for text, base in ((f"t^{p!r}", t), (f"abs(t)^{p!r}", np.abs(t))):
+            with np.errstate(all="ignore"):
                 got = compile_expression(text)(t)
-                assert np.array_equal(bits(got), bits(np.power(base, np.full_like(t, p)))), text
+            ref = expected_power(base, p, exponent=np.full_like(t, p))
+            assert np.array_equal(bits(got), bits(ref)), text
+
+    def test_negative_bases_keep_numpy(self):
+        t = -np.abs(wide_range(8.0))
+        for p in EXPONENTS + (3.0, 5.0):
+            with np.errstate(all="ignore"):
+                got = compile_expression(f"t^{p!r}")(t)
+                assert np.array_equal(bits(got), bits(np.power(t, np.full_like(t, p)))), p
 
     def test_long_runs_match_numpy(self):
         for p in EXPONENTS + (3.0, 5.0):
             t = wide_range(p)
             with np.errstate(all="ignore"):
                 got = compile_expression(f"t^{p!r}")(t)
-                assert np.array_equal(bits(got), bits(np.power(t, np.full_like(t, p)))), p
+            ref = expected_power(t, p, exponent=np.full_like(t, p))
+            assert np.array_equal(bits(got), bits(ref)), p
 
     def test_computed_exponents_keep_numpy(self):
         t = wide_range(8.0)
@@ -199,7 +277,7 @@ def fiber_profiles(N, mass_range, count, seed):
             base = base * (1.0 + 0.25 * gen.uniform(-1, 1)
                            * np.cos(k * math.pi * r / (5.0 * sigma)))
         base[-1] = 0.0
-        out.append(sphere_retract(GridFunction(grid, base), gen.uniform(*mass_range)).values)
+        out.append(sphere_retract(GridFunction(grid, base), gen.uniform(*mass_range)))
     return out
 
 
@@ -211,25 +289,44 @@ def dilated(values, N):
         yield -scaled
 
 
+def assert_reference_bits(got, ref, what):
+    """got carries ref's bits on every lane where ref is not subnormal,
+    and ref's bits or a zero where it is; returns the count of lanes
+    that became zero."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    sub = (ref != 0.0) & (np.abs(ref) < np.finfo(float).tiny)
+    assert np.array_equal(bits(got[~sub]), bits(ref[~sub])), what
+    zeroed = got[sub] == 0.0
+    assert np.all(zeroed | (bits(got[sub]) == bits(ref[sub]))), what
+    return int(zeroed.sum())
+
+
 class TestBuiltinsBitIdentical:
+    """The builtins against their plain-numpy formulas: equal bits except
+    on subnormal values, which the kernel may flush to zero."""
+
     def test_builtins_match_reference_formulas(self):
+        zeroed = 0
         for k, (name, N, params, masses) in enumerate(FIBER_CASES):
             nl = builtin(name, N, **params)
             ref_f, ref_F = reference_for(nl)
-            for values in fiber_profiles(N, masses, 3, seed=k):
-                for t in dilated(values, N):
+            for u in fiber_profiles(N, masses, 3, seed=k):
+                for t in dilated(u.values, N):
                     with np.errstate(all="ignore"):
-                        assert np.array_equal(bits(nl.f(t)), bits(ref_f(t))), (name, "f")
-                        assert np.array_equal(bits(nl.F(t)), bits(ref_F(t))), (name, "F")
+                        zeroed += assert_reference_bits(nl.f(t), ref_f(t), (name, "f"))
+                        zeroed += assert_reference_bits(nl.F(t), ref_F(t), (name, "F"))
+        assert zeroed > 0
 
     def test_user_spec_matches_reference(self):
         nl = from_callables("user", compile_expression(USER_F),
                             compile_expression(USER_F_PRIMITIVE))
-        for values in fiber_profiles(1, (0.5, 2.0), 3, seed=9):
-            for t in dilated(values, 1):
+        zeroed = 0
+        for u in fiber_profiles(1, (0.5, 2.0), 3, seed=9):
+            for t in dilated(u.values, 1):
                 ref_f, ref_F = reference_user(t)
-                assert np.array_equal(bits(nl.f(t)), bits(ref_f))
-                assert np.array_equal(bits(nl.F(t)), bits(ref_F))
+                zeroed += assert_reference_bits(nl.f(t), ref_f, "f")
+                zeroed += assert_reference_bits(nl.F(t), ref_F, "F")
+        assert zeroed > 0
 
     def test_edge_values_match_reference(self):
         t = wide_range(8.0)
@@ -237,8 +334,75 @@ class TestBuiltinsBitIdentical:
             nl = builtin(name, N, **params)
             ref_f, ref_F = reference_for(nl)
             with np.errstate(all="ignore"):
-                assert np.array_equal(bits(nl.f(t)), bits(ref_f(t))), (name, "f")
-                assert np.array_equal(bits(nl.F(t)), bits(ref_F(t))), (name, "F")
+                assert_reference_bits(nl.f(t), ref_f(t), (name, "f"))
+                assert_reference_bits(nl.F(t), ref_F(t), (name, "F"))
+
+
+def earlier_power(a, p, where=None, exponent=None):
+    """The kernel with its earlier floor 2^(-1080/p), below which the
+    power rounds to +0.0: numpy's bits on every lane, subnormal results
+    included."""
+    a = np.asarray(a)
+    e = p if exponent is None else exponent
+    if p > 0 and (where is not None or p not in FAST_EXPONENTS):
+        floor = np.float64(2.0 ** (-1080.0 / p)).view(np.uint64)
+        bits_ = a.view(np.uint64)
+        if where is not None:
+            where = where & (bits_ >= floor)
+        elif bits_.min(initial=np.iinfo(np.uint64).max) < floor:
+            where = bits_ >= floor
+    if where is None:
+        return a ** e
+    out = np.zeros_like(a)
+    np.power(a, e, out=out, where=where)
+    return out
+
+
+class TestFiberLayerInvariance:
+    """Flushing the subnormal powers moves none of the fiber layer's
+    results: the bracket and its F integral over s in [-8, 8], the
+    projection and the reduced gradient are bit-equal to those computed
+    with the earlier kernel, which kept numpy's subnormal results."""
+
+    S = np.linspace(-8.0, 8.0, 33)
+
+    def fiber_layer(self, nl, profiles):
+        out = []
+        for u in profiles:
+            for s in self.S:
+                F_integrals = {}
+                out.append(functional._fiber_bracket(u, nl, float(s), F_integrals=F_integrals))
+                out.append(F_integrals[float(s)])
+            fiber = functional.project(u, nl)
+            out += [fiber.s_star, fiber.value, *fiber.bracket]
+            out += list(functional.reduced_gradient(u, nl, fiber).values)
+        return bits(np.array(out))
+
+    def specs(self):
+        for k, (name, N, params, masses) in enumerate(FIBER_CASES):
+            yield name, builtin(name, N, **params), fiber_profiles(N, masses, 6, seed=k)
+        user = from_callables("user", compile_expression(USER_F),
+                              compile_expression(USER_F_PRIMITIVE))
+        yield "user", user, fiber_profiles(1, (0.5, 2.0), 6, seed=9)
+
+    def test_fiber_layer_matches_earlier_kernel(self, monkeypatch):
+        for name, nl, profiles in self.specs():
+            got = self.fiber_layer(nl, profiles)
+            monkeypatch.setattr(nonlinearity, "power", earlier_power)
+            monkeypatch.setattr(expressions, "power", earlier_power)
+            ref = self.fiber_layer(nl, profiles)
+            monkeypatch.undo()
+            assert np.array_equal(got, ref), name
+
+    def test_earlier_kernel_keeps_subnormals(self, monkeypatch):
+        # the reference differs from the kernel on these profiles, so the
+        # invariance above is not vacuous
+        nl = builtin("pure_power", 1, p=8.0)
+        t = math.exp(-4.0) * fiber_profiles(1, (0.5, 2.0), 1, seed=0)[0].values
+        got = nl.F(t)
+        monkeypatch.setattr(nonlinearity, "power", earlier_power)
+        ref = nl.F(t)
+        assert not np.array_equal(bits(got), bits(ref))
 
 
 def test_pow_skips_the_underflowing_tail(monkeypatch):
@@ -262,7 +426,7 @@ def test_pow_skips_the_underflowing_tail(monkeypatch):
         assert calls, name
         skipped = 0
         for a, p, where in calls:
-            below = a.view(np.uint64) < np.float64(2.0 ** (-1080.0 / p)).view(np.uint64)
+            below = a.view(np.uint64) < np.float64(floor_of(p)).view(np.uint64)
             assert not np.any(where & below), (name, p)
             skipped += int(below.sum())
         assert skipped > 0, name

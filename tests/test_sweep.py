@@ -15,6 +15,10 @@ from nlsground import (
     small_mass_diagnostic,
     sweep,
 )
+from nlsground import cli
+from nlsground.expressions import compile_expression
+from nlsground.nonlinearity import from_callables
+from nlsground.optimizer import multistart_minimize
 from nlsground.oracles import Soliton1D, critical_grad_norm_sq
 from nlsground.sweep import SweepResult, _verdicts
 
@@ -240,6 +244,63 @@ class TestAscendingChain:
         payload = res.as_dict()
         assert payload["chains"] == res.chains
         assert payload["warm_starts"] == res.warm_starts
+
+
+class TestHypothesisGate:
+    """The hypothesis gate runs once per sweep and per multistart, not
+    once per descent."""
+
+    @staticmethod
+    def count_checks(monkeypatch):
+        calls = []
+        for name in ("nlsground.optimizer", "nlsground.sweep"):
+            module = importlib.import_module(name)
+            real = module.check_conditions
+
+            def counted(nl, N, real=real):
+                calls.append(nl.name)
+                return real(nl, N)
+
+            monkeypatch.setattr(module, "check_conditions", counted)
+        return calls
+
+    GRID = dict(N=1, R=20.0, K=301)
+
+    def test_one_check_per_sweep(self, monkeypatch):
+        calls = self.count_checks(monkeypatch)
+        grid = make_grid(**self.GRID)
+        opts = SolveOptions(mass=1.0, max_iters=10)
+        sweep(grid, builtin("pure_power", 1, p=8.0), [1.0, 1.5, 2.0], opts,
+              cold_restarts=2)
+        assert calls == ["pure_power"]
+
+    def test_one_check_per_multistart(self, monkeypatch):
+        calls = self.count_checks(monkeypatch)
+        grid = make_grid(**self.GRID)
+        _, reports = multistart_minimize(grid, builtin("pure_power", 1, p=8.0),
+                                         SolveOptions(mass=1.0, max_iters=10), restarts=3)
+        assert len(reports) == 3
+        assert calls == ["pure_power"]
+
+    def test_forced_sweep_makes_no_check(self, monkeypatch, tmp_path):
+        calls = self.count_checks(monkeypatch)
+        code = cli.main(["sweep", "--builtin", "pure_power", "--param", "p=8",
+                         "--dim", "1", "--masses", "1,1.5", "--radius", "20",
+                         "--points", "301", "--max-iters", "10", "--force",
+                         "--out", str(tmp_path)])
+        assert code in (cli.EXIT_OK, cli.EXIT_VERDICT_FAIL)
+        assert calls == []
+
+    def test_nonconforming_sweep_raises_once(self, monkeypatch):
+        # the mass-critical cubic in 1D fails the gate: the sweep stops
+        # before its first point instead of recording a failure per point
+        calls = self.count_checks(monkeypatch)
+        grid = make_grid(**self.GRID)
+        cubic = from_callables("cubic", compile_expression("abs(t)^2 * t"),
+                               compile_expression("abs(t)^4 / 4"))
+        with pytest.raises(NonconformanceError):
+            sweep(grid, cubic, [1.0, 2.0], SolveOptions(mass=1.0))
+        assert calls == ["cubic"]
 
 
 class TestSerialization:
