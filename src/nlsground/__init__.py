@@ -46,7 +46,7 @@ from .optimizer import (
     sphere_retract,
     tangent_project,
 )
-from .sweep import SweepResult, mountain_pass_floor, small_mass_diagnostic, sweep
+from .sweep import SweepResult, mountain_pass_floor, sweep
 
 __all__ = [
     "ConfigurationError",
@@ -83,7 +83,6 @@ __all__ = [
     "SweepResult",
     "sweep",
     "mountain_pass_floor",
-    "small_mass_diagnostic",
 ]
 
 __version__ = "0.1.0"

@@ -338,25 +338,21 @@ def make_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="compute the ground state at one mass")
     _add_common(s)
     s.add_argument("--mass", type=float)
-    s.add_argument("--radius", type=float)
-    s.add_argument("--points", type=int)
-    s.add_argument("--stretch", type=float)
     s.add_argument("--restarts", type=int)
-    s.add_argument("--max-iters", dest="max_iters", type=int)
-    s.add_argument("--grad-tol", dest="grad_tol", type=float)
-    s.add_argument("--force", action="store_true",
-                   help="skip the hypothesis gate")
 
     w = sub.add_parser("sweep", help="sweep E_m over a mass grid")
     _add_common(w)
     w.add_argument("--masses", help="lo:hi:n (log-spaced) or comma list")
-    w.add_argument("--radius", type=float)
-    w.add_argument("--points", type=int)
-    w.add_argument("--stretch", type=float)
     w.add_argument("--cold-restarts", dest="cold_restarts", type=int)
-    w.add_argument("--max-iters", dest="max_iters", type=int)
-    w.add_argument("--grad-tol", dest="grad_tol", type=float)
-    w.add_argument("--force", action="store_true")
+
+    for p in (s, w):
+        p.add_argument("--radius", type=float)
+        p.add_argument("--points", type=int)
+        p.add_argument("--stretch", type=float)
+        p.add_argument("--max-iters", dest="max_iters", type=int)
+        p.add_argument("--grad-tol", dest="grad_tol", type=float)
+        p.add_argument("--force", action="store_true",
+                       help="skip the hypothesis gate")
 
     o = sub.add_parser("oracle", help="emit closed-form reference tables")
     _add_common(o)

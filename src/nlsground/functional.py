@@ -299,27 +299,22 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
     b0 = bracket(anchor)
     if b0 == 0.0:
         lo = hi = anchor
-    elif b0 > 0.0:
-        # bracket decreasing: root lies above the anchor
-        lo, hi = anchor, anchor + 0.5
-        while bracket(hi) > 0.0:
-            lo, hi = hi, anchor + 2.0 * (hi - anchor)
-            if hi > _BRACKET_CAP:
-                raise NonconformanceError(
-                    f"no Pohozaev sign change up to s = {_BRACKET_CAP:g}: the "
-                    "nonlinearity numerically violates (f3) or (f4) "
-                    "(bracket never turns negative)"
-                )
     else:
-        lo, hi = anchor - 0.5, anchor
-        while bracket(lo) < 0.0:
-            lo, hi = anchor - 2.0 * (anchor - lo), lo
-            if lo < -_BRACKET_CAP:
+        # the bracket decreases in s: the root lies on the side of the
+        # anchor that b0's sign points to, and doubling steps walk there
+        d = 1.0 if b0 > 0.0 else -1.0
+        near, far = anchor, anchor + d * 0.5
+        while d * bracket(far) > 0.0:
+            near, far = far, anchor + 2.0 * (far - anchor)
+            if d * far > _BRACKET_CAP:
+                way, hyp, turn = (("up", "f3", "negative") if d > 0.0
+                                  else ("down", "f1", "positive"))
                 raise NonconformanceError(
-                    f"no Pohozaev sign change down to s = {-_BRACKET_CAP:g}: the "
-                    "nonlinearity numerically violates (f1) or (f4) "
-                    "(bracket never turns positive)"
+                    f"no Pohozaev sign change {way} to s = {d * _BRACKET_CAP:g}: the "
+                    f"nonlinearity numerically violates ({hyp}) or (f4) "
+                    f"(bracket never turns {turn})"
                 )
+        lo, hi = min(near, far), max(near, far)
     s_star = lo if lo == hi else _brent(bracket, lo, hi, width)
     # before the value: the root's evaluation records its F integral
     residual = abs(math.exp(2.0 * s_star) * bracket(s_star))

@@ -149,13 +149,6 @@ def g_quotient(nl: NonlinearitySpec, t, N: int):
     return float(out[0]) if scalar else out
 
 
-def _h_schwarz(nl: NonlinearitySpec, t, N: int):
-    """h(t) = [f(t)t - (2+4/N) F(t)]/t^2, the f7 monotonicity quantity."""
-    t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (nl.f(t) * t - (2.0 + 4.0 / N) * nl.F(t)) / t**2
-
-
 # ---------------------------------------------------------------------------
 # builtins
 
@@ -390,22 +383,27 @@ def _diverges(ts, qs, approach_zero: bool):
     return "inconclusive", "non-monotone quotient near the limit", None
 
 
-def _scan_strict(ts, vals, increasing: bool):
-    """Indices where strict monotonicity fails (ties count as failures)."""
-    d = np.diff(vals)
-    scale = np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])) + 1e-300
-    if increasing:
-        return np.where(d <= scale * 1e-14)[0]
-    return np.where(d >= -scale * 1e-14)[0]
+def _worst(verdicts):
+    """The verdict over both signs: fail if one fails, else inconclusive
+    if one is, else pass."""
+    for v in ("fail", "inconclusive"):
+        if v in verdicts:
+            return v
+    return "pass"
 
 
-def _scan_loose(ts, vals, increasing: bool):
-    """Indices violating non-strict monotonicity beyond rounding noise."""
-    d = np.diff(vals)
-    scale = np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])) + 1e-300
-    if increasing:
-        return np.where(d < -scale * 1e-10)[0]
-    return np.where(d > scale * 1e-10)[0]
+def _scan(signed, vals, tol):
+    """Witnesses, at most two per sign, where vals fails to rise along
+    increasing |t|: a step vals[i+1] - vals[i] at most tol times the
+    pair's magnitude.  tol > 0 asks for a strict rise (ties fail); tol < 0
+    forgives a fall within rounding noise."""
+    wit = []
+    for t, v in zip(signed, vals):
+        d = np.diff(v)
+        scale = np.maximum(np.abs(v[:-1]), np.abs(v[1:])) + 1e-300
+        wit += [{"t": float(t[i]), "value": float(v[i])}
+                for i in np.where(d <= scale * tol)[0][:2]]
+    return wit
 
 
 def check_conditions(nl: NonlinearitySpec, N: int) -> ConditionReport:
@@ -413,61 +411,64 @@ def check_conditions(nl: NonlinearitySpec, N: int) -> ConditionReport:
 
     Limit hypotheses are decided from log-spaced samples over
     [_T_MIN, _T_MAX], monotonicity hypotheses by scanning; every verdict
-    carries numeric witnesses.
+    carries numeric witnesses.  f and F are evaluated once on +-t of that
+    sample, and every hypothesis's quotient is built from those arrays.
     """
     n = int(_PER_DECADE * math.log10(_T_MAX / _T_MIN))
     ts = np.geomspace(_T_MIN, _T_MAX, n)
-    entries = {}
-
-    def quotient(fn, denom_exp, sign=1.0):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return fn(sign * ts) / ts**denom_exp
-
+    signed = (ts, -ts)
+    mc = 2.0 + 4.0 / N  # the mass-critical exponent
     two_star = 2.0 * N / (N - 2.0) if N >= 3 else None
-
-    # f0: continuity probe at mixed sample points
+    # f0 probes each point with increments 1e-6 and 1e-10 of max(1, |t|)
     probes = np.concatenate([np.linspace(-3.0, 3.0, 41), np.geomspace(1e-3, 1e3, 13),
                              -np.geomspace(1e-3, 1e3, 13)])
-    jumps = []
-    for x in probes:
-        base = float(nl.f(np.asarray(x)))
-        if not math.isfinite(base):
-            jumps.append({"t": float(x), "value": base})
-            continue
-        deltas = [1e-6, 1e-8, 1e-10]
-        gaps = [abs(float(nl.f(np.asarray(x + d * max(1.0, abs(x))))) - base)
-                for d in deltas]
-        local = max(abs(base), 1.0)
-        if gaps[-1] > 1e-4 * local and gaps[-1] > 0.5 * gaps[0]:
-            jumps.append({"t": float(x), "value": base})
+    step = np.maximum(1.0, np.abs(probes))
+    odd_sample = np.concatenate([np.geomspace(1e-4, 1e4, 17), [0.5, 1.0, 2.0]])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        base = nl.f(probes)
+        gap_wide = np.abs(nl.f(probes + 1e-6 * step) - base)
+        gap_narrow = np.abs(nl.f(probes + 1e-10 * step) - base)
+        fs = [nl.f(t) for t in signed]
+        Fs = [nl.F(t) for t in signed]
+        fts = [fv * t for fv, t in zip(fs, signed)]
+        tq = ts ** mc
+        q1 = [np.abs(fv / ts ** (1.0 + 4.0 / N)) for fv in fs]
+        q3 = [Fv / tq for Fv in Fs]
+        gs = [(ft - 2.0 * Fv) / tq for ft, Fv in zip(fts, Fs)]
+        hs = [(ft - mc * Fv) / t**2 for ft, Fv, t in zip(fts, Fs, signed)]
+        if N >= 3:
+            q2 = np.abs(fs[0] / ts ** (two_star - 1.0))
+            q6 = fts[0] / ts**two_star
+            margins = [(ft - two_star * Fv,
+                        np.maximum(np.maximum(np.abs(ft), np.abs(two_star * Fv)), 1e-300))
+                       for ft, Fv in zip(fts, Fs)]
+        f_odd = nl.f(odd_sample)
+        odd_gap = np.abs(nl.f(-odd_sample) + f_odd)
+    entries = {}
+
+    # f0: continuity probe at mixed sample points
+    jump = ~np.isfinite(base) | ((gap_narrow > 1e-4 * np.maximum(np.abs(base), 1.0))
+                                 & (gap_narrow > 0.5 * gap_wide))
     entries["f0"] = {
-        "verdict": "fail" if jumps else "pass",
-        "witnesses": jumps[:4],
+        "verdict": "fail" if jump.any() else "pass",
+        "witnesses": [{"t": float(probes[i]), "value": float(base[i])}
+                      for i in np.where(jump)[0][:4]],
         "method": "shrinking-increment continuity probe",
     }
 
     # f1: f(t)/|t|^{1+4/N} -> 0 as t -> 0 (both signs)
-    verdicts, methods = [], []
-    for sign in (1.0, -1.0):
-        q = np.abs(quotient(nl.f, 1.0 + 4.0 / N, sign))
-        v, m = _limit_zero(ts, q, approach_zero=True)
-        verdicts.append(v)
-        methods.append(m)
-    v = ("fail" if "fail" in verdicts
-         else "inconclusive" if "inconclusive" in verdicts else "pass")
-    q0 = np.abs(quotient(nl.f, 1.0 + 4.0 / N))
-    entries["f1"] = {"verdict": v, "witnesses": _witness(ts[:9], q0[:9]),
-                     "method": "; ".join(methods)}
+    res1 = [_limit_zero(ts, qv, approach_zero=True) for qv in q1]
+    entries["f1"] = {"verdict": _worst([v for v, _ in res1]),
+                     "witnesses": _witness(ts[:9], q1[0][:9]),
+                     "method": "; ".join(m for _, m in res1)}
 
     # f2: growth at infinity
     if N >= 3:
-        q = np.abs(quotient(nl.f, two_star - 1.0))
-        v, m = _limit_zero(ts, q, approach_zero=False)
-        entries["f2"] = {"verdict": v, "witnesses": _witness(ts[-9:], q[-9:]),
+        v, m = _limit_zero(ts, q2, approach_zero=False)
+        entries["f2"] = {"verdict": v, "witnesses": _witness(ts[-9:], q2[-9:]),
                          "method": m}
     elif N == 2:
-        with np.errstate(over="ignore"):
-            fv = np.abs(nl.f(ts))
+        fv = np.abs(fs[0])
         slope, r2 = _loglog_slope(ts[-2 * _PER_DECADE:], fv[-2 * _PER_DECADE:])
         if slope is not None and r2 >= 0.99 and np.all(np.isfinite(fv)):
             entries["f2"] = {
@@ -503,26 +504,16 @@ def check_conditions(nl: NonlinearitySpec, N: int) -> ConditionReport:
                          "method": "not applicable for N=1"}
 
     # f3: F/|t|^{2+4/N} -> +inf as t -> inf (both signs)
-    res3 = []
-    for sign in (1.0, -1.0):
-        q = quotient(nl.F, 2.0 + 4.0 / N, sign)
-        res3.append(_diverges(ts, q, approach_zero=False))
-    v = ("fail" if any(r[0] == "fail" for r in res3)
-         else "inconclusive" if any(r[0] == "inconclusive" for r in res3) else "pass")
-    q3 = quotient(nl.F, 2.0 + 4.0 / N)
-    entries["f3"] = {"verdict": v, "witnesses": _witness(ts[-9:], q3[-9:]),
+    res3 = [_diverges(ts, qv, approach_zero=False) for qv in q3]
+    entries["f3"] = {"verdict": _worst([r[0] for r in res3]),
+                     "witnesses": _witness(ts[-9:], q3[0][-9:]),
                      "method": res3[0][1]}
 
     # f4: g strictly increasing on (0, inf); strictly decreasing on
     # (-inf, 0) means g(-a) strictly increasing along increasing a = |t|
-    gpos = g_quotient(nl, ts, N)
-    gneg = g_quotient(nl, -ts, N)
-    bad_pos = _scan_strict(ts, gpos, increasing=True)
-    bad_neg = _scan_strict(ts, gneg, increasing=True)
-    wit4 = [{"t": float(ts[i]), "value": float(gpos[i])} for i in bad_pos[:2]]
-    wit4 += [{"t": float(-ts[i]), "value": float(gneg[i])} for i in bad_neg[:2]]
+    wit4 = _scan(signed, gs, 1e-14)
     entries["f4"] = {
-        "verdict": "fail" if (bad_pos.size or bad_neg.size) else "pass",
+        "verdict": "fail" if wit4 else "pass",
         "witnesses": wit4,
         "method": "strict monotonicity scan of g on the sample",
     }
@@ -534,14 +525,7 @@ def check_conditions(nl: NonlinearitySpec, N: int) -> ConditionReport:
     if N >= 3:
         viol = []
         eq_band = 64.0 * np.finfo(float).eps
-        for sign in (1.0, -1.0):
-            tt = sign * ts
-            with np.errstate(over="ignore", invalid="ignore"):
-                d = nl.f(tt) * tt - two_star * nl.F(tt)
-                scale = np.maximum(
-                    np.maximum(np.abs(nl.f(tt) * tt), np.abs(two_star * nl.F(tt))),
-                    1e-300,
-                )
+        for tt, (d, scale) in zip(signed, margins):
             finite = np.isfinite(d)
             wrong_sign = finite & (d > eq_band * scale)
             equality = finite & (np.abs(d) <= eq_band * scale) & (np.abs(tt) >= 1e-4)
@@ -559,8 +543,6 @@ def check_conditions(nl: NonlinearitySpec, N: int) -> ConditionReport:
 
     # f6 / f6': behavior of f(t)t/|t|^{2*} at t -> 0 (N >= 3)
     if N >= 3:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            q6 = nl.f(ts) * ts / ts**two_star
         v6, m6, est = _diverges(ts, q6, approach_zero=True)
         wit = _witness(ts[:9], q6[:9])
         if est is not None:
@@ -578,28 +560,20 @@ def check_conditions(nl: NonlinearitySpec, N: int) -> ConditionReport:
         entries["f6"] = dict(na)
         entries["f6p"] = dict(na)
 
-    # f7: h nondecreasing on (0, inf), nonincreasing on (-inf, 0)
-    hpos = _h_schwarz(nl, ts, N)
-    hneg = _h_schwarz(nl, -ts, N)
-    bad7 = list(_scan_loose(ts, hpos, increasing=True))
-    bad7n = list(_scan_loose(ts, hneg, increasing=True))
-    wit7 = [{"t": float(ts[i]), "value": float(hpos[i])} for i in bad7[:2]]
-    wit7 += [{"t": float(-ts[i]), "value": float(hneg[i])} for i in bad7n[:2]]
+    # f7: h(t) = [f(t)t - (2+4/N) F(t)]/t^2 nondecreasing on (0, inf),
+    # nonincreasing on (-inf, 0)
+    wit7 = _scan(signed, hs, -1e-10)
     entries["f7"] = {
-        "verdict": "fail" if (bad7 or bad7n) else "pass",
+        "verdict": "fail" if wit7 else "pass",
         "witnesses": wit7,
         "method": "monotonicity scan of [f(t)t-(2+4/N)F(t)]/t^2",
     }
 
     # oddness
-    sample = np.concatenate([np.geomspace(1e-4, 1e4, 17), [0.5, 1.0, 2.0]])
-    with np.errstate(over="ignore"):
-        odd_gap = np.abs(nl.f(-sample) + nl.f(sample))
-        odd_scale = np.abs(nl.f(sample)) + 1e-300
-    bad_odd = np.where(odd_gap > 1e-13 * odd_scale)[0]
+    bad_odd = np.where(odd_gap > 1e-13 * (np.abs(f_odd) + 1e-300))[0]
     entries["odd"] = {
         "verdict": "fail" if bad_odd.size else "pass",
-        "witnesses": [{"t": float(sample[i]), "value": float(odd_gap[i])}
+        "witnesses": [{"t": float(odd_sample[i]), "value": float(odd_gap[i])}
                       for i in bad_odd[:4]],
         "method": "pointwise f(-t) = -f(t) check",
     }

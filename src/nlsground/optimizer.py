@@ -163,7 +163,7 @@ def _gate(nl: NonlinearitySpec, N: int):
     if bad:
         raise NonconformanceError(
             f"nonlinearity {nl.name!r} fails {', '.join(bad)}; "
-            "pass check_hypotheses=False to override"
+            "pass check_hypotheses=False (--force on the command line) to override"
         )
 
 
@@ -260,6 +260,11 @@ class _Descent:
         directions are therefore orthogonalized against that generator
         and stationarity is measured on the shape gradient; the dilation
         class is fixed once at the end by materializing dilate(s(u), u).
+        This does not stop the concentration: a cold descent on
+        f6prime_example (N = 3, R = 600, K = 2001, stretch 30, m = 10)
+        still ends on a one-node spike with J = 2.83, below the
+        mountain-pass floor 4.27.  Only the residual bundle (PDE
+        residual 6.8e11) keeps that point from being certified.
 
     A small two-loop L-BFGS history absorbs the remaining curvature of
     the nonlinear term; pairs are transported between tangent spaces by

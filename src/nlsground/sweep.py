@@ -232,16 +232,3 @@ def mountain_pass_floor(grid: RadialGrid, nl: NonlinearitySpec) -> float:
     level, _ = critical_grad_norm_sq(N)
     return level / N * beta ** (-(N - 2.0) / 2.0)
 
-
-def small_mass_diagnostic(result: SweepResult) -> float:
-    """Least-squares slope of log E against log m over the smallest decade."""
-    m = np.asarray(result.masses, dtype=float)
-    e = np.asarray(result.energies, dtype=float)
-    ok = np.isfinite(e) & (e > 0)
-    m, e = m[ok], e[ok]
-    if m.size < 2 or m.max() / m.min() < 100.0:
-        raise ValueError("sweep must cover at least two decades of masses")
-    slope = _small_mass_slope(m, e)
-    if slope is None:
-        raise ValueError("not enough points in the smallest decade")
-    return slope

@@ -304,7 +304,11 @@ class TestSweepCommand:
                      "--F-expr", "abs(t)^4 / 4", "--masses", "1,2", "--points", "401",
                      "--radius", "20", "--out", str(tmp_path)])
         assert code == EXIT_NONCONFORMANCE
-        assert capsys.readouterr().err.startswith("nonconformance: ")
+        err = capsys.readouterr().err
+        assert err.startswith("nonconformance: ")
+        # the message names the override of both the API and the CLI
+        assert err.rstrip().endswith(
+            "pass check_hypotheses=False (--force on the command line) to override")
 
     def test_failed_point_on_stderr(self, tmp_path, monkeypatch, capsys):
         from types import SimpleNamespace

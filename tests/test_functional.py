@@ -240,6 +240,21 @@ class TestProject:
         with pytest.raises(NonconformanceError, match=rf"s = {cap}:.*f[134]"):
             project(u, subcritical_quartic())
 
+    @pytest.mark.parametrize("s_hint, text", [
+        (5.0, "no Pohozaev sign change up to s = 200: the nonlinearity numerically "
+              "violates (f3) or (f4) (bracket never turns negative)"),
+        (-5.0, "no Pohozaev sign change down to s = -200: the nonlinearity numerically "
+               "violates (f1) or (f4) (bracket never turns positive)"),
+    ])
+    def test_expansion_failure_names_its_side(self, line_grid, s_hint, text):
+        # the subcritical bracket increases in s: from an anchor where it
+        # is positive the upward expansion never sees it turn negative,
+        # from one where it is negative the downward one never sees it
+        # turn positive
+        with pytest.raises(NonconformanceError) as exc:
+            project(bump(line_grid), subcritical_quartic(), s_hint=s_hint)
+        assert str(exc.value) == text
+
     @pytest.mark.parametrize("N, p", [(1, 8.0), (2, 5.5), (3, 4.5)])
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)

@@ -44,6 +44,32 @@ def all_builtins():
     ]
 
 
+def subcritical_cubic():
+    """A mass-subcritical power: g decreases, so f4 fails."""
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return np.abs(t) ** 1.0 * t
+
+    def F(t):
+        t = np.asarray(t, dtype=float)
+        return np.abs(t) ** 3.0 / 3.0
+
+    return from_callables("subcritical_cubic", f, F)
+
+
+def jumpy():
+    """A cubic with a jump of 5 at t = 1: f0 fails."""
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t > 1.0, t**3 + 5.0, t**3)
+
+    def F(t):
+        t = np.asarray(t, dtype=float)
+        return t**4 / 4.0 + np.where(t > 1.0, 5.0 * (t - 1.0), 0.0)
+
+    return from_callables("jumpy", f, F)
+
+
 class TestFTilde:
     def test_zero_at_origin(self):
         for name, N, kw in all_builtins():
@@ -199,28 +225,12 @@ class TestCheckConditions:
 
     def test_f4_violation_detected(self):
         # mass-subcritical power: g is decreasing, f4 must fail
-        def f(t):
-            t = np.asarray(t, dtype=float)
-            return np.abs(t) ** 1.0 * t
-
-        def F(t):
-            t = np.asarray(t, dtype=float)
-            return np.abs(t) ** 3.0 / 3.0
-
-        rep = check_conditions(from_callables("subcritical_cubic", f, F), 3)
+        rep = check_conditions(subcritical_cubic(), 3)
         assert rep.verdict("f4") == "fail"
         assert rep.entries["f4"]["witnesses"]
 
     def test_discontinuity_detected(self):
-        def f(t):
-            t = np.asarray(t, dtype=float)
-            return np.where(t > 1.0, t**3 + 5.0, t**3)
-
-        def F(t):
-            t = np.asarray(t, dtype=float)
-            return t**4 / 4.0 + np.where(t > 1.0, 5.0 * (t - 1.0), 0.0)
-
-        rep = check_conditions(from_callables("jumpy", f, F), 1)
+        rep = check_conditions(jumpy(), 1)
         assert rep.verdict("f0") == "fail"
 
     def test_report_serialization(self):
@@ -234,3 +244,284 @@ class TestCheckConditions:
         for h, entry in failing.entries.items():
             if failing.verdict(h) == "fail":
                 assert entry["witnesses"], f"{h} fail lacks witnesses"
+
+
+# ---------------------------------------------------------------------------
+# the checker before it sampled f and F once: every hypothesis called f and
+# F on its own, the continuity probe point by point.  Kept as the
+# reference the single-sample checker must reproduce bit for bit.
+
+
+# the two scans as the checker called them, with increasing=True
+def _parent_scan_strict(vals):
+    d = np.diff(vals)
+    scale = np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])) + 1e-300
+    return np.where(d <= scale * 1e-14)[0]
+
+
+def _parent_scan_loose(vals):
+    d = np.diff(vals)
+    scale = np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])) + 1e-300
+    return np.where(d < -scale * 1e-10)[0]
+
+
+def _parent_h_schwarz(nl, t, N: int):
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (nl.f(t) * t - (2.0 + 4.0 / N) * nl.F(t)) / t**2
+
+
+def parent_check_conditions(nl, N: int):
+    from nlsground.nonlinearity import (
+        _PER_DECADE, _T_MAX, _T_MIN, ConditionReport, _diverges, _limit_zero,
+        _loglog_slope, _witness,
+    )
+
+    n = int(_PER_DECADE * math.log10(_T_MAX / _T_MIN))
+    ts = np.geomspace(_T_MIN, _T_MAX, n)
+    entries = {}
+
+    def quotient(fn, denom_exp, sign=1.0):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return fn(sign * ts) / ts**denom_exp
+
+    two_star = 2.0 * N / (N - 2.0) if N >= 3 else None
+
+    probes = np.concatenate([np.linspace(-3.0, 3.0, 41), np.geomspace(1e-3, 1e3, 13),
+                             -np.geomspace(1e-3, 1e3, 13)])
+    jumps = []
+    for x in probes:
+        base = float(nl.f(np.asarray(x)))
+        if not math.isfinite(base):
+            jumps.append({"t": float(x), "value": base})
+            continue
+        deltas = [1e-6, 1e-8, 1e-10]
+        gaps = [abs(float(nl.f(np.asarray(x + d * max(1.0, abs(x))))) - base)
+                for d in deltas]
+        local = max(abs(base), 1.0)
+        if gaps[-1] > 1e-4 * local and gaps[-1] > 0.5 * gaps[0]:
+            jumps.append({"t": float(x), "value": base})
+    entries["f0"] = {
+        "verdict": "fail" if jumps else "pass",
+        "witnesses": jumps[:4],
+        "method": "shrinking-increment continuity probe",
+    }
+
+    verdicts, methods = [], []
+    for sign in (1.0, -1.0):
+        q = np.abs(quotient(nl.f, 1.0 + 4.0 / N, sign))
+        v, m = _limit_zero(ts, q, approach_zero=True)
+        verdicts.append(v)
+        methods.append(m)
+    v = ("fail" if "fail" in verdicts
+         else "inconclusive" if "inconclusive" in verdicts else "pass")
+    q0 = np.abs(quotient(nl.f, 1.0 + 4.0 / N))
+    entries["f1"] = {"verdict": v, "witnesses": _witness(ts[:9], q0[:9]),
+                     "method": "; ".join(methods)}
+
+    if N >= 3:
+        q = np.abs(quotient(nl.f, two_star - 1.0))
+        v, m = _limit_zero(ts, q, approach_zero=False)
+        entries["f2"] = {"verdict": v, "witnesses": _witness(ts[-9:], q[-9:]),
+                         "method": m}
+    elif N == 2:
+        with np.errstate(over="ignore"):
+            fv = np.abs(nl.f(ts))
+        slope, r2 = _loglog_slope(ts[-2 * _PER_DECADE:], fv[-2 * _PER_DECADE:])
+        if slope is not None and r2 >= 0.99 and np.all(np.isfinite(fv)):
+            entries["f2"] = {
+                "verdict": "pass",
+                "witnesses": _witness(ts[-6:], fv[-6:]),
+                "method": f"clean power growth (exponent {slope:.2f}) up to "
+                          f"t={ts.max():.0e}; subgaussian on sample",
+            }
+        else:
+            ok = np.isfinite(fv) & (fv > 0)
+            gam = None
+            if ok.sum() > 4:
+                x, y = ts[ok][-12:] ** 2, np.log(fv[ok][-12:])
+                A = np.vstack([x, np.ones_like(x)]).T
+                coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
+                gam = float(coef[0])
+            if gam is not None and gam > 0:
+                entries["f2"] = {
+                    "verdict": "fail",
+                    "witnesses": _witness(ts[-6:], fv[-6:]),
+                    "method": f"gaussian-type growth exp({gam:.2e} t^2) detected",
+                }
+            else:
+                entries["f2"] = {
+                    "verdict": "inconclusive",
+                    "witnesses": _witness(ts[-6:], fv[-6:]),
+                    "method": "growth neither cleanly polynomial nor gaussian; "
+                              "all-gamma limit undecidable by sampling",
+                }
+    else:
+        entries["f2"] = {"verdict": "pass", "witnesses": [],
+                         "method": "not applicable for N=1"}
+
+    res3 = []
+    for sign in (1.0, -1.0):
+        q = quotient(nl.F, 2.0 + 4.0 / N, sign)
+        res3.append(_diverges(ts, q, approach_zero=False))
+    v = ("fail" if any(r[0] == "fail" for r in res3)
+         else "inconclusive" if any(r[0] == "inconclusive" for r in res3) else "pass")
+    q3 = quotient(nl.F, 2.0 + 4.0 / N)
+    entries["f3"] = {"verdict": v, "witnesses": _witness(ts[-9:], q3[-9:]),
+                     "method": res3[0][1]}
+
+    gpos = g_quotient(nl, ts, N)
+    gneg = g_quotient(nl, -ts, N)
+    bad_pos = _parent_scan_strict(gpos)
+    bad_neg = _parent_scan_strict(gneg)
+    wit4 = [{"t": float(ts[i]), "value": float(gpos[i])} for i in bad_pos[:2]]
+    wit4 += [{"t": float(-ts[i]), "value": float(gneg[i])} for i in bad_neg[:2]]
+    entries["f4"] = {
+        "verdict": "fail" if (bad_pos.size or bad_neg.size) else "pass",
+        "witnesses": wit4,
+        "method": "strict monotonicity scan of g on the sample",
+    }
+
+    if N >= 3:
+        viol = []
+        eq_band = 64.0 * np.finfo(float).eps
+        for sign in (1.0, -1.0):
+            tt = sign * ts
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = nl.f(tt) * tt - two_star * nl.F(tt)
+                scale = np.maximum(
+                    np.maximum(np.abs(nl.f(tt) * tt), np.abs(two_star * nl.F(tt))),
+                    1e-300,
+                )
+            finite = np.isfinite(d)
+            wrong_sign = finite & (d > eq_band * scale)
+            equality = finite & (np.abs(d) <= eq_band * scale) & (np.abs(tt) >= 1e-4)
+            for i in np.where(wrong_sign | equality)[0][:4]:
+                viol.append({"t": float(tt[i]), "value": float(d[i])})
+        entries["f5"] = {
+            "verdict": "fail" if viol else "pass",
+            "witnesses": viol[:4],
+            "method": "pointwise strict-inequality scan of f(t)t - 2* F(t); "
+                      "equality at working precision counts as failure for |t| >= 1e-4",
+        }
+    else:
+        entries["f5"] = {"verdict": "pass", "witnesses": [],
+                         "method": f"not applicable for N={N}"}
+
+    if N >= 3:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            q6 = nl.f(ts) * ts / ts**two_star
+        v6, m6, est = _diverges(ts, q6, approach_zero=True)
+        wit = _witness(ts[:9], q6[:9])
+        if est is not None:
+            wit.append({"t": 0.0, "value": est})
+        entries["f6"] = {"verdict": v6, "witnesses": wit, "method": m6}
+        if v6 == "pass":
+            v6p, m6p = "fail", "quotient diverges at t -> 0"
+        elif v6 == "fail":
+            v6p, m6p = "pass", m6 + " (finite limsup)"
+        else:
+            v6p, m6p = "inconclusive", m6
+        entries["f6p"] = {"verdict": v6p, "witnesses": wit, "method": m6p}
+    else:
+        na = {"verdict": "pass", "witnesses": [], "method": f"not applicable for N={N}"}
+        entries["f6"] = dict(na)
+        entries["f6p"] = dict(na)
+
+    hpos = _parent_h_schwarz(nl, ts, N)
+    hneg = _parent_h_schwarz(nl, -ts, N)
+    bad7 = list(_parent_scan_loose(hpos))
+    bad7n = list(_parent_scan_loose(hneg))
+    wit7 = [{"t": float(ts[i]), "value": float(hpos[i])} for i in bad7[:2]]
+    wit7 += [{"t": float(-ts[i]), "value": float(hneg[i])} for i in bad7n[:2]]
+    entries["f7"] = {
+        "verdict": "fail" if (bad7 or bad7n) else "pass",
+        "witnesses": wit7,
+        "method": "monotonicity scan of [f(t)t-(2+4/N)F(t)]/t^2",
+    }
+
+    sample = np.concatenate([np.geomspace(1e-4, 1e4, 17), [0.5, 1.0, 2.0]])
+    with np.errstate(over="ignore"):
+        odd_gap = np.abs(nl.f(-sample) + nl.f(sample))
+        odd_scale = np.abs(nl.f(sample)) + 1e-300
+    bad_odd = np.where(odd_gap > 1e-13 * odd_scale)[0]
+    entries["odd"] = {
+        "verdict": "fail" if bad_odd.size else "pass",
+        "witnesses": [{"t": float(sample[i]), "value": float(odd_gap[i])}
+                      for i in bad_odd[:4]],
+        "method": "pointwise f(-t) = -f(t) check",
+    }
+
+    return ConditionReport(
+        name=nl.name, dimension=N, entries=entries,
+        sampling={"t_min": _T_MIN, "t_max": _T_MAX, "count": n},
+    )
+
+
+README_SPEC = ("abs(t)^6 * t", "abs(t)^8 / 8")
+# not odd: fails most of the battery, f4 and f7 with witnesses on both
+# signs
+EXP_SPEC = ("exp(t) - 1", "exp(t) - 1 - t")
+
+
+def builtin_cases():
+    """The four builtins across the dimensions they accept."""
+    for N in range(1, 7):
+        lo = 2.0 + 4.0 / N
+        hi = 2.0 * N / (N - 2.0) if N >= 3 else 3.0 * lo
+        for p in (0.75 * lo + 0.25 * hi, 0.5 * (lo + hi)):
+            yield builtin("pure_power", N, p=p), N
+        yield builtin("log_supercritical", N), N
+        if N >= 3:
+            yield builtin("critical_piecewise", N), N
+            yield builtin("f6prime_example", N), N
+            yield builtin("f6prime_example", N, beta=2.0, beta_N=2.0 / (N * (N - 2.0))), N
+
+
+def user_cases():
+    from nlsground.expressions import compile_expression
+
+    for name, (fe, Fe) in (("readme", README_SPEC), ("exp", EXP_SPEC)):
+        nl = from_callables(name, compile_expression(fe), compile_expression(Fe))
+        for N in (1, 2, 3, 5):
+            yield nl, N
+    for nl in (jumpy(), subcritical_cubic()):
+        for N in (1, 2, 3, 5):
+            yield nl, N
+
+
+class TestSingleSampleChecker:
+    def test_matches_parent_checker(self):
+        for nl, N in [*builtin_cases(), *user_cases()]:
+            got = check_conditions(nl, N).to_json()
+            assert got == parent_check_conditions(nl, N).to_json(), (nl, N)
+
+    def test_exp_spec_fails_with_witnesses(self):
+        # the comparison above covers failing witnesses, not only passes
+        from nlsground.expressions import compile_expression
+
+        nl = from_callables("exp", *map(compile_expression, EXP_SPEC))
+        rep = check_conditions(nl, 3)
+        for h in ("f1", "f3", "f4", "f5", "f7", "odd"):
+            assert rep.verdict(h) == "fail", h
+            assert rep.entries[h]["witnesses"], h
+        for h in ("f4", "f7"):
+            assert {w["t"] > 0 for w in rep.entries[h]["witnesses"]} == {True, False}, h
+
+    def test_samples_f_and_F_once(self):
+        from nlsground.expressions import compile_expression
+
+        specs = [(builtin(name, N, **kw), N) for name, N, kw in all_builtins()]
+        specs.append((from_callables("readme", *map(compile_expression, README_SPEC)), 1))
+        for nl, N in specs:
+            calls = {"f": 0, "F": 0}
+
+            def counted(fn, key):
+                def wrapped(t):
+                    calls[key] += 1
+                    return fn(t)
+                return wrapped
+
+            check_conditions(from_callables(nl.name, counted(nl.f, "f"),
+                                            counted(nl.F, "F")), N)
+            assert calls["f"] <= 8 and calls["F"] <= 2, (nl, calls)

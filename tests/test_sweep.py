@@ -12,7 +12,6 @@ from nlsground import (
     initial_profile,
     make_grid,
     mountain_pass_floor,
-    small_mass_diagnostic,
     sweep,
 )
 from nlsground import cli
@@ -73,16 +72,9 @@ class TestSmallMassDiagnostic:
         # E_m of the p = 8 line soliton scales like m^{-5}
         m = np.geomspace(0.05, 5.0, 11)
         e = [Soliton1D.energy_of_mass(8.0, x) for x in m]
-        res = fake_result(m, e)
-        slope = small_mass_diagnostic(res)
+        slope = fake_result(m, e).verdicts["small_mass_blowup"]["slope"]
         assert slope == pytest.approx(-5.0, rel=1e-6)
         assert abs(slope - Soliton1D.energy_mass_slope(8.0)) < 0.05 * 5.0
-
-    def test_requires_two_decades(self):
-        m = np.geomspace(1.0, 5.0, 5)
-        res = fake_result(m, m**-1.0)
-        with pytest.raises(ValueError):
-            small_mass_diagnostic(res)
 
 
 class TestMountainPassFloor:
