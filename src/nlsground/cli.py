@@ -77,10 +77,7 @@ _FLAG_KEYS = {
     "out": "output.dir",
 }
 # every dotted key the commands read, besides problem.param.<name>
-_CONFIG_KEYS = frozenset(_FLAG_KEYS.values()) | {
-    "solve.noise", "solve.init_width", "solve.pde_tol", "solve.pohozaev_tol",
-    "solve.force",
-}
+_CONFIG_KEYS = frozenset(_FLAG_KEYS.values()) | {"solve.force"}
 
 
 def resolve_config(args) -> dict:
@@ -156,10 +153,6 @@ def build_options(cfg: dict, mass: float) -> SolveOptions:
         max_iters=_number(cfg, "solve.max_iters", int, 4000),
         grad_tol=_number(cfg, "solve.grad_tol", float, 1e-8),
         seed=_number(cfg, "solve.seed", int, 0),
-        noise=_number(cfg, "solve.noise", float, 0.0),
-        init_width=_number(cfg, "solve.init_width", float, 1.0),
-        pde_tol=_number(cfg, "solve.pde_tol", float, 1e-5),
-        pohozaev_tol=_number(cfg, "solve.pohozaev_tol", float, 1e-6),
         check_hypotheses=cfg.get("solve.force", "false").lower() != "true",
     )
 

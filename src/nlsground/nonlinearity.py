@@ -396,10 +396,12 @@ def _scan(signed, vals, tol):
     """Witnesses, at most two per sign, where vals fails to rise along
     increasing |t|: a step vals[i+1] - vals[i] at most tol times the
     pair's magnitude.  tol > 0 asks for a strict rise (ties fail); tol < 0
-    forgives a fall within rounding noise."""
+    forgives a fall within rounding noise.  A step between infinities is
+    NaN and yields no witness."""
     wit = []
     for t, v in zip(signed, vals):
-        d = np.diff(v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.diff(v)
         scale = np.maximum(np.abs(v[:-1]), np.abs(v[1:])) + 1e-300
         wit += [{"t": float(t[i]), "value": float(v[i])}
                 for i in np.where(d <= scale * tol)[0][:2]]

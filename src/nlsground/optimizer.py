@@ -47,6 +47,11 @@ _GATE = ("f0", "f1", "f2", "f3", "f4")
 # Armijo backtracking factor and sufficient-decrease constant
 _BACKTRACK = 0.5
 _DECREASE = 1e-4
+# the residual bundle a stationary endpoint must meet to be certified
+_PDE_TOL = 1e-5
+_POHOZAEV_TOL = 1e-6
+# bordered Newton steps in _newton_polish
+_POLISH_ITERS = 8
 
 
 class DiagnosticError(RuntimeError):
@@ -66,8 +71,6 @@ class SolveOptions:
     noise: float = 0.0
     init_width: float = 1.0
     custom_profile: GridFunction | None = None  # start here instead of a gaussian
-    pde_tol: float = 1e-5
-    pohozaev_tol: float = 1e-6
     check_hypotheses: bool = True
 
     def __post_init__(self):
@@ -176,7 +179,7 @@ def _diagnostics(u: GridFunction, nl: NonlinearitySpec, m: float):
 
 
 def _newton_polish(grid: RadialGrid, nl: NonlinearitySpec, u: GridFunction,
-                   m: float, iters: int = 8) -> GridFunction | None:
+                   m: float) -> GridFunction | None:
     """Bordered Newton on { -Delta u + mu u = f(u), mass(u) = m }.
 
     Called only from an excellent initial guess (the descent minimizer),
@@ -196,7 +199,7 @@ def _newton_polish(grid: RadialGrid, nl: NonlinearitySpec, u: GridFunction,
 
     mu = multiplier(u, nl, m)
     best = grid.norm(residual(v, mu))
-    for _ in range(iters):
+    for _ in range(_POLISH_ITERS):
         delta = 1e-7 * (1.0 + np.abs(v))
         fp = (nl.f(v + delta) - nl.f(v - delta)) / (2.0 * delta)
         # symmetric tridiagonal system D^{-1}(S + mu D - D fp) on the
@@ -209,9 +212,10 @@ def _newton_polish(grid: RadialGrid, nl: NonlinearitySpec, u: GridFunction,
         ab = np.vstack([off, diag, np.concatenate([off[1:], [0.0]])])
         G = residual(v, mu)[:n] * w[:n]
         c0 = m - float(np.dot(w, v * v))
+        # one factorization for both right-hand sides
+        rhs = np.column_stack([-G, w[:n] * v[:n]])
         try:
-            x1 = solve_banded((1, 1), ab, -G)
-            x2 = solve_banded((1, 1), ab, w[:n] * v[:n])
+            x1, x2 = solve_banded((1, 1), ab, rhs).T
         except Exception:
             return None
         if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
@@ -370,35 +374,27 @@ class _Descent:
     def run(self, u, budget):
         """Descend from u; returns (u, stationary) and sets termination.
 
-        The loop has five exits, named in self.termination:
+        The loop has four exits, named in self.termination:
 
           * "gradient": the shape gradient meets the gate (stationary);
-          * "roundoff": the search direction's slope is at most one ulp
-            of J (eps |J|), so even a unit step's predicted decrease is
-            below J's rounding and every Armijo test at t <= 1 is decided
-            by round-off, and the gradient set no new low, so it shows no
+          * "roundoff": the Armijo margin of a unit step, _DECREASE times
+            the search direction's slope, is at most one ulp of J
+            (eps |J|), so every Armijo test at t <= 1 is decided by
+            round-off, and the gradient set no new low, so it shows no
             progress either (stationary);
-          * "limit_cycle": no new lowest gradient for 100 iterations
-            while the best one is already small;
           * "step_collapse": backtracking fell below floating-point
             resolution (stationary);
           * "budget": max_iters spent.
 
-        The limit-cycle patience stays as the fallback for stalls the
-        round-off test cannot see: J flat to its last digits while the
-        slope stays a few ulps of J, as in a cold pure-power replica at
-        K=2001 whose slope sits at 4-6 ulps for 150 iterations.  A
-        non-stationary exit whose lowest-gradient iterate
-        (best_gn, best_u) is quasi-stationary hands that iterate back as
-        stationary, so a run that limit-cycles near the minimizer still
-        reaches the stationary finish; termination keeps the exit that
-        fired.
+        A budget exit whose lowest-gradient iterate (best_gn, best_u) is
+        quasi-stationary hands that iterate back as stationary, so a run
+        that stalls near the minimizer still reaches the stationary
+        finish; termination keeps the exit that fired.
         """
         stationary = False
         self.termination = "budget"
         prev_vals = prev_grad = None
         self.best_gn, self.best_u, self.best_J = math.inf, u, math.inf
-        since_best = 0
         while self.it < budget:
             fiber, g, gshape, gn, gen = self.gradient_state(u)
             J = fiber.value
@@ -407,13 +403,9 @@ class _Descent:
                 stationary = True
                 self.termination = "gradient"
                 break
-            if since_best > 100 and self.best_gn <= 1e-3 * (1.0 + abs(J)):
-                # limit cycle around the minimizer
-                self.termination = "limit_cycle"
-                break
-            if gn < self.best_gn:
+            new_low = gn < self.best_gn
+            if new_low:
                 self.best_gn, self.best_u, self.best_J = gn, u, J
-                since_best = 0
             elif gn > 30.0 * self.best_gn and self.pairs:
                 # quasi-Newton wandered off along a soft mode: restart
                 # from the best point seen with a clean history
@@ -421,16 +413,13 @@ class _Descent:
                 self.pairs.clear()
                 prev_vals = prev_grad = None
                 self.it += 1
-                since_best += 1
                 continue
-            else:
-                since_best += 1
             if prev_vals is not None:
                 self.push_pair(u.values - prev_vals, gshape.values - prev_grad)
             prev_vals, prev_grad = u.values.copy(), gshape.values.copy()
             dvec, slope = self.direction(u, g, gshape, gen)
-            if since_best > 0 and slope <= np.finfo(float).eps * abs(J):
-                # J's round-off can no longer see the step and the gradient
+            if not new_low and _DECREASE * slope <= np.finfo(float).eps * abs(J):
+                # J's round-off decides the Armijo test and the gradient
                 # stopped falling: the iterate is numerically stationary;
                 # the residual bundle decides convergence
                 stationary = True
@@ -490,8 +479,8 @@ def _finish(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions,
 
         def violation(v, diag):
             _, pde, poh = diag
-            return max(pde / opts.pde_tol,
-                       poh / (opts.pohozaev_tol * max(1.0, grad_norm_sq(v))))
+            return max(pde / _PDE_TOL,
+                       poh / (_POHOZAEV_TOL * max(1.0, grad_norm_sq(v))))
 
         v, diag = min(((v, _diagnostics(v, nl, m)) for v in candidates),
                       key=lambda item: violation(*item))

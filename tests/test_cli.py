@@ -24,12 +24,14 @@ from nlsground.optimizer import DiagnosticError
 
 
 SOLVE_CFG = "problem.builtin = pure_power\nproblem.param.p = 8\nproblem.dim = 1\nsolve.mass = 1\n"
-# config files whose values are not numbers where the commands need them
+# config files whose values are not numbers where the commands need them,
+# or that name a key the commands do not read
 BAD_CONFIGS = {
     "dim.cfg": "problem.builtin = pure_power\nproblem.param.p = 8\nproblem.dim = abc\n",
     "points.cfg": SOLVE_CFG + "grid.points = abc\n",
     "max_iters.cfg": SOLVE_CFG + "solve.max_iters = 1e3\n",
     "grad_tol.cfg": SOLVE_CFG + "solve.grad_tol = small\n",
+    "pde_tol.cfg": SOLVE_CFG + "solve.pde_tol = 1e-3\n",
 }
 
 
@@ -146,6 +148,7 @@ class TestCheckCommand:
         ["check", "--builtin", "pure_power", "--param", "p=8", "--dim", "-2"],
         ["oracle", "--case", "bubble", "--dim", "0"],
         ["oracle", "--case", "gn", "--dim", "0", "--p", "3"],
+        ["solve", "--config", "pde_tol.cfg"],
     ])
     def test_bad_problem_is_usage(self, tmp_path, capsys, monkeypatch, argv):
         # rejected at the command-line boundary, with a message, not a traceback
@@ -162,11 +165,12 @@ class TestCheckCommand:
         assert "grid.points = 'abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["threads", "solve.absify_every", "solve.max_iter"])
-    def test_unknown_config_key_is_usage(self, tmp_path, key):
+    def test_unknown_config_key_is_usage(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"problem.dim = 3\nproblem.builtin = log_supercritical\n{key} = 2\n")
         code = main(["check", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == EXIT_USAGE
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -190,8 +194,9 @@ class TestSolveCommand:
         assert report["energy"] == pytest.approx(12.16, rel=1e-2)
 
     def test_descent_stops_at_roundoff(self, tmp_path):
-        # J stops seeing the steps after about a dozen iterations; the
-        # limit-cycle patience alone ran this descent 84 iterations
+        # J stops seeing the steps after about a dozen iterations; before
+        # the round-off exit, the limit-cycle patience ran this descent 84
+        # iterations
         main(self.ARGS + ["--out", str(tmp_path)])
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["iterations"] <= 20
@@ -294,8 +299,8 @@ class TestSweepCommand:
             assert fields["warm_start"] == str(start)
             assert fields["converged"] == str(conv)
             assert int(fields["iterations"]) > 0
-            assert fields["termination"] in {"gradient", "roundoff", "limit_cycle",
-                                             "step_collapse", "budget"}
+            assert fields["termination"] in {"gradient", "roundoff", "step_collapse",
+                                             "budget"}
 
     def test_nonconforming_spec_exits_nonconformance(self, tmp_path, capsys):
         # the gate runs once before the first point, so a spec that fails

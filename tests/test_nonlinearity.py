@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ def jumpy():
         return t**4 / 4.0 + np.where(t > 1.0, 5.0 * (t - 1.0), 0.0)
 
     return from_callables("jumpy", f, F)
+
+
+def steep():
+    """A ramp of slope 2e9 clipped to [-1, 1]: continuous, but at t = 0
+    the narrow continuity increment moves f by 0.2 and the wide one by 1."""
+    def f(t):
+        return np.clip(2e9 * np.asarray(t, dtype=float), -1.0, 1.0)
+
+    def F(t):
+        a = np.abs(np.asarray(t, dtype=float))
+        return np.where(a <= 0.5e-9, 1e9 * a * a, a - 0.25e-9)
+
+    return from_callables("steep", f, F)
 
 
 class TestFTilde:
@@ -233,6 +247,11 @@ class TestCheckConditions:
         rep = check_conditions(jumpy(), 1)
         assert rep.verdict("f0") == "fail"
 
+    def test_steep_continuous_spec_passes_f0(self):
+        # the narrow gap is a fifth of the wide one, so the ratio rule
+        # (narrow above half the wide gap) reads a steep ramp, not a jump
+        assert check_conditions(steep(), 1).verdict("f0") == "pass"
+
     def test_report_serialization(self):
         rep = check_conditions(builtin("pure_power", 1, p=8.0), 1)
         data = json.loads(rep.to_json())
@@ -254,13 +273,15 @@ class TestCheckConditions:
 
 # the two scans as the checker called them, with increasing=True
 def _parent_scan_strict(vals):
-    d = np.diff(vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.diff(vals)
     scale = np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])) + 1e-300
     return np.where(d <= scale * 1e-14)[0]
 
 
 def _parent_scan_loose(vals):
-    d = np.diff(vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.diff(vals)
     scale = np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])) + 1e-300
     return np.where(d < -scale * 1e-10)[0]
 
@@ -507,6 +528,16 @@ class TestSingleSampleChecker:
             assert rep.entries[h]["witnesses"], h
         for h in ("f4", "f7"):
             assert {w["t"] > 0 for w in rep.entries[h]["witnesses"]} == {True, False}, h
+
+    def test_exp_spec_checks_without_warnings(self):
+        # g and h overflow to inf on this spec; the scans' steps between
+        # infinities are NaN and must not reach the user as warnings
+        from nlsground.expressions import compile_expression
+
+        nl = from_callables("exp", *map(compile_expression, EXP_SPEC))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check_conditions(nl, 3)
 
     def test_samples_f_and_F_once(self):
         from nlsground.expressions import compile_expression
