@@ -20,18 +20,19 @@ closed form on the fixed grid, never by resampling, which keeps the
 uniqueness structure exact; dilate() materializes a resampled profile
 only when a downstream consumer needs one.
 
-The root solve expands a sign-change bracket by doubling steps from a
-hint (capped at |s| = _BRACKET_CAP) and then runs one Brent solve on it;
-monotonicity makes it globally convergent.  Failure to bracket within
-the cap signals that the supplied nonlinearity violates f1/f3/f4
-numerically.
+The root solve is one safeguarded secant loop on
+y(s) = log(1 - bracket(s)/||grad u||^2), the log of the second term
+over the first, which is linear in s for pure powers.  From a hint it
+steps toward the root, at most doubling its distance from the hint
+(capped at |s| = _BRACKET_CAP), and once the sign has changed it stays
+inside the sign-change interval or bisects; monotonicity makes it
+globally convergent.  Failure to bracket within the cap signals that the
+supplied nonlinearity violates f1/f3/f4 numerically.
 
-The Brent solve (_brent; Brent, Algorithms for Minimization without
-Derivatives, 1973) and dilate's monotone cubic resample (_pchip;
-Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980) are ports of
-scipy.optimize.brentq and scipy.interpolate.PchipInterpolator that
-reproduce scipy's bits, so importing this module loads neither scipy
-subpackage nor the scipy.special they share.
+dilate's monotone cubic resample (_pchip; Fritsch & Carlson, SIAM J.
+Numer. Anal. 17, 1980) is a port of scipy.interpolate.PchipInterpolator
+that reproduces scipy's bits, so importing this module loads neither
+scipy.interpolate nor the scipy.special it needs.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ from .nonlinearity import NonlinearitySpec, f_tilde
 # need s well above 50; 200 still terminates fast for nonconforming f.
 _BRACKET_CAP = 200.0
 _ROOT_WIDTH = 1e-13
-# scipy.optimize.brentq's relative tolerance and iteration cap
+# the root solve stops once a step is at most width + _ROOT_RTOL |s|, and
+# raises RuntimeError after _ROOT_ITERS bracket evaluations
 _ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
 _ROOT_ITERS = 100
 # exp(_LOG_MAX) is still finite in double precision
@@ -201,79 +203,20 @@ def fiber_pohozaev(u: GridFunction, nl: NonlinearitySpec, s: float) -> float:
     return math.exp(2.0 * s) * _fiber_bracket(u, nl, s)
 
 
-def _brent(f, a: float, b: float, xtol: float) -> float:
-    """Root of f on the sign-change interval [a, b] by Brent's method.
-
-    A port of scipy.optimize.brentq (rtol = 4 eps, 100 iterations) that
-    keeps its operations in their order, so every point it evaluates f at
-    and the root it returns carry scipy's bits.  Raises ValueError on a
-    NaN value or no sign change, RuntimeError when it does not converge.
-    """
-    def value(x):
-        # a C double, as scipy's routine sees it
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; "
-                             "solver cannot continue.")
-        return fx
-
-    xpre, xcur = a, b
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_ROOT_ITERS):
-        # scipy skips this for a zero fcur, which returns below either way
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # C's division gives inf or NaN, which the test below rejects
-                stry = math.inf
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {_ROOT_ITERS} iterations.")
-
-
 def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
             width: float = _ROOT_WIDTH) -> FiberResult:
     """Find the unique s(u) with P(s(u) * u) = 0 and the value I(s(u) * u).
 
-    The bracket is expanded by doubling steps from s_hint (cheap warm start
-    inside descent loops) into a sign-change interval, which is returned as
-    FiberResult.bracket; one Brent solve on it then locates s(u) to the
-    absolute tolerance width.
+    One safeguarded secant loop on y(s) = log(1 - bracket(s)/T), which is
+    linear in s for pure powers, starts at s_hint (cheap warm start inside
+    descent loops).  Until the bracket changes sign, each step goes the way
+    the bracket's sign points and at most doubles the distance from the
+    start; after that, each step stays strictly inside the sign-change
+    interval, which is returned as FiberResult.bracket, or the loop
+    bisects.  The loop stops when the next step would be at most
+    width + 4 eps |s| and both ends of the interval are known; a root
+    approached from one side gets one closing step of that size across
+    it.  s(u) is the end with the smaller bracket.
 
     Raises ValueError for the zero profile and NonconformanceError when no
     sign change of the monotone bracket exists within |s| <= _BRACKET_CAP.
@@ -285,28 +228,51 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
         raise NonconformanceError(
             "profile carries no gradient energy; projection undefined"
         )
-    seen = {}
     F_integrals = {}
-
-    def bracket(s):
-        # Brent re-evaluates the expansion's end points, and the residual
-        # and the value need the root's evaluation: each s is evaluated once
-        if s not in seen:
-            seen[s] = _fiber_bracket(u, nl, s, T, F_integrals)
-        return seen[s]
-
     anchor = float(np.clip(s_hint, -_BRACKET_CAP, _BRACKET_CAP))
-    b0 = bracket(anchor)
-    if b0 == 0.0:
-        lo = hi = anchor
-    else:
-        # the bracket decreases in s: the root lies on the side of the
-        # anchor that b0's sign points to, and doubling steps walk there
-        d = 1.0 if b0 > 0.0 else -1.0
-        near, far = anchor, anchor + d * 0.5
-        while d * bracket(far) > 0.0:
-            near, far = far, anchor + 2.0 * (far - anchor)
-            if d * far > _BRACKET_CAP:
+    # the sign-change interval: bracket(lo) >= 0 >= bracket(hi)
+    lo, hi = -math.inf, math.inf
+    s, s_prev, y_prev = anchor, math.nan, math.nan
+    older = last = math.inf  # the step before the last one, and the last
+    for _ in range(_ROOT_ITERS):
+        b = _fiber_bracket(u, nl, s, T, F_integrals)
+        if b >= 0.0:
+            lo, b_lo = s, b
+        if b <= 0.0:
+            hi, b_hi = s, b
+        if lo == hi:
+            break
+        # y rises through 0 at the root; -inf where the bracket is >= T
+        y = math.log1p(-b / T) if b < T else -math.inf
+        # a secant step on y, or a unit-slope guess where the previous
+        # point gives none (the first step, or y_prev = -inf): the
+        # builtins' slopes are of order 1
+        t = s - y
+        if math.isfinite(y_prev) and y != y_prev:
+            t = s - y * (s - s_prev) / (y - y_prev)
+        tol = width + _ROOT_RTOL * abs(s)
+        # the bracket decreases in s: the root lies on the side of s that
+        # b's sign points to
+        d = 1.0 if b > 0.0 else -1.0
+        if math.isfinite(hi - lo):
+            # s is an end of the interval: a step inside it that at least
+            # halves every second step, else bisection (also for a NaN
+            # secant, where y is infinite at s)
+            if not (abs(t - s) <= tol or lo < t < hi and abs(t - s) < 0.5 * abs(older)):
+                t = 0.5 * (lo + hi)
+            if abs(t - s) <= tol:
+                break
+        elif abs(t - s) <= tol:
+            # s is within tol of a root it has not crossed: one closing
+            # step across it makes the interval finite
+            t = s + d * tol
+        else:
+            # toward the root, at most doubling the distance from the anchor
+            far = anchor + d * max(2.0 * abs(s - anchor), 0.5)
+            if not 0.0 < d * (t - s) <= d * (far - s):
+                t = far
+        if d * t > _BRACKET_CAP:
+            if d * s >= _BRACKET_CAP:
                 way, hyp, turn = (("up", "f3", "negative") if d > 0.0
                                   else ("down", "f1", "positive"))
                 raise NonconformanceError(
@@ -314,14 +280,16 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
                     f"nonlinearity numerically violates ({hyp}) or (f4) "
                     f"(bracket never turns {turn})"
                 )
-        lo, hi = min(near, far), max(near, far)
-    s_star = lo if lo == hi else _brent(bracket, lo, hi, width)
-    # before the value: the root's evaluation records its F integral
-    residual = abs(math.exp(2.0 * s_star) * bracket(s_star))
+            t = d * _BRACKET_CAP
+        older, last = last, t - s
+        s_prev, y_prev, s = s, y, t
+    else:
+        raise RuntimeError(f"projection failed to converge after {_ROOT_ITERS} evaluations")
+    s_star, b = (lo, b_lo) if abs(b_lo) <= abs(b_hi) else (hi, b_hi)
     return FiberResult(
         s_star=float(s_star),
         value=_fiber_value(T, F_integrals[s_star], s_star, u.grid.dimension),
-        residual=residual,
+        residual=abs(math.exp(2.0 * s_star) * b),
         bracket=(float(lo), float(hi)),
     )
 

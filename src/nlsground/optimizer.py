@@ -78,6 +78,8 @@ class SolveOptions:
             raise ConfigurationError(f"mass must be positive, got {self.mass}")
         if not self.grad_tol > 0:
             raise ConfigurationError("grad_tol must be positive")
+        if self.max_iters < 1:
+            raise ConfigurationError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
 @dataclass

@@ -149,6 +149,10 @@ class TestCheckCommand:
         ["oracle", "--case", "bubble", "--dim", "0"],
         ["oracle", "--case", "gn", "--dim", "0", "--p", "3"],
         ["solve", "--config", "pde_tol.cfg"],
+        ["solve", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
+         "--mass", "1", "--max-iters", "0"],
+        ["sweep", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
+         "--masses", "1,2", "--max-iters", "-5"],
     ])
     def test_bad_problem_is_usage(self, tmp_path, capsys, monkeypatch, argv):
         # rejected at the command-line boundary, with a message, not a traceback

@@ -243,6 +243,11 @@ class TestMinimize:
     def test_option_validation(self):
         with pytest.raises(ConfigurationError):
             SolveOptions(mass=-1.0)
+        # no descent step would run, yet the post-loop promotion would
+        # still certify the untouched start
+        for bad in (0, -5):
+            with pytest.raises(ConfigurationError, match="max_iters"):
+                SolveOptions(mass=1.0, max_iters=bad)
 
 
 class TestFinishEndpoints:
@@ -279,7 +284,7 @@ class TestFinishEndpoints:
         assert rep.termination == "budget" and not rep.converged
         assert calls == []
 
-    def test_limit_cycle_promotion_materializes(self, grid, p8):
+    def test_budget_promotion_materializes(self, grid, p8):
         # a near-stationary best iterate is handed to the stationary finish,
         # which reports a materialized (or Newton-polished) profile
         from nlsground import optimizer
@@ -300,15 +305,15 @@ class TestTermination:
     """The exit that ended the descent, recorded in SolveReport.termination."""
 
     @pytest.mark.parametrize("name, N, params, R, stretch, m, max_iters", [
-        # J is converged to its last bit by iteration ~20 and the gradient
-        # stops falling; before the round-off exit, the limit-cycle
-        # patience ran this descent 172 iterations
-        ("log_supercritical", 2, {}, 400.0, 150.0, 0.5, 30),
+        # J is converged to its last bit by iteration ~12 and the gradient
+        # stops falling at 4.1e-7, just above its gate of 4.0e-7; the
+        # descent ends at iteration 15
+        ("log_supercritical", 2, {}, 400.0, 150.0, 1.0, 30),
         # the cold replica of the warm/cold sweep test at m = 1.3: its
         # slope sits at 4-6 ulps of J, which a one-ulp bound on the slope
         # missed, and the limit-cycle patience then ran it 162 iterations
         ("pure_power", 1, {"p": 8.0}, 40.0, 60.0, 1.3, 20),
-    ], ids=["log_m0.5", "pure_power_m1.3"])
+    ], ids=["log_m1", "pure_power_m1.3"])
     def test_roundoff_exit_ends_the_stall(self, name, N, params, R, stretch, m, max_iters):
         nl = builtin(name, N, **params)
         g = make_grid(N, R, 2001, stretch=stretch)
@@ -321,12 +326,12 @@ class TestTermination:
 
     def test_progressing_descent_meets_gradient_gate(self, p8, soliton_grid):
         # criterion 2's solve: in its best replica J is flat to the last
-        # bit from iteration 10 while the gradient still falls to the gate
-        # at iteration 15, so the round-off exit must not end it early
+        # bit from iteration 8 while the gradient still falls to the gate
+        # at iteration 11, so the round-off exit must not end it early
         opts = SolveOptions(mass=1.0, grad_tol=1e-8, check_hypotheses=False)
         best, reports = multistart_minimize(soliton_grid, p8, opts, restarts=3)
         assert best.termination == "gradient"
-        assert best.iterations == 15
+        assert best.iterations == 11
         exits = {"gradient", "roundoff", "step_collapse", "budget"}
         assert all(r.termination in exits for r in reports)
 
