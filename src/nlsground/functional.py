@@ -38,7 +38,7 @@ scipy.interpolate nor the scipy.special it needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,6 +56,8 @@ _ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
 _ROOT_ITERS = 100
 # exp(_LOG_MAX) is still finite in double precision
 _LOG_MAX = 709.0
+# the bracket scales u by exp(min(N s/2, _SCALE_LOG_MAX))
+_SCALE_LOG_MAX = 700.0
 
 
 class NonconformanceError(RuntimeError):
@@ -64,12 +66,18 @@ class NonconformanceError(RuntimeError):
 
 @dataclass
 class FiberResult:
-    """Outcome of the Pohozaev projection of one profile."""
+    """Outcome of the Pohozaev projection of one profile.
+
+    _f_star holds (u.values, nl, f(e^{N s*/2} u)) from the bracket
+    evaluation at s*, which reduced_gradient reuses for that profile and
+    spec; it takes no part in repr or comparison.
+    """
 
     s_star: float
     value: float
     residual: float
     bracket: tuple
+    _f_star: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def action(u: GridFunction, nl: NonlinearitySpec) -> float:
@@ -161,7 +169,8 @@ def fiber_action(u: GridFunction, nl: NonlinearitySpec, s: float) -> float:
 
 def _fiber_bracket(u: GridFunction, nl: NonlinearitySpec, s: float,
                    T: float | None = None,
-                   F_integrals: dict | None = None) -> float:
+                   F_integrals: dict | None = None,
+                   f_values: dict | None = None) -> float:
     """The strictly decreasing bracket of d/ds I(s * u):
 
         ||grad u||^2 - (N/2) e^{-(N+2)s} int F_tilde(e^{Ns/2} u).
@@ -171,27 +180,35 @@ def _fiber_bracket(u: GridFunction, nl: NonlinearitySpec, s: float,
     produce 0 * inf; the term is capped at e^{_LOG_MAX}, a finite double.
     Under f3/f4 F_tilde grows without bound, so a non-finite F_tilde at a
     huge scaled argument counts as +inf, which keeps the bracket's sign
-    (negative); non-finite values at moderate arguments count as 0.
+    (negative); non-finite values at moderate arguments count as 0.  A
+    non-finite lane makes the weighted sum non-finite, so that repair
+    runs only when the integral is not finite.
 
-    F_tilde is formed from one evaluation of F; when F_integrals is
-    given, int F(e^{Ns/2} u) is stored in it under s, so the caller can
-    form I(s * u) without evaluating F again.
+    F_tilde is formed from one evaluation of the pair (f, F)
+    (NonlinearitySpec.f_and_F).  When F_integrals is given,
+    int F(e^{Ns/2} u) is stored in it under s, so the caller can form
+    I(s * u) without evaluating F again; when f_values is given, the
+    array f(e^{Ns/2} u) is stored in it under s.  The scale is capped at
+    e^{_SCALE_LOG_MAX}.
     """
     g = u.grid
     N = g.dimension
     if T is None:
         T = grad_norm_sq(u)
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = math.exp(min(0.5 * N * s, 700.0)) * u.values
-        F = nl.F(scaled)
+        scaled = math.exp(min(0.5 * N * s, _SCALE_LOG_MAX)) * u.values
+        fv, F = nl.f_and_F(scaled)
         # the arithmetic of f_tilde, so the bracket keeps its bits
-        ft = nl.f(scaled) * scaled - 2.0 * F
+        ft = fv * scaled - 2.0 * F
         if F_integrals is not None:
             F_integrals[s] = g.integrate(F)
-        bad = ~np.isfinite(ft)
-        if np.any(bad):
-            ft = np.where(bad, np.where(np.abs(scaled) > 1e30, np.inf, 0.0), ft)
+        if f_values is not None:
+            f_values[s] = fv
         integral = g.integrate(ft)
+        if not math.isfinite(integral):
+            bad = ~np.isfinite(ft)
+            ft = np.where(bad, np.where(np.abs(scaled) > 1e30, np.inf, 0.0), ft)
+            integral = g.integrate(ft)
     if integral == 0.0:
         return T
     log_term = math.log(0.5 * N * abs(integral)) - (N + 2) * s
@@ -216,7 +233,9 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
     bisects.  The loop stops when the next step would be at most
     width + 4 eps |s| and both ends of the interval are known; a root
     approached from one side gets one closing step of that size across
-    it.  s(u) is the end with the smaller bracket.
+    it.  s(u) is the end with the smaller bracket.  The loop keeps the f
+    array of the current ends only, and hands the one at s(u) to
+    reduced_gradient through the FiberResult.
 
     Raises ValueError for the zero profile and NonconformanceError when no
     sign change of the monotone bracket exists within |s| <= _BRACKET_CAP.
@@ -228,18 +247,19 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
         raise NonconformanceError(
             "profile carries no gradient energy; projection undefined"
         )
-    F_integrals = {}
+    F_integrals, f_values = {}, {}
     anchor = float(np.clip(s_hint, -_BRACKET_CAP, _BRACKET_CAP))
     # the sign-change interval: bracket(lo) >= 0 >= bracket(hi)
     lo, hi = -math.inf, math.inf
     s, s_prev, y_prev = anchor, math.nan, math.nan
     older = last = math.inf  # the step before the last one, and the last
     for _ in range(_ROOT_ITERS):
-        b = _fiber_bracket(u, nl, s, T, F_integrals)
+        b = _fiber_bracket(u, nl, s, T, F_integrals, f_values)
+        at_s = (b, F_integrals.pop(s), f_values.pop(s))
         if b >= 0.0:
-            lo, b_lo = s, b
+            lo, at_lo = s, at_s
         if b <= 0.0:
-            hi, b_hi = s, b
+            hi, at_hi = s, at_s
         if lo == hi:
             break
         # y rises through 0 at the root; -inf where the bracket is >= T
@@ -285,12 +305,14 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
         s_prev, y_prev, s = s, y, t
     else:
         raise RuntimeError(f"projection failed to converge after {_ROOT_ITERS} evaluations")
-    s_star, b = (lo, b_lo) if abs(b_lo) <= abs(b_hi) else (hi, b_hi)
+    s_star, (b, F_integral, f_star) = ((lo, at_lo) if abs(at_lo[0]) <= abs(at_hi[0])
+                                       else (hi, at_hi))
     return FiberResult(
         s_star=float(s_star),
-        value=_fiber_value(T, F_integrals[s_star], s_star, u.grid.dimension),
+        value=_fiber_value(T, F_integral, s_star, u.grid.dimension),
         residual=abs(math.exp(2.0 * s_star) * b),
         bracket=(float(lo), float(hi)),
+        _f_star=(u.values, nl, f_star),
     )
 
 
@@ -304,6 +326,11 @@ def reduced_gradient(u: GridFunction, nl: NonlinearitySpec,
     """Weighted-L^2 representative of dJ(u):
 
         e^{2s} (-Delta u)_i - e^{-Ns/2} f(e^{Ns/2} u_i),  s = s(u).
+
+    fiber, if given, is project(u, nl).  Its f array at s(u) stands in for
+    f(e^{Ns/2} u) when it was computed for this u and nl and the bracket's
+    scale e^{min(Ns/2, _SCALE_LOG_MAX)} is e^{Ns/2}; otherwise f is
+    evaluated here.
     """
     if fiber is None:
         fiber = project(u, nl)
@@ -311,6 +338,8 @@ def reduced_gradient(u: GridFunction, nl: NonlinearitySpec,
     N = g.dimension
     s = fiber.s_star
     lap = neg_laplacian(u).values
-    fv = nl.f(math.exp(0.5 * N * s) * u.values)
+    values, spec, fv = fiber._f_star or (None, None, None)
+    if values is not u.values or spec is not nl or 0.5 * N * s > _SCALE_LOG_MAX:
+        fv = nl.f(math.exp(0.5 * N * s) * u.values)
     vals = math.exp(2.0 * s) * lap - math.exp(-0.5 * N * s) * fv
     return GridFunction(g, vals)

@@ -31,6 +31,7 @@ clean power behavior.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -52,17 +53,32 @@ _ALL_BITS = np.iinfo(np.uint64).max
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
-    """A nonlinearity f with analytic primitive F and claimed hypotheses."""
+    """A nonlinearity f with analytic primitive F and claimed hypotheses.
+
+    ``fused``, if set, returns ``(f(t), F(t))`` from one pass that shares
+    their common subexpressions; its result must equal ``(f(t), F(t))``
+    bit for bit.  ``f_and_F`` calls it, or f and F where it is None.  A
+    copy that replaces f or F with a different function (say by
+    ``dataclasses.replace``) must replace or clear ``fused`` as well, or
+    the fiber layer keeps evaluating the old pair.
+    """
 
     name: str
     f: callable
     F: callable
     claimed: frozenset
     params: dict = field(default_factory=dict)
+    fused: callable = field(default=None, repr=False)
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items())
         return f"NonlinearitySpec({self.name}, {ps})"
+
+    def f_and_F(self, t):
+        """(f(t), F(t)), from one fused evaluation where the spec has one."""
+        if self.fused is None:
+            return self.f(t), self.F(t)
+        return self.fused(t)
 
 
 @dataclass
@@ -89,6 +105,27 @@ class ConditionReport:
         return json.dumps(self.as_dict(), sort_keys=True, **kw)
 
 
+@functools.lru_cache(maxsize=256)
+def _floor_bits(p: float) -> np.uint64:
+    """The bits of power's floor for the exponent p > 0: the smallest
+    positive double whose p-th power, by numpy's array pow, is at least
+    2^-1022.  2^(-1022/p) carries the rounding of -1022/p, up to a few
+    hundred ulps, so nextafter walks it to the exact value.  Where that
+    is 5e-324 only +0.0 lies below it, whose power is +0.0 anyway, and
+    the floor drops to 0 so that such exponents keep the unmasked path.
+    """
+    tiny = np.finfo(float).tiny
+    x = np.array([2.0 ** (-1022.0 / p)])
+    with np.errstate(under="ignore"):
+        while np.power(x, p)[0] < tiny:
+            x = np.nextafter(x, np.inf)
+        below = np.nextafter(x, 0.0)
+        while below[0] > 0.0 and np.power(below, p)[0] >= tiny:
+            x, below = below, np.nextafter(below, 0.0)
+    bits = x.view(np.uint64)[0]
+    return bits if bits > 1 else np.uint64(0)
+
+
 def power(a, p: float, where=None, exponent=None):
     """``np.power(a, exponent)`` on the lanes of ``where`` (all by
     default) and +0.0 on the others, for a float array ``a`` and the float
@@ -97,23 +134,24 @@ def power(a, p: float, where=None, exponent=None):
     array exponent keeps pow's own bits at p = 0.5 and 2.0, where a float
     one takes numpy's sqrt and square paths, which round differently.
 
-    A lane whose sign bit is clear and whose value lies below the floor
-    2^(-1022/p), p > 0, has a power below 2^-1022, the smallest normal
-    double (to within 2^-42 relative, the floor's rounding).  numpy's
-    SIMD pow takes a scalar fallback on every lane whose result is
-    subnormal or zero (on decaying profiles, most of the grid), so those
-    lanes are filled with +0.0 and pow runs on the rest.  Times a finite
-    quadrature weight, a value below 2^-1022 moves a weighted sum only
-    when the whole sum lies near the subnormal range itself, which no
-    integral over a profile with normal powers on it does.  NaN, inf,
-    -0.0 and negative lanes still go through pow.  Without ``where``, an
-    exponent in _FAST_EXPONENTS, or an array with no lane below the
-    floor, takes plain ``a ** exponent``, subnormal results included.
+    A lane whose sign bit is clear and whose value lies below the floor,
+    p > 0, has a power below 2^-1022, the smallest normal double: the
+    floor is the smallest double whose power reaches 2^-1022, found once
+    per exponent (_floor_bits).  numpy's SIMD pow takes a scalar fallback
+    on every lane whose result is subnormal or zero (on decaying
+    profiles, most of the grid), so those lanes are filled with +0.0 and
+    pow runs on the rest.  Times a finite quadrature weight, a value
+    below 2^-1022 moves a weighted sum only when the whole sum lies near
+    the subnormal range itself, which no integral over a profile with
+    normal powers on it does.  NaN, inf, -0.0 and negative lanes still go
+    through pow.  Without ``where``, an exponent in _FAST_EXPONENTS, or
+    an array with no lane below the floor, takes plain ``a ** exponent``,
+    subnormal results included.
     """
     a = np.asarray(a)
     e = p if exponent is None else exponent
     if p > 0 and (where is not None or p not in _FAST_EXPONENTS):
-        floor = np.float64(2.0 ** (-1022.0 / p)).view(np.uint64)
+        floor = _floor_bits(p)
         bits = a.view(np.uint64)  # sign bit set: above every floor
         if where is not None:
             where = where & (bits >= floor)
@@ -129,7 +167,8 @@ def power(a, p: float, where=None, exponent=None):
 def f_tilde(nl: NonlinearitySpec, t):
     """F_tilde(t) = f(t) t - 2 F(t)."""
     t = np.asarray(t, dtype=float)
-    return nl.f(t) * t - 2.0 * nl.F(t)
+    fv, Fv = nl.f_and_F(t)
+    return fv * t - 2.0 * Fv
 
 
 def g_quotient(nl: NonlinearitySpec, t, N: int):
@@ -153,6 +192,31 @@ def g_quotient(nl: NonlinearitySpec, t, N: int):
 # builtins
 
 
+def _builtin_spec(name, common, f_of, F_of, claimed, params) -> NonlinearitySpec:
+    """A spec whose f, F and fused pair all start from common(t): f is
+    f_of(*common(t)), F is F_of(*common(t)), and the fused pair evaluates
+    common(t) once for both, which leaves every operation and its bits
+    as they are."""
+
+    def f(t):
+        return f_of(*common(t))
+
+    def F(t):
+        return F_of(*common(t))
+
+    def fused(t):
+        shared = common(t)
+        return f_of(*shared), F_of(*shared)
+
+    return NonlinearitySpec(name=name, f=f, F=F, claimed=frozenset(claimed),
+                            params=params, fused=fused)
+
+
+def _signed_abs(t):
+    t = np.asarray(t, dtype=float)
+    return t, np.abs(t)
+
+
 def _pure_power(N: int, p: float) -> NonlinearitySpec:
     lo = 2.0 + 4.0 / N
     hi = 2.0 * N / (N - 2.0) if N >= 3 else math.inf
@@ -161,17 +225,15 @@ def _pure_power(N: int, p: float) -> NonlinearitySpec:
             f"pure_power requires {lo} < p < {hi} in dimension {N}, got p={p}"
         )
 
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        return power(np.abs(t), p - 2.0) * t
+    def f_of(t, abs_t):
+        return power(abs_t, p - 2.0) * t
 
-    def F(t):
-        t = np.asarray(t, dtype=float)
-        return power(np.abs(t), p) / p
+    def F_of(t, abs_t):
+        return power(abs_t, p) / p
 
-    return NonlinearitySpec(
-        name="pure_power", f=f, F=F,
-        claimed=frozenset({"f0", "f1", "f2", "f3", "f4", "f5", "f6", "odd"}),
+    return _builtin_spec(
+        "pure_power", _signed_abs, f_of, F_of,
+        claimed={"f0", "f1", "f2", "f3", "f4", "f5", "f6", "odd"},
         params={"N": N, "p": p},
     )
 
@@ -180,20 +242,20 @@ def _log_supercritical(N: int) -> NonlinearitySpec:
     alpha = 1.0 if N <= 2 else 8.0 / (N * (N - 2.0))
     q = 2.0 + 4.0 / N
 
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        abs_t = np.abs(t)
+    def common(t):
+        t, abs_t = _signed_abs(t)
         a = power(abs_t, alpha)
-        return (q * np.log1p(a) + alpha * a / (1.0 + a)) * power(abs_t, 4.0 / N) * t
+        return t, abs_t, a, np.log1p(a)
 
-    def F(t):
-        t = np.asarray(t, dtype=float)
-        abs_t = np.abs(t)
-        return power(abs_t, q) * np.log1p(power(abs_t, alpha))
+    def f_of(t, abs_t, a, log_a):
+        return (q * log_a + alpha * a / (1.0 + a)) * power(abs_t, 4.0 / N) * t
 
-    return NonlinearitySpec(
-        name="log_supercritical", f=f, F=F,
-        claimed=frozenset({"f0", "f1", "f2", "f3", "f4", "f5", "f6", "odd"}),
+    def F_of(t, abs_t, a, log_a):
+        return power(abs_t, q) * log_a
+
+    return _builtin_spec(
+        "log_supercritical", common, f_of, F_of,
+        claimed={"f0", "f1", "f2", "f3", "f4", "f5", "f6", "odd"},
         params={"N": N, "alpha_N": alpha},
     )
 
@@ -210,17 +272,15 @@ def _critical_piecewise(N: int, p: float | None = None) -> NonlinearitySpec:
             f"critical_piecewise requires {p_N} < p < {two_star} in dimension {N}, got p={p}"
         )
 
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        a = np.abs(t)
-        lo = a <= 1.0
+    def common(t):
+        t, a = _signed_abs(t)
+        return t, a, a <= 1.0
+
+    def f_of(t, a, lo):
         return np.where(lo, power(a, two_star - 2.0, where=lo),
                         power(a, p - 2.0, where=~lo)) * t
 
-    def F(t):
-        t = np.asarray(t, dtype=float)
-        a = np.abs(t)
-        lo = a <= 1.0
+    def F_of(t, a, lo):
         out = power(a, two_star, where=lo)
         out /= two_star  # in place: a 0-d result stays assignable
         # the outer branch on its own lanes only; a NaN lane takes it at |t| = 1
@@ -230,9 +290,9 @@ def _critical_piecewise(N: int, p: float | None = None) -> NonlinearitySpec:
             out[hi] = 1.0 / two_star + (power(np.where(b > 1.0, b, 1.0), p) - 1.0) / p
         return out
 
-    return NonlinearitySpec(
-        name="critical_piecewise", f=f, F=F,
-        claimed=frozenset({"f0", "f1", "f2", "f3", "f4", "odd"}),
+    return _builtin_spec(
+        "critical_piecewise", common, f_of, F_of,
+        claimed={"f0", "f1", "f2", "f3", "f4", "odd"},
         params={"N": N, "p": p, "p_N": p_N},
     )
 
@@ -249,22 +309,21 @@ def _f6prime_example(N: int, beta: float = 1.0, beta_N: float | None = None) -> 
         raise ValueError(f"need beta_N in (0, {cap}], got {beta_N}")
     two_star = 2.0 * N / (N - 2.0)
 
-    def f(t):
-        t = np.asarray(t, dtype=float)
-        abs_t = np.abs(t)
+    def common(t):
+        t, abs_t = _signed_abs(t)
         a = power(abs_t, beta_N)
-        damp = 1.0 - beta_N * (N - 2.0) * a / (2.0 * N * (1.0 + a))
-        return beta * damp * power(abs_t, 4.0 / (N - 2.0)) * t / (1.0 + a)
+        return t, abs_t, a, 1.0 + a
 
-    def F(t):
-        t = np.asarray(t, dtype=float)
-        abs_t = np.abs(t)
-        a = power(abs_t, beta_N)
-        return beta * (N - 2.0) * power(abs_t, two_star) / (2.0 * N * (1.0 + a))
+    def f_of(t, abs_t, a, one_a):
+        damp = 1.0 - beta_N * (N - 2.0) * a / (2.0 * N * one_a)
+        return beta * damp * power(abs_t, 4.0 / (N - 2.0)) * t / one_a
 
-    return NonlinearitySpec(
-        name="f6prime_example", f=f, F=F,
-        claimed=frozenset({"f0", "f1", "f2", "f3", "f4", "f5", "f6p", "odd"}),
+    def F_of(t, abs_t, a, one_a):
+        return beta * (N - 2.0) * power(abs_t, two_star) / (2.0 * N * one_a)
+
+    return _builtin_spec(
+        "f6prime_example", common, f_of, F_of,
+        claimed={"f0", "f1", "f2", "f3", "f4", "f5", "f6p", "odd"},
         params={"N": N, "beta": beta, "beta_N": beta_N},
     )
 
@@ -414,7 +473,8 @@ def check_conditions(nl: NonlinearitySpec, N: int) -> ConditionReport:
     Limit hypotheses are decided from log-spaced samples over
     [_T_MIN, _T_MAX], monotonicity hypotheses by scanning; every verdict
     carries numeric witnesses.  f and F are evaluated once on +-t of that
-    sample, and every hypothesis's quotient is built from those arrays.
+    sample (one fused call per sign), and every hypothesis's quotient is
+    built from those arrays.
     """
     n = int(_PER_DECADE * math.log10(_T_MAX / _T_MIN))
     ts = np.geomspace(_T_MIN, _T_MAX, n)
@@ -430,8 +490,7 @@ def check_conditions(nl: NonlinearitySpec, N: int) -> ConditionReport:
         base = nl.f(probes)
         gap_wide = np.abs(nl.f(probes + 1e-6 * step) - base)
         gap_narrow = np.abs(nl.f(probes + 1e-10 * step) - base)
-        fs = [nl.f(t) for t in signed]
-        Fs = [nl.F(t) for t in signed]
+        fs, Fs = zip(*(nl.f_and_F(t) for t in signed))
         fts = [fv * t for fv, t in zip(fs, signed)]
         tq = ts ** mc
         q1 = [np.abs(fv / ts ** (1.0 + 4.0 / N)) for fv in fs]

@@ -1,14 +1,19 @@
-"""The underflow-skipping power kernel keeps numpy's bits on normal results.
+"""The underflow-skipping power kernel keeps numpy's bits on normal results,
+and the fiber layer's shortcuts keep the fiber layer's bits.
 
 nonlinearity.power runs pow only on lanes whose result is a normal
 double or can be non-finite.  These tests pin its contract against
-numpy (numpy's bits, except +0.0 on the lanes below 2^(-1022/p), whose
-power would be subnormal) on edge values, check that flushing those
+numpy (numpy's bits, except +0.0 on the lanes below the smallest double
+whose power reaches 2^-1022) on edge values, check that flushing those
 lanes moves none of the fiber layer's results against the kernel that
 flushed only the lanes rounding to zero, and pin that pow really skips
-the tail of a decaying profile.
+the tail of a decaying profile.  The builtins' fused (f, F) pairs, the
+reduced gradient's reuse of the bracket's f at s* and the bracket's lazy
+non-finite repair are checked bit for bit against the separate paths.
 """
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -45,9 +50,20 @@ def bits(x):
 FAST_EXPONENTS = (1.0, 2.0)
 
 
+@functools.lru_cache(maxsize=None)
 def floor_of(p):
-    """Below this value |t|^p lies below the smallest normal double."""
-    return 2.0 ** (-1022.0 / p)
+    """The smallest positive double whose p-th power, by numpy's array
+    pow, reaches the smallest normal double: the first such double in a
+    window of 4096 ulps either side of 2^(-1022/p), where pow rises
+    monotonically.  Below 5e-324 lies only +0.0, whose power is +0.0
+    already, so that floor reads 0.0."""
+    guess = int(np.float64(2.0 ** (-1022.0 / p)).view(np.int64))
+    window = np.arange(max(guess - 4096, 1), guess + 4097).view(np.float64)
+    with np.errstate(under="ignore"):
+        reach = np.power(window, p) >= np.finfo(float).tiny
+    first = int(np.argmax(reach))
+    assert reach[first:].all() and (first > 0 or window[0] == 5e-324), p
+    return 0.0 if window[first] == 5e-324 else float(window[first])
 
 
 def expected_power(a, p, exponent=None, where=None):
@@ -65,10 +81,11 @@ def expected_power(a, p, exponent=None, where=None):
 
 
 def with_floor(values, p):
-    """values plus the floor 2^(-1022/p), the earlier floor 2^(-1080/p)
-    (below it the power rounds to zero) and their neighbours."""
+    """values plus the floor, its rounded estimate 2^(-1022/p), the
+    earlier floor 2^(-1080/p) (below it the power rounds to zero) and
+    their neighbours."""
     near = []
-    for floor in (floor_of(p), 2.0 ** (-1080.0 / p)):
+    for floor in (floor_of(p), 2.0 ** (-1022.0 / p), 2.0 ** (-1080.0 / p)):
         near += [np.nextafter(floor, 0.0), floor, np.nextafter(floor, 1.0)]
     return np.array(list(values) + near, dtype=float)
 
@@ -107,11 +124,9 @@ class TestPowerKernel:
                 assert np.array_equal(bits(power(a, p)), bits(expected_power(a, p))), p
 
     def test_flushed_lanes_are_the_subnormal_results(self):
-        # the kernel differs from numpy exactly where numpy's power lies
-        # below the smallest normal double, up to the floor's rounding:
-        # 2^(-1022/p) carries the rounding of -1022/p, which p amplifies
-        # to about 1022 ln 2 ulps of the power, below 2^-42 relative
-        tiny, slack = np.finfo(float).tiny, 2.0 ** -42
+        # the kernel differs from numpy exactly where numpy's power is a
+        # positive subnormal
+        tiny = np.finfo(float).tiny
         flushed = 0
         for p in EXPONENTS:
             if p in FAST_EXPONENTS:
@@ -120,9 +135,9 @@ class TestPowerKernel:
             with np.errstate(all="ignore"):
                 ref, got = a ** p, power(a, p)
             changed = bits(got) != bits(ref)
-            assert np.all(ref[changed] <= tiny * (1.0 + slack)), p
+            assert np.all(ref[changed] < tiny), p
             assert np.all(bits(got[changed]) == 0), p
-            subnormal = (ref > 0.0) & (ref < tiny * (1.0 - slack))
+            subnormal = (ref > 0.0) & (ref < tiny)
             assert np.all(changed[subnormal]), p
             flushed += int(subnormal.sum())
         assert flushed > 0
@@ -358,6 +373,18 @@ def earlier_power(a, p, where=None, exponent=None):
     return out
 
 
+def user_spec():
+    return from_callables("user", compile_expression(USER_F),
+                          compile_expression(USER_F_PRIMITIVE))
+
+
+def fiber_specs(count):
+    """(name, spec, profiles) for every fiber case and the user spec."""
+    for k, (name, N, params, masses) in enumerate(FIBER_CASES):
+        yield name, builtin(name, N, **params), fiber_profiles(N, masses, count, seed=k)
+    yield "user", user_spec(), fiber_profiles(1, (0.5, 2.0), count, seed=9)
+
+
 class TestFiberLayerInvariance:
     """Flushing the subnormal powers moves none of the fiber layer's
     results: the bracket and its F integral over s in [-8, 8], the
@@ -378,15 +405,8 @@ class TestFiberLayerInvariance:
             out += list(functional.reduced_gradient(u, nl, fiber).values)
         return bits(np.array(out))
 
-    def specs(self):
-        for k, (name, N, params, masses) in enumerate(FIBER_CASES):
-            yield name, builtin(name, N, **params), fiber_profiles(N, masses, 6, seed=k)
-        user = from_callables("user", compile_expression(USER_F),
-                              compile_expression(USER_F_PRIMITIVE))
-        yield "user", user, fiber_profiles(1, (0.5, 2.0), 6, seed=9)
-
     def test_fiber_layer_matches_earlier_kernel(self, monkeypatch):
-        for name, nl, profiles in self.specs():
+        for name, nl, profiles in fiber_specs(6):
             got = self.fiber_layer(nl, profiles)
             monkeypatch.setattr(nonlinearity, "power", earlier_power)
             monkeypatch.setattr(expressions, "power", earlier_power)
@@ -430,3 +450,152 @@ def test_pow_skips_the_underflowing_tail(monkeypatch):
             assert not np.any(where & below), (name, p)
             skipped += int(below.sum())
         assert skipped > 0, name
+
+
+class TestFusedKernels:
+    """Each builtin's fused pair is its f and F, bit for bit, on every
+    lane: NaN, inf, +-0, subnormal and negative ones included."""
+
+    def assert_fused(self, nl, t, what):
+        with np.errstate(all="ignore"):
+            fv, Fv = nl.fused(t)
+            assert np.array_equal(bits(fv), bits(nl.f(t))), (what, "f")
+            assert np.array_equal(bits(Fv), bits(nl.F(t))), (what, "F")
+
+    def test_fused_on_profiles(self):
+        for k, (name, N, params, masses) in enumerate(FIBER_CASES):
+            nl = builtin(name, N, **params)
+            for u in fiber_profiles(N, masses, 3, seed=k):
+                for t in dilated(u.values, N):
+                    self.assert_fused(nl, t, name)
+
+    def test_fused_on_edge_values(self):
+        for name, N, params, _ in FIBER_CASES:
+            nl = builtin(name, N, **params)
+            for p in EXPONENTS:
+                self.assert_fused(nl, wide_range(p), (name, p))
+            for x in EDGES:
+                self.assert_fused(nl, np.asarray(x), (name, x))
+
+    def test_specs_without_fused_pair_call_f_and_F(self):
+        t = wide_range(8.0)
+        nl = user_spec()
+        assert nl.fused is None
+        with np.errstate(all="ignore"):
+            fv, Fv = nl.f_and_F(t)
+            assert np.array_equal(bits(fv), bits(nl.f(t)))
+            assert np.array_equal(bits(Fv), bits(nl.F(t)))
+
+
+def counting(nl, calls):
+    """nl with an f that appends to calls (the fused pair stays)."""
+    def f(t):
+        calls.append(1)
+        return nl.f(t)
+    return dataclasses.replace(nl, f=f)
+
+
+class TestReusedF:
+    """reduced_gradient with project's FiberResult gives the bits of the
+    gradient that evaluates f itself."""
+
+    def test_reused_f_matches_recomputed(self):
+        for name, nl, profiles in fiber_specs(3):
+            for u in profiles:
+                fiber = functional.project(u, nl)
+                assert fiber._f_star is not None, name
+                got = functional.reduced_gradient(u, nl, fiber).values
+                ref = functional.reduced_gradient(
+                    u, nl, dataclasses.replace(fiber, _f_star=None)).values
+                assert np.array_equal(bits(got), bits(ref)), name
+
+    def test_builtins_skip_f_after_project(self):
+        for name, nl, profiles in fiber_specs(1):
+            calls = []
+            traced = counting(nl, calls)
+            fiber = functional.project(profiles[0], traced)
+            calls.clear()
+            functional.reduced_gradient(profiles[0], traced, fiber)
+            assert not calls, name
+
+    def test_other_profile_or_spec_evaluates_f(self):
+        nl = builtin("pure_power", 1, p=8.0)
+        u, v = fiber_profiles(1, (0.5, 2.0), 2, seed=3)
+        fiber = functional.project(u, nl)
+        cleared = dataclasses.replace(fiber, _f_star=None)
+        for w, spec in ((v, nl), (GridFunction(u.grid, u.values.copy()), nl), (u, user_spec())):
+            got = functional.reduced_gradient(w, spec, fiber).values
+            ref = functional.reduced_gradient(w, spec, cleared).values
+            assert np.array_equal(bits(got), bits(ref))
+
+    def test_scale_beyond_the_bracket_cap_evaluates_f(self):
+        # at N s/2 in (700, 709] the bracket scales u by e^700, not
+        # e^{Ns/2}, so its f array must not stand in for the gradient's;
+        # on a constant profile the Laplacian vanishes inside the grid
+        # and the f term alone sets the gradient there
+        N, s = 8, 176.0
+        nl = builtin("pure_power", N, p=2.6)
+        grid = make_grid(N, 24.0, 2001)
+        u = GridFunction(grid, np.full(grid.nodes.size, 1e-120))
+        f_values = {}
+        b = functional._fiber_bracket(u, nl, s, f_values=f_values)
+        assert 0.5 * N * s > functional._SCALE_LOG_MAX
+        fiber = functional.FiberResult(s_star=s, value=0.0, residual=abs(b),
+                                       bracket=(s, s), _f_star=(u.values, nl, f_values[s]))
+        got = functional.reduced_gradient(u, nl, fiber).values
+        ref = functional.reduced_gradient(
+            u, nl, dataclasses.replace(fiber, _f_star=None)).values
+        assert np.array_equal(bits(got), bits(ref))
+        capped = (math.exp(2.0 * s) * functional.neg_laplacian(u).values
+                  - math.exp(-0.5 * N * s) * f_values[s])
+        assert np.all(np.isfinite(ref)) and np.all(ref[:-2] != capped[:-2])
+
+
+def eager_bracket(u, nl, s):
+    """_fiber_bracket as it stood with the non-finite repair run on every
+    evaluation and f and F evaluated separately."""
+    g = u.grid
+    N = g.dimension
+    T = functional.grad_norm_sq(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = math.exp(min(0.5 * N * s, 700.0)) * u.values
+        F = nl.F(scaled)
+        ft = nl.f(scaled) * scaled - 2.0 * F
+        bad = ~np.isfinite(ft)
+        if np.any(bad):
+            ft = np.where(bad, np.where(np.abs(scaled) > 1e30, np.inf, 0.0), ft)
+        integral = g.integrate(ft)
+    if integral == 0.0:
+        return T
+    log_term = math.log(0.5 * N * abs(integral)) - (N + 2) * s
+    return T - math.copysign(math.exp(min(log_term, functional._LOG_MAX)), integral)
+
+
+class TestLazyRepair:
+    """The bracket repairs non-finite F_tilde lanes only when the integral
+    is not finite; its bits equal the eager repair's over the whole
+    admissible range of s, where F_tilde overflows to inf and NaN."""
+
+    S = np.linspace(-functional._BRACKET_CAP, functional._BRACKET_CAP, 41)
+
+    def test_lazy_repair_matches_eager(self):
+        # F_tilde of the exponential spec is inf - inf = NaN from |t| ~ 27
+        # on, so the repair writes 0 at moderate and inf at huge arguments
+        growth = from_callables("exp", compile_expression("t * exp(t^2)"),
+                                compile_expression("(exp(t^2) - 1) / 2"))
+        specs = [(name, nl, profiles[:2]) for name, nl, profiles in fiber_specs(2)]
+        specs.append(("exp", growth, fiber_profiles(1, (0.5, 2.0), 2, seed=4)))
+        repaired = {"moderate": 0, "huge": 0}
+        for name, nl, profiles in specs:
+            for u in profiles:
+                for s in self.S:
+                    s = float(s)
+                    got = functional._fiber_bracket(u, nl, s)
+                    assert bits(got) == bits(eager_bracket(u, nl, s)), (name, s)
+                    scaled = math.exp(min(0.5 * u.grid.dimension * s, 700.0)) * u.values
+                    with np.errstate(all="ignore"):
+                        bad = ~np.isfinite(nl.f(scaled) * scaled - 2.0 * nl.F(scaled))
+                    huge = np.abs(scaled) > 1e30
+                    repaired["moderate"] += int(np.any(bad & ~huge))
+                    repaired["huge"] += int(np.any(bad & huge))
+        assert repaired["moderate"] > 0 and repaired["huge"] > 0, repaired
