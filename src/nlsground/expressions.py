@@ -1,28 +1,30 @@
-"""Tiny arithmetic expression grammar for user-supplied nonlinearities.
+"""Arithmetic expressions of t for user-supplied nonlinearities.
 
-Grammar (vectorized over numpy arrays, variable t):
+Python's expression grammar, read by ``ast.parse`` and cut down to the
+variable t, vectorized over numpy arrays, with ``^`` for the power:
 
-    expr   := term (('+'|'-') term)*
-    term   := unary (('*'|'/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' unary)?                 # right associative
-    atom   := NUMBER | 't' | '(' expr ')'
-            | 'abs' '(' expr ')' | 'ln' '(' expr ')' | 'exp' '(' expr ')'
-            | 'piecewise' '(' cond ',' expr ',' expr ')'
-    cond   := expr ('<='|'<'|'>='|'>') expr
+    t   NUMBER   (a)   -a   a + b   a - b   a * b   a / b   a ^ b
+    abs(a)   ln(a)   exp(a)   piecewise(a < b, c, d)   (or <=, >, >=)
 
-Example: the piecewise critical nonlinearity for N = 5,
-
-    piecewise(abs(t) <= 1, abs(t)^(4/3)*t, abs(t)^1.2*t)
+e.g. piecewise(abs(t) <= 1, abs(t)^(4/3)*t, abs(t)^1.2*t).  NUMBER is digits
+with an optional fraction and exponent: 05 is 5, 1e999 is inf.  -t^2 is
+-(t^2), 2^3^2 is 2^9, 2^-1 is 0.5.  Rejected: ``**``, a unary ``+``, ``==``,
+a chained comparison or one outside piecewise's first argument, a trailing
+comma, a tuple, any other name, and ``_`` or hex digits in a number.
+Parentheses nest at most MAX_DEPTH = 200 deep, and so do operators and
+calls: a sum of n terms nests n - 1 additions.
 """
 
-from __future__ import annotations
-
+import ast
+import bisect
+import operator
 import re
 
 import numpy as np
 
 from .nonlinearity import power
+
+MAX_DEPTH = 200  # bounds evaluation's recursion; CPython allows 200 nested parentheses
 
 
 class ExpressionError(ValueError):
@@ -34,142 +36,6 @@ _TOKEN = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op><=|>=|==|[-+*/^(),<>]))"
 )
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ExpressionError(f"unexpected character at {text[pos:pos + 8]!r}")
-        if m.group("num") is not None:
-            tokens.append(("num", float(m.group("num"))))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    tokens.append(("end", None))
-    return tokens
-
-
-class _Parser:
-    _FUNCS = {"abs", "ln", "exp", "piecewise"}
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.k = 0
-
-    def peek(self):
-        return self.tokens[self.k]
-
-    def take(self, kind=None, value=None):
-        tok = self.tokens[self.k]
-        if kind is not None and tok[0] != kind:
-            raise ExpressionError(f"expected {value or kind}, found {tok[1]!r}")
-        if value is not None and tok[1] != value:
-            raise ExpressionError(f"expected {value!r}, found {tok[1]!r}")
-        self.k += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ExpressionError(f"trailing input at {self.peek()[1]!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            node = (lambda a, b: lambda t: a(t) + b(t))(node, rhs) if op == "+" \
-                else (lambda a, b: lambda t: a(t) - b(t))(node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.take()[1]
-            rhs = self.unary()
-            if op == "*":
-                node = (lambda a, b: lambda t: a(t) * b(t))(node, rhs)
-            else:
-                node = (lambda a, b: lambda t: _div(a(t), b(t)))(node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            inner = self.unary()
-            return (lambda a: lambda t: -a(t))(inner)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            exponent = self.unary()
-            p = getattr(exponent, "constant", None)
-            return (lambda a, b: lambda t: _pow(a(t), b(t), p))(base, exponent)
-        return base
-
-    def atom(self):
-        kind, value = self.peek()
-        if kind == "num":
-            self.take()
-            node = (lambda v: lambda t: np.full_like(np.asarray(t, float), v))(value)
-            node.constant = value
-            return node
-        if kind == "name":
-            self.take()
-            if value == "t":
-                return lambda t: np.asarray(t, dtype=float)
-            if value in self._FUNCS:
-                self.take("op", "(")
-                if value == "piecewise":
-                    cond = self.cond()
-                    self.take("op", ",")
-                    then = self.expr()
-                    self.take("op", ",")
-                    other = self.expr()
-                    self.take("op", ")")
-                    return (lambda c, a, b: lambda t: np.where(c(t), a(t), b(t)))(
-                        cond, then, other
-                    )
-                inner = self.expr()
-                self.take("op", ")")
-                if value == "abs":
-                    return (lambda a: lambda t: np.abs(a(t)))(inner)
-                if value == "ln":
-                    return (lambda a: lambda t: _ln(a(t)))(inner)
-                return (lambda a: lambda t: np.exp(np.minimum(a(t), 700.0)))(inner)
-            raise ExpressionError(f"unknown identifier {value!r}")
-        if (kind, value) == ("op", "("):
-            self.take()
-            node = self.expr()
-            self.take("op", ")")
-            return node
-        raise ExpressionError(f"unexpected token {value!r}")
-
-    def cond(self):
-        lhs = self.expr()
-        kind, op = self.peek()
-        if kind != "op" or op not in ("<=", "<", ">=", ">"):
-            raise ExpressionError(f"expected comparison in piecewise, found {op!r}")
-        self.take()
-        rhs = self.expr()
-        table = {
-            "<=": lambda a, b: a <= b,
-            "<": lambda a, b: a < b,
-            ">=": lambda a, b: a >= b,
-            ">": lambda a, b: a > b,
-        }
-        cmp = table[op]
-        return (lambda a, b, c: lambda t: c(a(t), b(t)))(lhs, rhs, cmp)
 
 
 def _div(a, b):
@@ -191,11 +57,94 @@ def _ln(a):
         return np.log(a)
 
 
+_FUNCS = {"abs": np.abs, "ln": _ln, "exp": lambda a: np.exp(np.minimum(a, 700.0)),
+          "piecewise": np.where}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: _div, ast.Pow: _pow}
+_COMPARE = {ast.Lt: operator.lt, ast.LtE: operator.le, ast.Gt: operator.gt,
+            ast.GtE: operator.ge}
+
+
+class _Compiler:
+    """Tokens rebuilt as Python source (``^`` as ``**``, a number as the repr of
+    its value), parsed by ast.parse and compiled node by node into ``fn``."""
+
+    def __init__(self, text: str):
+        self.text, self.tokens = text, []  # (column in source, column in text, token)
+        source, prev, depth, pos, end = "", None, 0, 0, len(text.rstrip())
+        while pos < end:
+            m = _TOKEN.match(text, pos)
+            if m is None:
+                col = len(text) - len(text[pos:].lstrip())
+                self.fail(col, f"unexpected character {text[col]!r}")
+            col, tok, pos = m.start(m.lastgroup), m.group(m.lastgroup), m.end()
+            if m.lastgroup == "name" and tok not in _FUNCS and tok != "t":
+                self.fail(col, f"unknown name {tok!r}")
+            if prev in _FUNCS and tok != "(" or prev == "," and tok == ")":
+                self.fail(col, f"unexpected {tok!r}")
+            depth += (tok == "(") - (tok == ")")
+            if depth > MAX_DEPTH:
+                self.fail(col, f"parentheses nested deeper than {MAX_DEPTH} levels")
+            self.tokens.append((len(source), col, tok))
+            if m.lastgroup == "num":  # a repr reads back bit for bit; inf as 1e999
+                tok = repr(float(tok)).replace("inf", "1e999")
+            source += ("**" if tok == "^" else tok) + " "
+            prev = tok
+        try:
+            tree = ast.parse(source, mode="eval")
+        except SyntaxError as exc:  # exc.offset: 1-based source column, 0 at the end
+            if not exc.offset or depth > 0:
+                self.fail(len(text), "unexpected end")
+            _, col, tok = self.tokens[bisect.bisect_right(self.tokens, (exc.offset,)) - 1]
+            self.fail(col, f"unexpected {tok!r}")
+        except (RecursionError, MemoryError):  # CPython's parser, on chains thousands deep
+            self.fail(0, f"nested deeper than {MAX_DEPTH} levels")
+        self.fn = self.node(tree.body, 0)
+
+    def fail(self, where, what: str):
+        if isinstance(where, ast.AST):  # quote the node, first token to last
+            first = bisect.bisect_left(self.tokens, (where.col_offset,))
+            last = bisect.bisect_left(self.tokens, (where.end_col_offset,)) - 1
+            (_, start, _), (_, col, tok) = self.tokens[first], self.tokens[last]
+            what, where = f"{what} {self.text[start:col + len(tok)][:80]!r}", start
+        shown = self.text if len(self.text) <= 80 else self.text[:77] + "..."
+        raise ExpressionError(f"{what} at column {where + 1} of {shown!r}")
+
+    def node(self, node, depth: int):
+        if depth > MAX_DEPTH:
+            self.fail(node, f"nested deeper than {MAX_DEPTH} levels:")
+        sub = lambda n: self.node(n, depth + 1)  # noqa: E731
+        if isinstance(node, ast.Constant):
+            v = node.value
+            return lambda t: np.full_like(t, v)
+        if isinstance(node, ast.Name) and node.id == "t":
+            return lambda t: t
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            a = sub(node.operand)
+            return lambda t: -a(t)
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            op, a, b = _BINARY[type(node.op)], sub(node.left), sub(node.right)
+            if op is _pow and isinstance(node.right, ast.Constant):
+                p = node.right.value
+                return lambda t: _pow(a(t), b(t), p)
+            return lambda t: op(a(t), b(t))
+        name = getattr(getattr(node, "func", None), "id", None)
+        if name not in _FUNCS:
+            self.fail(node, "unexpected")
+        fn, arity = _FUNCS[name], 3 if name == "piecewise" else 1
+        if len(node.args) != arity:
+            self.fail(node, f"{name} takes {arity} argument{'s' * (arity > 1)}, not")
+        if arity == 1:
+            a = sub(node.args[0])
+            return lambda t: fn(a(t))
+        cond, a, b = node.args[0], sub(node.args[1]), sub(node.args[2])
+        if len(getattr(cond, "ops", ())) != 1 or type(cond.ops[0]) not in _COMPARE:
+            self.fail(cond, "expected a < b, a <= b, a > b or a >= b, not")
+        cmp, lhs, rhs = _COMPARE[type(cond.ops[0])], sub(cond.left), sub(cond.comparators[0])
+        return lambda t: fn(cmp(lhs(t), rhs(t)), a(t), b(t))
+
+
 def compile_expression(text: str):
     """Compile an expression of t into a vectorized callable."""
-    fn = _Parser(text).parse()
-
-    def wrapped(t):
-        return fn(np.asarray(t, dtype=float))
-
-    return wrapped
+    fn = _Compiler(text).fn
+    return lambda t: fn(np.asarray(t, dtype=float))

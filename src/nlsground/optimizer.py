@@ -74,8 +74,8 @@ class SolveOptions:
     check_hypotheses: bool = True
 
     def __post_init__(self):
-        if not self.mass > 0:
-            raise ConfigurationError(f"mass must be positive, got {self.mass}")
+        if not 0 < self.mass < math.inf:
+            raise ConfigurationError(f"mass must be positive and finite, got {self.mass}")
         if not self.grad_tol > 0:
             raise ConfigurationError("grad_tol must be positive")
         if self.max_iters < 1:
@@ -533,11 +533,13 @@ def multistart_minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptio
     (best_report, all_reports); best prefers converged runs.  The
     hypothesis gate runs once, before the first replica.
     """
+    if restarts < 1:
+        raise ConfigurationError(f"restarts must be at least 1, got {restarts}")
     if opts.check_hypotheses:
         _gate(nl, grid.dimension)
         opts = replace(opts, check_hypotheses=False)
     replicas = []
-    for i in range(max(restarts, 1)):
+    for i in range(restarts):
         replicas.append(replace(
             opts,
             seed=opts.seed + i,

@@ -91,10 +91,10 @@ class Soliton1D:
     """
 
     def __init__(self, p: float, mu: float, panels: int = 120):
-        if not p > 6.0:
-            raise ValueError(f"1D mass-supercritical window requires p > 6, got {p}")
-        if not mu > 0:
-            raise ValueError(f"need mu > 0, got {mu}")
+        if not 6.0 < p < math.inf:
+            raise ValueError(f"1D mass-supercritical window requires finite p > 6, got {p}")
+        if not 0 < mu < math.inf:
+            raise ValueError(f"need finite mu > 0, got {mu}")
         self.p = float(p)
         self.mu = float(mu)
         self.amplitude = (p * mu / 2.0) ** (1.0 / (p - 2.0))
@@ -230,8 +230,8 @@ class Bubble:
     def __init__(self, N: int, eps: float, panels: int = 160):
         if N < 5:
             raise ValueError("the bubble is in L^2(R^N) only when N >= 5")
-        if not eps > 0:
-            raise ValueError(f"need eps > 0, got {eps}")
+        if not 0 < eps < math.inf:
+            raise ValueError(f"need finite eps > 0, got {eps}")
         self.N = int(N)
         self.eps = float(eps)
         omega = sphere_area(N)

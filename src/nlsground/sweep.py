@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import RadialGrid
+from .grid import ConfigurationError, RadialGrid
 from .nonlinearity import NonlinearitySpec, check_conditions
 from .functional import NonconformanceError
 from .optimizer import SolveOptions, SolveReport, _gate, minimize, multistart_minimize
@@ -162,6 +162,8 @@ def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
         raise ValueError("sweep needs an increasing grid of at least two masses")
     if not np.all(masses > 0):
         raise ValueError("masses must be positive")
+    if cold_restarts < 0:
+        raise ConfigurationError(f"cold_restarts must be at least 0, got {cold_restarts}")
     if opts.check_hypotheses:
         _gate(nl, grid.dimension)
         opts = replace(opts, check_hypotheses=False)

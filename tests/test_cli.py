@@ -1,10 +1,13 @@
 import json
+import operator
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlsground import GridFunction, make_grid
 from nlsground import cli
@@ -20,6 +23,7 @@ from nlsground.cli import (
     parse_config_file,
 )
 from nlsground.expressions import ExpressionError, compile_expression
+from nlsground.nonlinearity import power
 from nlsground.optimizer import DiagnosticError
 
 
@@ -33,6 +37,84 @@ BAD_CONFIGS = {
     "grad_tol.cfg": SOLVE_CFG + "solve.grad_tol = small\n",
     "pde_tol.cfg": SOLVE_CFG + "solve.pde_tol = 1e-3\n",
 }
+
+
+# t values whose powers by the literals below are subnormal (where
+# nonlinearity.power flushes to +0.0 and np.power does not), overflow, 0,
+# inf and nan
+_EDGE_T = np.array([0.0, -1.5, 0.7, np.nan, 1e-310, -1e-258, 1e-207, -1e-155, 1e-104,
+                    1e-80, -1e-62, 2e-40, 1e-31, -0.0, 3.0, 1e10, 1e200, -np.inf])
+_LITERALS = ["0", "1", "2", "3", "4", "05", "0.5", ".25", "1.5", "2.", "1e1", "4E-1",
+             "8", "1.2", "1e999", "6e-1"]
+_SPACE = st.sampled_from(["", "", " ", "\t", "\n "])
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+              "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_FUNCTIONS = {"abs": np.abs, "ln": np.log, "exp": lambda x: np.exp(np.minimum(x, 700.0))}
+# an expression is (text, numpy reference of t, its value if a number else None)
+_LEAVES = st.one_of(
+    st.just(("t", lambda t: t, None)),
+    st.sampled_from(_LITERALS).map(lambda s: (s, lambda t: np.full_like(t, float(s)), float(s))))
+
+
+def _apply(fn, *args):
+    return lambda t: fn(*(a(t) for a in args))
+
+
+def _operator(ops):
+    return st.builds(lambda a, op, b: a + op + b, _SPACE, st.sampled_from(ops), _SPACE)
+
+
+def _chain(first, rest):
+    """first op b op c ..., grouped from the left."""
+    text, ref, num = first
+    for op, (text_b, ref_b, _) in rest:
+        text, ref, num = text + op + text_b, _apply(_OPERATORS[op.strip()], ref, ref_b), None
+    return text, ref, num
+
+
+def _power(base, exponent):
+    """base ^ exponent, exponent a factor, so a^b^c is a^(b^c); a number
+    exponent goes through nonlinearity.power."""
+    if exponent is None:
+        return base
+    (text_a, a, _), (space, (text_b, b, p)) = base, exponent
+    fn = np.power if p is None else (lambda x, y: power(x, p, exponent=y))
+    return f"{text_a}{space}^{space}{text_b}", _apply(fn, a, b), None
+
+
+def _sums(atom):
+    """Sums of terms of factors over atom, with no parentheses of their own:
+    a factor is a minus or a power, a power is an atom with an optional ^
+    factor, and a factor nests at most three minus signs and ^."""
+    factor = atom
+    for _ in range(3):
+        factor = st.one_of(
+            st.builds(_power, atom, st.one_of(st.none(), st.tuples(_SPACE, _LEAVES),
+                                              st.tuples(_SPACE, factor))),
+            factor.map(lambda a: ("-" + a[0], _apply(operator.neg, a[1]), None)))
+    term = st.builds(_chain, factor, st.lists(st.tuples(_operator("*/"), factor), max_size=2))
+    return st.builds(_chain, term, st.lists(st.tuples(_operator("+-"), term), max_size=2))
+
+
+def _expressions(depth):
+    """Random expressions drawn level by level from the grammar, so every
+    grouping but an atom's parentheses rests on precedence and
+    associativity; an atom is t, a number or, ``depth`` levels deep, a
+    parenthesized sum, a call or a piecewise."""
+    atom = _LEAVES
+    for _ in range(depth):
+        inner = _sums(atom)
+        atom = st.one_of(
+            _LEAVES,
+            inner.map(lambda a: (f"({a[0]})", a[1], a[2])),
+            st.builds(lambda name, a: (f"{name}({a[0]})", _apply(_FUNCTIONS[name], a[1]), None),
+                      st.sampled_from(sorted(_FUNCTIONS)), inner),
+            st.builds(lambda op, a, b, c, d: (
+                f"piecewise({a[0]}{op}{b[0]}, {c[0]}, {d[0]})",
+                _apply(np.where, _apply(_OPERATORS[op.strip()], a[1], b[1]), c[1], d[1]), None),
+                _operator(["<", "<=", ">", ">="]), inner, inner, inner, inner),
+        )
+    return _sums(atom)
 
 
 class TestExpressions:
@@ -64,9 +146,57 @@ class TestExpressions:
         assert np.allclose(out, [2.0, 5.0, 10.0])
 
     def test_malformed(self):
-        for bad in ("abs(t", "t +", "2 ** 3", "foo(t)", "piecewise(t, 1, 2)"):
+        for bad in ("abs(t", "t +", "2 ** 3", "foo(t)", "piecewise(t, 1, 2)",
+                    "1_000", "0x5", "t**2", "+t", "exp(t,)", "t,", "True", "inf",
+                    "t if t else t", "piecewise(0 < t < 1, t, 1)",
+                    "piecewise(t == 1, t, 1)", "(abs)(t)", "t(t)", "t < 1", "", "t # 1"):
             with pytest.raises(ExpressionError):
                 compile_expression(bad)
+
+    def test_accepted_edge_cases(self):
+        t = np.array([-2.0, -0.5, 0.0, 0.75, 3.0])
+        assert np.array_equal(compile_expression("05")(t), np.full(5, 5.0))
+        assert np.array_equal(compile_expression("1e999")(t), np.full(5, np.inf))
+        assert np.array_equal(compile_expression("\tabs(t)\n*\n2 ")(t), 2.0 * np.abs(t))
+        eighth = compile_expression("abs(t)^8")(t)
+        assert compile_expression("abs(t)^(8)")(t).tobytes() == eighth.tobytes()
+        # a literal exponent goes through nonlinearity.power, which flushes
+        # subnormal results to +0.0; a computed one through np.power
+        tiny = np.array([1e-80])
+        assert compile_expression("t^4")(tiny)[0] == 0.0
+        assert compile_expression("t^(2*2)")(tiny)[0] == np.power(1e-80, 4.0) > 0.0
+
+    @pytest.mark.parametrize("text, quoted", [
+        ("abs(t", "unexpected end at column 6 of 'abs(t'"),
+        ("t ^ ^ 2", "unexpected '^' at column 5 of 't ^ ^ 2'"),
+        ("t**2", "unexpected '*' at column 3 of 't**2'"),
+        ("2*foo(t)", "unknown name 'foo' at column 3"),
+        ("piecewise(t == 1, t, 1)", "not 't == 1' at column 11"),
+        ("exp(t, t)", "exp takes 1 argument, not 'exp(t, t)'"),
+        ("1 + t,", "unexpected '1 + t,' at column 1"),
+    ])
+    def test_error_quotes_user_text(self, text, quoted):
+        # errors name the user's own token, never the Python source it is read as
+        with pytest.raises(ExpressionError) as err:
+            compile_expression(text)
+        assert quoted in str(err.value)
+        assert "**" not in str(err.value).replace(text, "")
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=st.one_of(_expressions(0), _expressions(1)), values=st.lists(
+        st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=6))
+    def test_matches_numpy_reference(self, tree, values):
+        # the text relies on precedence and associativity for its grouping;
+        # the reference applies numpy to the intended tree, so a misread
+        # precedence, -t^2, right-associative ^ or a missed literal-exponent
+        # path (pow results below 2^-1022 flushed to +0.0) changes bits
+        text, reference, _ = tree
+        f = compile_expression(text)
+        with np.errstate(all="ignore"):
+            for t in (_EDGE_T, np.array(values), *_EDGE_T[:4], np.float64(values[0])):
+                got, want = f(t), reference(np.asarray(t, dtype=float))
+                assert type(got) is type(want), text
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), text
 
 
 class TestConfigRoundtrip:
@@ -113,6 +243,22 @@ class TestCheckCommand:
                      "--out", str(tmp_path)])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("f_expr, code", [
+        ("(" * 200 + "t" + ")" * 200 + " * abs(t)^6", EXIT_OK),
+        ("0 + " * 200 + "abs(t)^6 * t", EXIT_OK),  # 201 terms: leftmost 0 at depth 200
+        ("(" * 201 + "t" + ")" * 201 + " * abs(t)^6", EXIT_USAGE),
+        ("0 + " * 201 + "abs(t)^6 * t", EXIT_USAGE),
+        (" + ".join(["abs(t)^6 * t / 3000"] * 3000), EXIT_USAGE),
+    ])
+    def test_nesting_limit(self, tmp_path, capsys, f_expr, code):
+        # expressions at the limit compile and evaluate under the whole check;
+        # deeper ones are a usage error that states the limit, not a traceback
+        assert main(["check", "--dim", "1", "--f-expr", f_expr, "--F-expr", "abs(t)^8 / 8",
+                     "--out", str(tmp_path)]) == code
+        if code == EXIT_USAGE:
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "deeper than 200 levels" in err
+
     def test_user_expression_nonlinearity(self, tmp_path):
         code = main([
             "check", "--dim", "1",
@@ -153,6 +299,15 @@ class TestCheckCommand:
          "--mass", "1", "--max-iters", "0"],
         ["sweep", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
          "--masses", "1,2", "--max-iters", "-5"],
+        ["solve", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
+         "--mass", "1", "--restarts", "0"],
+        ["solve", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
+         "--mass", "1", "--restarts", "-3"],
+        ["sweep", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
+         "--masses", "1,2", "--cold-restarts", "-1"],
+        ["oracle", "--case", "soliton", "--mu", "inf"],
+        ["oracle", "--case", "soliton", "--p", "inf"],
+        ["oracle", "--case", "bubble", "--dim", "5", "--eps", "inf"],
     ])
     def test_bad_problem_is_usage(self, tmp_path, capsys, monkeypatch, argv):
         # rejected at the command-line boundary, with a message, not a traceback
@@ -161,6 +316,12 @@ class TestCheckCommand:
             (tmp_path / name).write_text(text)
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("mass", ["inf", "nan", "0"])
+    def test_mass_must_be_positive_and_finite(self, tmp_path, capsys, mass):
+        assert main(["solve", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
+                     "--mass", mass, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "mass must be positive and finite" in capsys.readouterr().err
 
     def test_bad_config_value_names_its_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

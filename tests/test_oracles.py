@@ -71,6 +71,12 @@ class TestSoliton1D:
         with pytest.raises(ValueError):
             Soliton1D(8.0, -1.0)
 
+    @pytest.mark.parametrize("p, mu", [(8.0, math.inf), (8.0, math.nan), (math.inf, 1.0)])
+    def test_rejects_non_finite_parameters(self, p, mu):
+        # they would put NaN into the table, which JSON cannot hold
+        with pytest.raises(ValueError, match="finite"):
+            Soliton1D(p, mu)
+
     def test_quadrature_refinement_shrinks_bounds(self):
         coarse = Soliton1D(8.0, 1.0, panels=40)
         fine = Soliton1D(8.0, 1.0, panels=80)
@@ -128,6 +134,11 @@ class TestBubble:
             Bubble(4, 1.0)
         with pytest.raises(ValueError):
             Bubble(3, 1.0)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0])
+    def test_rejects_eps_outside_positive_finite(self, eps):
+        with pytest.raises(ValueError, match="finite eps"):
+            Bubble(5, eps)
 
 
 class TestGagliardoNirenberg:
