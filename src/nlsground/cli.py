@@ -259,7 +259,7 @@ def cmd_sweep(args) -> int:
             line += " failed"
         else:
             line += (f" converged={rep.converged} iterations={rep.iterations}"
-                     f" termination={rep.termination}")
+                     f" termination={rep.termination} projections={rep.projections}")
         print(line, file=sys.stderr)
     print("E_m:", result.sparkline())
     v = result.verdicts

@@ -41,7 +41,14 @@ from .grid import (
     solve_shifted,
 )
 from .nonlinearity import NonlinearitySpec, check_conditions
-from .functional import NonconformanceError, dilate, action, pohozaev, project, reduced_gradient
+from .functional import (
+    FiberResult,
+    NonconformanceError,
+    action,
+    dilate,
+    project,
+    reduced_gradient,
+)
 
 _GATE = ("f0", "f1", "f2", "f3", "f4")
 # Armijo backtracking factor and sufficient-decrease constant
@@ -97,6 +104,8 @@ class SolveReport:
     iterate: GridFunction  # the descent's endpoint, as handed to _finish
     seed: int = 0
     mass: float = 0.0
+    projections: int = 0  # project calls made by this solve
+    line_search_trials: int = 0
 
     def as_dict(self, with_trace: bool = True) -> dict:
         d = {
@@ -110,6 +119,8 @@ class SolveReport:
             "termination": self.termination,
             "seed": self.seed,
             "mass": self.mass,
+            "projections": self.projections,
+            "line_search_trials": self.line_search_trials,
         }
         if with_trace:
             d["trace"] = [[float(a), float(b), float(c)] for a, b, c in self.trace]
@@ -173,10 +184,16 @@ def _gate(nl: NonlinearitySpec, N: int):
 
 
 def _diagnostics(u: GridFunction, nl: NonlinearitySpec, m: float):
-    mu = multiplier(u, nl, m)
-    res = neg_laplacian(u).values + mu * u.values - nl.f(u.values)
-    pde = u.grid.norm(res) / max(u.grid.norm(u.values), 1e-300)
-    poh = abs(pohozaev(u, nl))
+    """(mu, PDE residual, |P(u)|) from one f/F evaluation, with the
+    arithmetic of multiplier and pohozaev."""
+    g = u.grid
+    fv, Fv = nl.f_and_F(u.values)
+    fu = fv * u.values
+    T = grad_norm_sq(u)
+    mu = (g.integrate(fu) - T) / m
+    res = neg_laplacian(u).values + mu * u.values - fv
+    pde = g.norm(res) / max(g.norm(u.values), 1e-300)
+    poh = abs(T - 0.5 * g.dimension * g.integrate(fu - 2.0 * Fv))
     return mu, pde, poh
 
 
@@ -200,7 +217,8 @@ def _newton_polish(grid: RadialGrid, nl: NonlinearitySpec, u: GridFunction,
         return neg_laplacian(gf).values + mu * vals - nl.f(vals)
 
     mu = multiplier(u, nl, m)
-    best = grid.norm(residual(v, mu))
+    res = residual(v, mu)
+    best = grid.norm(res)
     for _ in range(_POLISH_ITERS):
         delta = 1e-7 * (1.0 + np.abs(v))
         fp = (nl.f(v + delta) - nl.f(v - delta)) / (2.0 * delta)
@@ -212,7 +230,7 @@ def _newton_polish(grid: RadialGrid, nl: NonlinearitySpec, u: GridFunction,
         off = np.zeros(n)
         off[1:] = -fc[: n - 1]
         ab = np.vstack([off, diag, np.concatenate([off[1:], [0.0]])])
-        G = residual(v, mu)[:n] * w[:n]
+        G = res[:n] * w[:n]
         c0 = m - float(np.dot(w, v * v))
         # one factorization for both right-hand sides
         rhs = np.column_stack([-G, w[:n] * v[:n]])
@@ -234,9 +252,10 @@ def _newton_polish(grid: RadialGrid, nl: NonlinearitySpec, u: GridFunction,
             v_new = v.copy()
             v_new[:n] += t * dv
             mu_new = mu + t * dmu
-            r_new = grid.norm(residual(v_new, mu_new))
+            res_new = residual(v_new, mu_new)
+            r_new = grid.norm(res_new)
             if r_new < best:
-                v, mu, best = v_new, mu_new, r_new
+                v, mu, res, best = v_new, mu_new, res_new, r_new
                 improved = True
                 break
             t *= 0.5
@@ -246,6 +265,40 @@ def _newton_polish(grid: RadialGrid, nl: NonlinearitySpec, u: GridFunction,
             break
     out = sphere_retract(GridFunction(grid, v), m)
     return out
+
+
+def _node_gradient(nodes: np.ndarray):
+    """A function of f that returns np.gradient(f, nodes) bit for bit.
+
+    numpy's difference coefficients for these nodes are computed once:
+    second-order central differences inside (the uniform-spacing form
+    when every node gap is equal, as np.gradient picks it), one-sided
+    first-order differences at the two ends.
+    """
+    dx = np.diff(nodes)
+    dx0, dxn = dx[0], dx[-1]
+    if (dx == dx[0]).all():
+        two_dx = 2.0 * dx[0]
+
+        def interior(f):
+            return (f[2:] - f[:-2]) / two_dx
+    else:
+        dx1, dx2 = dx[:-1], dx[1:]
+        a = -dx2 / (dx1 * (dx1 + dx2))
+        b = (dx2 - dx1) / (dx1 * dx2)
+        c = dx1 / (dx2 * (dx1 + dx2))
+
+        def interior(f):
+            return a * f[:-2] + b * f[1:-1] + c * f[2:]
+
+    def derivative(f):
+        out = np.empty_like(f)
+        out[1:-1] = interior(f)
+        out[0] = (f[1] - f[0]) / dx0
+        out[-1] = (f[-1] - f[-2]) / dxn
+        return out
+
+    return derivative
 
 
 class _Descent:
@@ -277,6 +330,11 @@ class _Descent:
     plain projection.  If the shape gradient still blows up past 30x its
     running best, the iterate reverts to the best point seen and the
     history is dropped.
+
+    Every projection, line-search trials included, uses project's
+    default root width from the current hint (see run for its reuse);
+    projections and trials count the solve's project calls and
+    line-search trials.
     """
 
     _MEMORY = 8
@@ -290,9 +348,16 @@ class _Descent:
         self.trace = []
         self.it = 0
         self.pairs = []  # (s_vec, y_vec, 1/<y,s>_w)
+        self.projections = 0
+        self.trials = 0
+        self._derivative = _node_gradient(grid.nodes)
+
+    def _project(self, u):
+        self.projections += 1
+        return project(u, self.nl, s_hint=self.s_hint)
 
     def _dilation_generator(self, u):
-        du = np.gradient(u.values, self.grid.nodes)
+        du = self._derivative(u.values)
         gen = 0.5 * self.grid.dimension * u.values + self.grid.nodes * du
         gen[-1] = 0.0
         gt = tangent_project(GridFunction(self.grid, gen), u, self.opts.mass)
@@ -302,8 +367,11 @@ class _Descent:
     def _strip(self, vec, gen):
         return vec - self.grid.inner(vec, gen) * gen
 
-    def gradient_state(self, u):
-        fiber = project(u, self.nl, s_hint=self.s_hint)
+    def gradient_state(self, u, fiber=None):
+        """The state at u; fiber, if given, is u's projection from the
+        current hint (the accepted line-search trial's)."""
+        if fiber is None:
+            fiber = self._project(u)
         self.s_hint = fiber.s_star
         g = reduced_gradient(u, self.nl, fiber)
         gt = tangent_project(g, u, self.opts.mass)
@@ -350,6 +418,12 @@ class _Descent:
                 self.pairs.pop(0)
 
     def step(self, u, J, dvec, slope):
+        """Armijo backtracking from u along -dvec.
+
+        Returns (cand, fiber) for the accepted trial, whose projection is
+        the one gradient_state would make for it, or None when the step
+        collapses below floating-point resolution.
+        """
         # warm-start the line search near the previously accepted step and
         # cap it so a single move cannot tunnel out of the current basin
         dn = self.grid.norm(dvec)
@@ -361,20 +435,22 @@ class _Descent:
             cand = sphere_retract(
                 GridFunction(self.grid, u.values - t * dvec), self.opts.mass
             )
-            Jc = project(cand, self.nl, s_hint=self.s_hint, width=1e-11).value
-            if not math.isfinite(Jc):
+            self.trials += 1
+            fiber = self._project(cand)
+            if not math.isfinite(fiber.value):
                 raise DiagnosticError(
                     f"non-finite J during line search at iteration {self.it}",
                     iterate=cand,
                 )
-            if Jc <= J - _DECREASE * t * slope:
+            if fiber.value <= J - _DECREASE * t * slope:
                 self.tau = t
-                return cand
+                return cand, fiber
             t *= _BACKTRACK
         return None
 
     def run(self, u, budget):
-        """Descend from u; returns (u, stationary) and sets termination.
+        """Descend from u; returns (u, fiber, stationary), fiber being u's
+        projection, and sets termination.
 
         The loop has four exits, named in self.termination:
 
@@ -392,13 +468,19 @@ class _Descent:
         quasi-stationary hands that iterate back as stationary, so a run
         that stalls near the minimizer still reaches the stationary
         finish; termination keeps the exit that fired.
+
+        Each iterate is projected once: the accepted trial's projection
+        becomes the next gradient state, and the iterate handed back
+        carries its projection, so the finish does not project again.
+        Only a restart from best_u projects an iterate a second time,
+        because the hint has moved since.
         """
         stationary = False
         self.termination = "budget"
-        prev_vals = prev_grad = None
-        self.best_gn, self.best_u, self.best_J = math.inf, u, math.inf
+        prev_vals = prev_grad = fiber = None
+        self.best_gn, self.best_u, self.best_J, self.best_fiber = math.inf, u, math.inf, None
         while self.it < budget:
-            fiber, g, gshape, gn, gen = self.gradient_state(u)
+            fiber, g, gshape, gn, gen = self.gradient_state(u, fiber)
             J = fiber.value
             self.trace.append((J, gn, self.tau))
             if gn <= self.opts.grad_tol * (1.0 + abs(J)):
@@ -407,11 +489,11 @@ class _Descent:
                 break
             new_low = gn < self.best_gn
             if new_low:
-                self.best_gn, self.best_u, self.best_J = gn, u, J
+                self.best_gn, self.best_u, self.best_J, self.best_fiber = gn, u, J, fiber
             elif gn > 30.0 * self.best_gn and self.pairs:
                 # quasi-Newton wandered off along a soft mode: restart
                 # from the best point seen with a clean history
-                u = self.best_u
+                u, fiber = self.best_u, None
                 self.pairs.clear()
                 prev_vals = prev_grad = None
                 self.it += 1
@@ -427,28 +509,33 @@ class _Descent:
                 stationary = True
                 self.termination = "roundoff"
                 break
-            cand = self.step(u, J, dvec, slope)
+            accepted = self.step(u, J, dvec, slope)
             self.it += 1
-            if cand is None:
+            if accepted is None:
                 # step collapsed below floating-point resolution: the
                 # iterate is numerically stationary; the residual bundle
                 # decides convergence
                 stationary = True
                 self.termination = "step_collapse"
                 break
-            u = cand
+            u, fiber = accepted
         if not stationary and self.best_gn <= 1e-4 * (1.0 + abs(self.best_J)):
             # the promotion stays for criterion 4: materializing the
             # promoted iterate keeps the f6' sweep's warm chain in a
             # resolved dilation class; without it that chain reports
             # E = 2.55 at m = 1000, below the mountain-pass floor 4.27
-            return self.best_u, True
-        return u, stationary
+            return self.best_u, self.best_fiber, True
+        if fiber is None:
+            # the budget ran out right after a restart
+            fiber = self._project(u)
+        return u, fiber, stationary
 
 
 def _finish(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions,
-            u: GridFunction, stationary: bool, s_hint: float):
-    """Pick the endpoint a solve reports.
+            u: GridFunction, fiber: FiberResult, stationary: bool):
+    """Pick the endpoint a solve reports from the descent's endpoint u and
+    u's projection fiber, which the descent hands over, so the finish
+    projects nothing.
 
     Returns (profile, energy, converged, (mu, pde, poh)).  A descent that
     did not end stationary reports its frame: the iterate u itself at
@@ -468,7 +555,6 @@ def _finish(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions,
     back to the frame.
     """
     m = opts.mass
-    fiber = project(u, nl, s_hint=s_hint)
     J = fiber.value
     if stationary:
         start = u
@@ -502,9 +588,9 @@ def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions) -> Solv
     u = initial_profile(grid, m, seed=opts.seed, noise=opts.noise,
                         width=opts.init_width, custom=opts.custom_profile)
     engine = _Descent(grid, nl, opts)
-    u, stationary = engine.run(u, opts.max_iters)
+    u, fiber, stationary = engine.run(u, opts.max_iters)
     profile, energy, converged, (mu, pde, poh) = _finish(
-        grid, nl, opts, u, stationary, engine.s_hint)
+        grid, nl, opts, u, fiber, stationary)
     return SolveReport(
         profile=profile,
         energy=energy,
@@ -519,6 +605,8 @@ def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions) -> Solv
         iterate=u,
         seed=opts.seed,
         mass=m,
+        projections=engine.projections,
+        line_search_trials=engine.trials,
     )
 
 

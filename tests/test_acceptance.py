@@ -17,6 +17,7 @@ audited from the pytest log:
 import math
 import time
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -221,20 +222,25 @@ class TestCriterion5FiberProperties:
             # amplified by the cubic T-sensitivity of J) and by the
             # Dirichlet cut of the widened tail, hence the roomy box
             grid = make_grid(N, 24.0, 24001)
-            ss = np.linspace(-5.0, 5.0, 21)
-            for i, u in enumerate(smooth_profiles(grid, count, seed=hash(name) % 2**31,
+            # a per-name seed that, unlike hash(), is the same in every process
+            for i, u in enumerate(smooth_profiles(grid, count, seed=zlib.crc32(name.encode()),
                                                   mass_range=mass_range)):
                 label = f"{name}#{i}"
                 T = grad_norm_sq(u)
                 fr = project(u, nl)
+                # the scan is centered on the root, which for some profiles
+                # lies beyond s = 5
+                ss = fr.s_star + np.linspace(-5.0, 5.0, 21)
                 brackets = np.array(
                     [fiber_pohozaev(u, nl, s) / math.exp(2.0 * s) for s in ss]
                 )
                 if not np.all(np.diff(brackets) < 0):
                     failures.append(f"{label}: bracket not strictly decreasing")
-                signs = np.sign(brackets)
-                if np.sum(np.abs(np.diff(signs)) > 0) != 1:
-                    failures.append(f"{label}: sign changes != 1 in [-5,5]")
+                # the bracket at s* itself is often exactly 0, so count the
+                # crossings from positive to non-positive, not np.sign's
+                # three-valued changes
+                if np.count_nonzero(np.diff(brackets > 0.0)) != 1:
+                    failures.append(f"{label}: sign changes != 1 within 5 of s*")
                 vals = np.array([fiber_action(u, nl, s) for s in ss])
                 if not np.all(fr.value >= vals - 1e-12 * np.maximum(np.abs(vals), 1)):
                     failures.append(f"{label}: fiber value not maximal")
@@ -252,7 +258,7 @@ class TestCriterion5FiberProperties:
                         failures.append(f"{label}: cocycle off @s={s0}")
         ok = not failures
         report(5, ok,
-               f"4 builtins x {count} profiles, 21-point bracket scans, "
+               f"4 builtins x {count} profiles, 21-point bracket scans around s*, "
                f"limits at s=-20/+10, dilation invariance and cocycle at 1e-5"
                + ("" if ok else f"; failures: {failures[:5]}"))
 

@@ -352,6 +352,8 @@ class TestSolveCommand:
         assert (tmp_path / "profile.csv").exists()
         assert (tmp_path / "resolved.cfg").exists()
         assert report["mass"] == 1.0
+        for rep in [report] + report["replicas"]:
+            assert rep["projections"] == 1 + rep["line_search_trials"]
         if report["converged"]:
             assert code == EXIT_OK
         else:
@@ -359,10 +361,13 @@ class TestSolveCommand:
         assert report["energy"] == pytest.approx(12.16, rel=1e-2)
 
     def test_descent_stops_at_roundoff(self, tmp_path):
-        # J stops seeing the steps after about a dozen iterations; before
-        # the round-off exit, the limit-cycle patience ran this descent 84
-        # iterations
-        main(self.ARGS + ["--out", str(tmp_path)])
+        # TestTermination's log_m1 stall through the command line: J is
+        # converged to its last bit by iteration ~12 while the gradient
+        # stops just above its gate, and the round-off exit ends the
+        # descent within a few iterations of that
+        main(["solve", "--builtin", "log_supercritical", "--dim", "2",
+              "--mass", "1.0", "--radius", "400", "--points", "2001",
+              "--stretch", "150", "--restarts", "1", "--out", str(tmp_path)])
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["iterations"] <= 20
         assert report["termination"] == "roundoff"
@@ -466,6 +471,7 @@ class TestSweepCommand:
             assert int(fields["iterations"]) > 0
             assert fields["termination"] in {"gradient", "roundoff", "step_collapse",
                                              "budget"}
+            assert int(fields["projections"]) > int(fields["iterations"])
 
     def test_nonconforming_spec_exits_nonconformance(self, tmp_path, capsys):
         # the gate runs once before the first point, so a spec that fails
@@ -489,8 +495,10 @@ class TestSweepCommand:
         energies = np.array([2.0, 1.5, np.nan])
         multipliers = np.array([1.0, 1.0, np.nan])
         converged = np.array([True, False, False])
-        reports = [SimpleNamespace(converged=True, iterations=12, termination="gradient"),
-                   SimpleNamespace(converged=False, iterations=800, termination="budget"),
+        reports = [SimpleNamespace(converged=True, iterations=12, termination="gradient",
+                                   projections=25),
+                   SimpleNamespace(converged=False, iterations=800, termination="budget",
+                                   projections=1700),
                    None]
 
         def fake_sweep(grid, nl, masses_, opts, cold_restarts=0):
@@ -507,8 +515,10 @@ class TestSweepCommand:
         # the failed point is a blank in the sparkline, not a traceback
         assert out.splitlines()[0] == "E_m: █_ "
         assert err.splitlines() == [
-            "m=1 chain=cold warm_start=None converged=True iterations=12 termination=gradient",
-            "m=2 chain=warm warm_start=iterate converged=False iterations=800 termination=budget",
+            "m=1 chain=cold warm_start=None converged=True iterations=12 termination=gradient"
+            " projections=25",
+            "m=2 chain=warm warm_start=iterate converged=False iterations=800 termination=budget"
+            " projections=1700",
             "m=4 chain=None warm_start=profile failed",
         ]
 

@@ -19,9 +19,11 @@ from nlsground import (
     sphere_retract,
     tangent_project,
 )
-from nlsground.functional import action, reduced_value
-from nlsground.grid import ConfigurationError
+from nlsground.expressions import compile_expression
+from nlsground.functional import action, pohozaev, reduced_value
+from nlsground.grid import ConfigurationError, neg_laplacian
 from nlsground.nonlinearity import from_callables
+from nlsground.optimizer import _diagnostics, _node_gradient
 from nlsground.oracles import Bubble, Soliton1D
 
 
@@ -40,6 +42,13 @@ def solved(p8, soliton_grid):
     opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=2000,
                         check_hypotheses=False)
     return minimize(soliton_grid, p8, opts)
+
+
+@pytest.fixture(scope="module")
+def criterion2(p8, soliton_grid):
+    """(best, reports) of criterion 2's three-replica solve."""
+    opts = SolveOptions(mass=1.0, grad_tol=1e-8, check_hypotheses=False)
+    return multistart_minimize(soliton_grid, p8, opts, restarts=3)
 
 
 class TestInitialProfile:
@@ -324,16 +333,86 @@ class TestTermination:
         assert rep.iterations <= max_iters
         assert rep.as_dict()["termination"] == "roundoff"
 
-    def test_progressing_descent_meets_gradient_gate(self, p8, soliton_grid):
-        # criterion 2's solve: in its best replica J is flat to the last
+    def test_progressing_descent_meets_gradient_gate(self, criterion2):
+        # criterion 2's solve: in its seed-1 replica J is flat to the last
         # bit from iteration 8 while the gradient still falls to the gate
         # at iteration 11, so the round-off exit must not end it early
-        opts = SolveOptions(mass=1.0, grad_tol=1e-8, check_hypotheses=False)
-        best, reports = multistart_minimize(soliton_grid, p8, opts, restarts=3)
-        assert best.termination == "gradient"
-        assert best.iterations == 11
+        # (that replica ties seed 0 in energy to the last bit, so it need
+        # not be the best report)
+        _, reports = criterion2
+        assert reports[1].seed == 1
+        assert reports[1].termination == "gradient"
+        assert reports[1].iterations == 11
         exits = {"gradient", "roundoff", "step_collapse", "budget"}
         assert all(r.termination in exits for r in reports)
+
+
+class TestProjectionReuse:
+    """Each iterate is projected once: the accepted trial's projection is
+    the next gradient state's, and the finish projects nothing."""
+
+    def test_one_projection_per_trial(self, criterion2):
+        # no replica of criterion 2 restarts or is promoted, so its only
+        # projection outside the line search is the initial profile's
+        _, reports = criterion2
+        for rep in reports:
+            assert rep.line_search_trials >= rep.iterations
+            assert rep.projections == 1 + rep.line_search_trials
+            data = rep.as_dict(with_trace=False)
+            assert data["projections"] == rep.projections
+            assert data["line_search_trials"] == rep.line_search_trials
+
+    @pytest.mark.parametrize("max_iters", [3, 9], ids=["raw_frame", "promotion"])
+    def test_counts_every_projection(self, p8, monkeypatch, max_iters):
+        from nlsground import optimizer
+
+        calls = []
+        project = optimizer.project
+        monkeypatch.setattr(optimizer, "project",
+                            lambda *a, **kw: calls.append(1) or project(*a, **kw))
+        grid = make_grid(1, 30.0, 2001, stretch=60.0)
+        opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=max_iters,
+                            check_hypotheses=False)
+        rep = minimize(grid, p8, opts)
+        assert rep.termination == "budget"
+        assert rep.projections == len(calls) == 1 + rep.line_search_trials
+
+
+class TestFinishArithmetic:
+    """The finish's shared evaluations keep the bits of the separate ones."""
+
+    SPECS = [
+        ("pure_power", 1, {"p": 8.0}),
+        ("log_supercritical", 2, {}),
+        ("critical_piecewise", 5, {}),
+        ("f6prime_example", 3, {"beta": 1.0, "beta_N": 1.0 / 3.0}),
+        ("user", 1, {}),
+    ]
+
+    @pytest.mark.parametrize("name, N, params", SPECS, ids=[s[0] for s in SPECS])
+    def test_diagnostics_match_separate_evaluations(self, name, N, params):
+        if name == "user":
+            nl = from_callables("user", compile_expression("abs(t)^6 * t"),
+                                compile_expression("abs(t)^8 / 8"), params={"N": N})
+        else:
+            nl = builtin(name, N, **params)
+        g = make_grid(N, 20.0, 2001, stretch=10.0)
+        m = 1.7
+        u = initial_profile(g, m, seed=3, noise=0.2, width=1.3)
+        mu = multiplier(u, nl, m)
+        res = neg_laplacian(u).values + mu * u.values - nl.f(u.values)
+        pde = g.norm(res) / max(g.norm(u.values), 1e-300)
+        assert _diagnostics(u, nl, m) == (mu, pde, abs(pohozaev(u, nl)))
+
+    @pytest.mark.parametrize("nodes", [
+        0.25 * np.arange(401.0),
+        make_grid(2, 400.0, 4001, stretch=150.0).nodes,
+    ], ids=["uniform", "stretched"])
+    def test_node_gradient_is_numpy_gradient(self, nodes):
+        f = np.random.default_rng(11).standard_normal(nodes.size)
+        d = _node_gradient(nodes)
+        assert np.array_equal(d(f), np.gradient(f, nodes))
+        assert np.array_equal(d(np.exp(-nodes)), np.gradient(np.exp(-nodes), nodes))
 
 
 class TestMultistart:
