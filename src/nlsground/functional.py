@@ -198,8 +198,11 @@ def _fiber_bracket(u: GridFunction, nl: NonlinearitySpec, s: float,
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = math.exp(min(0.5 * N * s, _SCALE_LOG_MAX)) * u.values
         fv, F = nl.f_and_F(scaled)
-        # the arithmetic of f_tilde, so the bracket keeps its bits
-        ft = fv * scaled - 2.0 * F
+        # the arithmetic of f_tilde, so the bracket keeps its bits; ft is
+        # this function's own array (fv and F may be a user's), so the
+        # subtraction goes in place and saves one grid-sized temporary
+        ft = fv * scaled
+        ft -= 2.0 * F
         if F_integrals is not None:
             F_integrals[s] = g.integrate(F)
         if f_values is not None:

@@ -25,16 +25,29 @@ operator treat the last nodal value as zero.  Solutions with mu > 0 decay
 exponentially so the truncation error is controllable; the mu = 0
 critical bubble decays only polynomially and needs a stretched grid with
 large R (see make_grid's stretch parameter).
+
+The two O(K) tridiagonal systems of the solver, the SPD shifted operator
+of solve_shifted and the bordered Newton system of the optimizer's polish,
+are solved by LAPACK's dptsv and dgtsv.  They are called from scipy's
+compiled f2py extension scipy/linalg/_flapack, loaded by file path so
+that neither scipy/__init__ nor scipy/linalg/__init__ runs: importing
+scipy.linalg for two routines would cost a fifth of a second and about
+20 MB in every process.  These are the wrappers that scipy.linalg's
+solveh_banded (two-row form) and solve_banded((1, 1), ...) call, so the
+results are the same bits.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import solveh_banded
 
 # rows per write in GridFunction.to_csv
 _CSV_CHUNK = 2048
@@ -42,6 +55,75 @@ _CSV_CHUNK = 2048
 
 class ConfigurationError(ValueError):
     """Invalid grid or run configuration."""
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, loaded from its file without importing scipy.
+
+    A module already in sys.modules (scipy.linalg imported first) is
+    reused; a module loaded here is registered there, so a later
+    ``import scipy.linalg`` shares it.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError(f"scipy not found on sys.path; {name} is needed for LAPACK", name=name)
+    folder = os.path.join(spec.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"no {name} extension module in {folder}", name=name, path=folder)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_FLAPACK = _load_flapack()
+
+
+def _check_finite(*arrays) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def _checked(routine: str, info: int, singular: str, x):
+    if info > 0:
+        raise np.linalg.LinAlgError(singular)
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal {routine}")
+    return x
+
+
+def spd_tridiagonal_solve(d, e, b) -> NDArray[np.float64]:
+    """Solve T x = b for the symmetric positive definite tridiagonal T
+    with diagonal d and off-diagonal e (LAPACK dptsv).
+
+    b has shape (n,) or (n, nrhs) and x the same.  Raises ValueError on
+    non-finite input and np.linalg.LinAlgError when T is not positive
+    definite.
+    """
+    _check_finite(d, e, b)
+    _, _, x, info = _FLAPACK.dptsv(d, e, b)
+    return _checked("dptsv", info, f"{info}th leading minor not positive definite", x)
+
+
+def symmetric_tridiagonal_solve(d, e, b) -> NDArray[np.float64]:
+    """Solve T x = b for the symmetric tridiagonal T with diagonal d and
+    off-diagonal e, by LU with partial pivoting (LAPACK dgtsv).
+
+    b has shape (n,) or (n, nrhs) and x the same.  Raises ValueError on
+    non-finite input and np.linalg.LinAlgError when T is singular.
+    """
+    _check_finite(d, e, b)
+    _, _, _, x, info = _FLAPACK.dgtsv(e, d, e, b)
+    return _checked("dgtsv", info, "singular matrix", x)
 
 
 def sphere_area(dimension: int) -> float:
@@ -220,20 +302,18 @@ def solve_shifted(grid: RadialGrid, c: float, beta: float, rhs) -> NDArray[np.fl
     The operator is the weighted-symmetric Laplacian of neg_laplacian, so
     the system in flux form, (c D + beta S) x = D rhs with D = diag(w) and
     S the symmetric stiffness matrix, is SPD tridiagonal and solved in
-    O(K).  The inverse is the Sobolev-gradient preconditioner used by the
-    optimizer.
+    O(K) by spd_tridiagonal_solve.  The inverse is the Sobolev-gradient
+    preconditioner used by the optimizer.
     """
     if not (c > 0 and beta >= 0):
         raise ConfigurationError("shifted solve needs c > 0, beta >= 0")
     w = grid.weights[:-1]
     fc = grid._flux_coef  # omega rho_{i+1/2} / h_i, one per cell
     n = grid.size - 1  # Dirichlet eliminates the last node
-    diag = c * w.copy()
+    diag = c * w
     diag += beta * fc[:n]
     diag[1:] += beta * fc[: n - 1]
-    upper = np.zeros(n)
-    upper[1:] = -beta * fc[: n - 1]
-    ab = np.vstack([upper, diag])
-    b = w * np.asarray(rhs, dtype=float)[:-1]
-    x = solveh_banded(ab, b, lower=False)
-    return np.concatenate([x, [0.0]])
+    x = np.zeros(grid.size)
+    x[:n] = spd_tridiagonal_solve(diag, -beta * fc[: n - 1],
+                                  w * np.asarray(rhs, dtype=float)[:-1])
+    return x

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .grid import (
     ConfigurationError,
@@ -39,6 +38,7 @@ from .grid import (
     mass,
     neg_laplacian,
     solve_shifted,
+    symmetric_tridiagonal_solve,
 )
 from .nonlinearity import NonlinearitySpec, check_conditions
 from .functional import (
@@ -204,13 +204,16 @@ def _newton_polish(grid: RadialGrid, nl: NonlinearitySpec, u: GridFunction,
     Called only from an excellent initial guess (the descent minimizer),
     so it stays in the local basin and drives the PDE residual to
     round-off.  f' is taken by centered differences since nonlinearities
-    are only assumed continuous.  Returns None when the iteration fails
-    to contract.
+    are only assumed continuous.  Each step solves the symmetric
+    tridiagonal Jacobian for two right-hand sides with one LAPACK dgtsv
+    call (grid.symmetric_tridiagonal_solve).  Returns None when the
+    iteration fails to contract or the Jacobian is singular.
     """
     v = u.values.copy()
     n = grid.size - 1
     w = grid.weights
     fc = grid._flux_coef
+    off = -fc[: n - 1]
 
     def residual(vals, mu):
         gf = GridFunction(grid, vals)
@@ -223,20 +226,17 @@ def _newton_polish(grid: RadialGrid, nl: NonlinearitySpec, u: GridFunction,
         delta = 1e-7 * (1.0 + np.abs(v))
         fp = (nl.f(v + delta) - nl.f(v - delta)) / (2.0 * delta)
         # symmetric tridiagonal system D^{-1}(S + mu D - D fp) on the
-        # non-Dirichlet nodes, assembled in banded form
+        # non-Dirichlet nodes, scaled by D
         diag = fc[:n].copy()
         diag[1:] += fc[: n - 1]
         diag += (mu - fp[:n]) * w[:n]
-        off = np.zeros(n)
-        off[1:] = -fc[: n - 1]
-        ab = np.vstack([off, diag, np.concatenate([off[1:], [0.0]])])
         G = res[:n] * w[:n]
         c0 = m - float(np.dot(w, v * v))
         # one factorization for both right-hand sides
         rhs = np.column_stack([-G, w[:n] * v[:n]])
         try:
-            x1, x2 = solve_banded((1, 1), ab, rhs).T
-        except Exception:
+            x1, x2 = symmetric_tridiagonal_solve(diag, off, rhs).T
+        except (np.linalg.LinAlgError, ValueError):
             return None
         if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
             return None

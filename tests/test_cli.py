@@ -570,15 +570,15 @@ class TestOracleCommand:
         assert table["values"]["best_constant_estimate"] > 0
 
 
-def test_import_path_is_numpy_and_scipy_linalg():
-    # scipy.linalg's banded solves are paid at start-up, not in the first
-    # solve; the scipy subpackages that share scipy.special are never loaded
-    heavy = ("scipy.optimize", "scipy.interpolate", "scipy.special", "scipy.integrate")
+def test_import_path_loads_only_scipys_flapack():
+    # LAPACK's tridiagonal solvers come from scipy's compiled _flapack,
+    # loaded by file path: neither scipy nor scipy.linalg is imported, and
+    # the subpackages that share scipy.special are never loaded
     code = ("import sys, nlsground.cli; "
-            f"print(*(m for m in ('scipy.linalg',) + {heavy!r} if m in sys.modules))")
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
-    assert out.split() == ["scipy.linalg"]
+    assert out.split() == ["scipy.linalg._flapack"]

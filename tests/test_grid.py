@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +17,14 @@ from nlsground import (
     mass,
     neg_laplacian,
 )
-from nlsground.grid import _CSV_CHUNK, solve_shifted, sphere_area
+from nlsground import grid as grid_module
+from nlsground.grid import (
+    _CSV_CHUNK,
+    solve_shifted,
+    spd_tridiagonal_solve,
+    sphere_area,
+    symmetric_tridiagonal_solve,
+)
 
 from conftest import random_profiles
 
@@ -187,6 +198,110 @@ class TestShiftedSolve:
             back = 2.5 * x + 0.7 * neg_laplacian(u).values
             assert np.allclose(back[:-1], rhs[:-1], rtol=1e-10, atol=1e-10)
             assert x[-1] == 0.0
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def _run_python(code, *path):
+    src = os.path.dirname(os.path.dirname(grid_module.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (*path, src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestTridiagonalSolves:
+    """The LAPACK wrappers give scipy.linalg's banded solvers' bits and errors."""
+
+    @pytest.mark.parametrize("K, stretch", [(16, None), (4001, None), (24001, None),
+                                            (2001, 150.0), (24001, 40.0)])
+    def test_shifted_solve_is_solveh_banded(self, K, stretch):
+        gen = np.random.default_rng(K)
+        g = make_grid(2, 24.0, K, stretch=stretch)
+        n, w, fc = K - 1, g.weights[:-1], g._flux_coef
+        for c, beta in ((1.0, 0.0), (0.37, 1.0), (2.5, 0.7), (1e-6, 3.0)):
+            rhs = gen.standard_normal(K)
+            diag = c * w + beta * fc[:n]
+            diag[1:] += beta * fc[: n - 1]
+            upper = np.zeros(n)
+            upper[1:] = -beta * fc[: n - 1]
+            ref = scipy.linalg.solveh_banded(np.vstack([upper, diag]), w * rhs[:-1],
+                                             lower=False)
+            x = solve_shifted(g, c, beta, rhs)
+            assert np.array_equal(_bits(x[:-1]), _bits(ref)) and x[-1] == 0.0
+
+    def test_symmetric_solve_is_solve_banded(self):
+        gen = np.random.default_rng(3)
+        for n in (16, 257, 4000, 24000):
+            # tridiag(-1, 2, -1) has its spectrum in (0, 4); shifted by -1
+            # and perturbed by at most 0.1 it has eigenvalues of both signs
+            e = -1.0 + gen.uniform(-0.05, 0.05, n - 1)
+            d = 1.0 + gen.uniform(-0.05, 0.05, n)
+            b = gen.standard_normal((n, 2))
+            off = np.concatenate([[0.0], e])
+            ab = np.vstack([off, d, np.concatenate([e, [0.0]])])
+            ref = scipy.linalg.solve_banded((1, 1), ab, b)
+            x = symmetric_tridiagonal_solve(d, e, b)
+            assert x.shape == (n, 2)
+            assert np.array_equal(_bits(x), _bits(ref))
+
+    def test_nonfinite_input_raises_value_error(self):
+        d, e, b = np.full(16, 4.0), np.ones(15), np.ones(16)
+        for solve in (spd_tridiagonal_solve, symmetric_tridiagonal_solve):
+            for bad in (np.nan, np.inf):
+                b_bad = b.copy()
+                b_bad[5] = bad
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    solve(d, e, b_bad)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve(np.where(np.arange(16) == 3, np.nan, d), e, b)
+        g = make_grid(1, 5.0, 32)
+        rhs = np.ones(32)
+        rhs[0] = np.nan
+        with pytest.raises(ValueError):
+            solve_shifted(g, 1.0, 1.0, rhs)
+
+    def test_indefinite_system_raises_linalg_error(self):
+        d, e = np.full(16, 1.0), np.full(15, -2.0)
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            spd_tridiagonal_solve(d, e, np.ones(16))
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.solveh_banded(np.vstack([np.concatenate([[0.0], e]), d]),
+                                       np.ones(16))
+
+    def test_singular_system_raises_linalg_error(self):
+        # zero diagonal, odd order: singular, and partial pivoting meets an
+        # exact zero pivot
+        d, e = np.zeros(17), np.ones(16)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            symmetric_tridiagonal_solve(d, e, np.ones((17, 2)))
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.solve_banded((1, 1), np.vstack([np.concatenate([[0.0], e]), d,
+                                                         np.concatenate([e, [0.0]])]),
+                                      np.ones((17, 2)))
+
+    def test_scipy_linalg_shares_the_loaded_lapack(self):
+        # nlsground registers the module it loads; scipy.linalg imported
+        # afterwards works and uses it, and nlsground reuses scipy.linalg's
+        # when that came first
+        for first in ("nlsground.grid", "scipy.linalg"):
+            code = (f"import {first}, nlsground.grid as g, scipy.linalg, scipy.linalg.lapack as l; "
+                    "scipy.linalg.solveh_banded([[0.0, 1.0], [4.0, 4.0]], [1.0, 2.0]); "
+                    "print(l.dptsv is g._FLAPACK.dptsv, l.dgtsv is g._FLAPACK.dgtsv)")
+            out = _run_python(code)
+            assert out.returncode == 0, out.stderr
+            assert out.stdout.split() == ["True", "True"]
+
+    def test_missing_flapack_names_the_searched_folder(self, tmp_path):
+        # a scipy package without its linalg extension shadows the real one
+        (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        out = _run_python("import nlsground.grid", str(tmp_path))
+        assert out.returncode != 0
+        assert "ImportError" in out.stderr
+        assert str(tmp_path / "scipy" / "linalg") in out.stderr
 
 
 class TestProfileIO:

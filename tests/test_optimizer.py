@@ -310,6 +310,47 @@ class TestFinishEndpoints:
         assert rep.termination == "budget"
 
 
+class TestNewtonPolishFailures:
+    """The polish gives up (None) when its linear solve fails, and only then."""
+
+    @pytest.fixture
+    def frozen(self):
+        # a grid with zero flux coefficients and f = 0: mu = 0, so the
+        # bordered system's Jacobian S + mu D - D f' is the zero matrix
+        g = make_grid(1, 10.0, 65)
+        object.__setattr__(g, "_flux_coef", np.zeros_like(g._flux_coef))
+        u = GridFunction(g, np.exp(-g.nodes**2))
+        return g, u
+
+    def test_singular_jacobian_returns_none(self, frozen):
+        from nlsground import optimizer
+
+        g, u = frozen
+        zero = from_callables("zero", lambda t: 0.0 * t, lambda t: 0.0 * t)
+        assert optimizer._newton_polish(g, zero, u, mass(u)) is None
+
+    def test_nonfinite_jacobian_returns_none(self, soliton_grid, p8):
+        from nlsground import optimizer
+
+        u = initial_profile(soliton_grid, 1.0)
+        inf_slope = from_callables("inf", lambda t: np.where(t > 0.5, np.inf, 0.0 * t),
+                                   lambda t: 0.0 * t)
+        with np.errstate(invalid="ignore"):
+            assert optimizer._newton_polish(soliton_grid, inf_slope, u, 1.0) is None
+
+    def test_other_errors_propagate(self, frozen, monkeypatch):
+        from nlsground import optimizer
+
+        def bad_call(*args):
+            raise TypeError("bad call")
+
+        monkeypatch.setattr(optimizer, "symmetric_tridiagonal_solve", bad_call)
+        g, u = frozen
+        zero = from_callables("zero", lambda t: 0.0 * t, lambda t: 0.0 * t)
+        with pytest.raises(TypeError, match="bad call"):
+            optimizer._newton_polish(g, zero, u, mass(u))
+
+
 class TestTermination:
     """The exit that ended the descent, recorded in SolveReport.termination."""
 
