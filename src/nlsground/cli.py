@@ -259,7 +259,8 @@ def cmd_sweep(args) -> int:
             line += " failed"
         else:
             line += (f" converged={rep.converged} iterations={rep.iterations}"
-                     f" termination={rep.termination} projections={rep.projections}")
+                     f" termination={rep.termination} projections={rep.projections}"
+                     f" brackets={rep.bracket_evaluations}")
         print(line, file=sys.stderr)
     print("E_m:", result.sparkline())
     v = result.verdicts

@@ -23,11 +23,14 @@ only when a downstream consumer needs one.
 The root solve is one safeguarded secant loop on
 y(s) = log(1 - bracket(s)/||grad u||^2), the log of the second term
 over the first, which is linear in s for pure powers.  From a hint it
-steps toward the root, at most doubling its distance from the hint
-(capped at |s| = _BRACKET_CAP), and once the sign has changed it stays
-inside the sign-change interval or bisects; monotonicity makes it
-globally convergent.  Failure to bracket within the cap signals that the
-supplied nonlinearity violates f1/f3/f4 numerically.
+steps toward the root, first by a Newton step on the slope estimate
+k = (N/2) int F_tilde / int F - 2 (exact for pure powers), or, where k
+is not a positive number, by a unit-slope step that at most doubles its
+distance from the hint (capped at |s| = _BRACKET_CAP).  Once the sign has
+changed it stays inside the sign-change interval or bisects;
+monotonicity makes it globally convergent.  Failure to bracket within
+the cap signals that the supplied nonlinearity violates f1/f3/f4
+numerically.
 
 dilate's monotone cubic resample (_pchip; Fritsch & Carlson, SIAM J.
 Numer. Anal. 17, 1980) is a port of scipy.interpolate.PchipInterpolator
@@ -70,7 +73,8 @@ class FiberResult:
 
     _f_star holds (u.values, nl, f(e^{N s*/2} u)) from the bracket
     evaluation at s*, which reduced_gradient reuses for that profile and
-    spec; it takes no part in repr or comparison.
+    spec; it takes no part in repr or comparison, and neither does
+    evaluations, the bracket calls the projection made.
     """
 
     s_star: float
@@ -78,6 +82,7 @@ class FiberResult:
     residual: float
     bracket: tuple
     _f_star: tuple | None = field(default=None, repr=False, compare=False)
+    evaluations: int = field(default=0, compare=False)
 
 
 def action(u: GridFunction, nl: NonlinearitySpec) -> float:
@@ -223,6 +228,19 @@ def fiber_pohozaev(u: GridFunction, nl: NonlinearitySpec, s: float) -> float:
     return math.exp(2.0 * s) * _fiber_bracket(u, nl, s)
 
 
+def _slope_estimate(T: float, b: float, F_integral: float, s: float, N: int) -> float:
+    """k = (N/2) int F_tilde / int F - 2, an estimate of the slope dy/ds
+    of y = log(1 - bracket/T) that is exact for F = |t|^p / p
+    (k = N(p-2)/2 - 2).  It costs no f/F call: it takes the bracket value
+    b at s, since T - b = (N/2) e^{-(N+2)s} int F_tilde, and
+    int F(e^{Ns/2} u).  NaN where T - b or int F is not positive.
+    """
+    if not (b < T and F_integral > 0.0):
+        return math.nan
+    log_ratio = math.log(T - b) + (N + 2) * s - math.log(F_integral)
+    return math.exp(min(log_ratio, _LOG_MAX)) - 2.0
+
+
 def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
             width: float = _ROOT_WIDTH) -> FiberResult:
     """Find the unique s(u) with P(s(u) * u) = 0 and the value I(s(u) * u).
@@ -230,15 +248,21 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
     One safeguarded secant loop on y(s) = log(1 - bracket(s)/T), which is
     linear in s for pure powers, starts at s_hint (cheap warm start inside
     descent loops).  Until the bracket changes sign, each step goes the way
-    the bracket's sign points and at most doubles the distance from the
-    start; after that, each step stays strictly inside the sign-change
-    interval, which is returned as FiberResult.bracket, or the loop
-    bisects.  The loop stops when the next step would be at most
-    width + 4 eps |s| and both ends of the interval are known; a root
+    the bracket's sign points.  Where the previous point gives no secant
+    (the first step, or a previous bracket >= T), the step is a Newton
+    step with the slope estimate k of _slope_estimate, bounded only by
+    _BRACKET_CAP; where k is not finite and positive, it falls back to a
+    unit-slope guess.  That guess and the secant steps at most double the
+    distance from the start.  After the sign change, each step stays
+    strictly inside the sign-change interval, which is returned as
+    FiberResult.bracket, or the loop bisects.  The loop stops when the
+    next step would be at most width + 4 eps |s| and both ends of the
+    interval are known; a root
     approached from one side gets one closing step of that size across
     it.  s(u) is the end with the smaller bracket.  The loop keeps the f
     array of the current ends only, and hands the one at s(u) to
-    reduced_gradient through the FiberResult.
+    reduced_gradient through the FiberResult, with the number of bracket
+    evaluations it made as FiberResult.evaluations.
 
     Raises ValueError for the zero profile and NonconformanceError when no
     sign change of the monotone bracket exists within |s| <= _BRACKET_CAP.
@@ -250,13 +274,14 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
         raise NonconformanceError(
             "profile carries no gradient energy; projection undefined"
         )
+    N = u.grid.dimension
     F_integrals, f_values = {}, {}
     anchor = float(np.clip(s_hint, -_BRACKET_CAP, _BRACKET_CAP))
     # the sign-change interval: bracket(lo) >= 0 >= bracket(hi)
     lo, hi = -math.inf, math.inf
     s, s_prev, y_prev = anchor, math.nan, math.nan
     older = last = math.inf  # the step before the last one, and the last
-    for _ in range(_ROOT_ITERS):
+    for evaluations in range(1, _ROOT_ITERS + 1):
         b = _fiber_bracket(u, nl, s, T, F_integrals, f_values)
         at_s = (b, F_integrals.pop(s), f_values.pop(s))
         if b >= 0.0:
@@ -267,12 +292,17 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
             break
         # y rises through 0 at the root; -inf where the bracket is >= T
         y = math.log1p(-b / T) if b < T else -math.inf
-        # a secant step on y, or a unit-slope guess where the previous
-        # point gives none (the first step, or y_prev = -inf): the
-        # builtins' slopes are of order 1
-        t = s - y
+        # a secant step on y; where the previous point gives none (the
+        # first step, or y_prev = -inf), a Newton step on the slope
+        # estimate k, else a unit-slope guess: the builtins' slopes are
+        # of order 1
+        newton = False
         if math.isfinite(y_prev) and y != y_prev:
             t = s - y * (s - s_prev) / (y - y_prev)
+        else:
+            k = _slope_estimate(T, b, at_s[1], s, N)
+            newton = math.isfinite(k) and k > 0.0
+            t = s - y / k if newton else s - y
         tol = width + _ROOT_RTOL * abs(s)
         # the bracket decreases in s: the root lies on the side of s that
         # b's sign points to
@@ -289,7 +319,7 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
             # s is within tol of a root it has not crossed: one closing
             # step across it makes the interval finite
             t = s + d * tol
-        else:
+        elif not newton:
             # toward the root, at most doubling the distance from the anchor
             far = anchor + d * max(2.0 * abs(s - anchor), 0.5)
             if not 0.0 < d * (t - s) <= d * (far - s):
@@ -312,10 +342,11 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
                                        else (hi, at_hi))
     return FiberResult(
         s_star=float(s_star),
-        value=_fiber_value(T, F_integral, s_star, u.grid.dimension),
+        value=_fiber_value(T, F_integral, s_star, N),
         residual=abs(math.exp(2.0 * s_star) * b),
         bracket=(float(lo), float(hi)),
         _f_star=(u.values, nl, f_star),
+        evaluations=evaluations,
     )
 
 

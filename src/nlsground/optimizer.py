@@ -8,7 +8,10 @@ on J with
   * the weighted-L^2 tangent projection  g -> g - (<g,u>_w / m) u,
   * retraction by mass rescaling  u -> sqrt(m / mass(u)) u,
   * monotone Armijo backtracking along preconditioned quasi-Newton
-    directions, warm-started at twice the previously accepted step.
+    directions, warm-started at twice the previously accepted step;
+    once the unit step's Armijo margin is below J's round-off, one
+    unit-step trial per iteration, kept iff it lowers the norm of the
+    shape gradient (J cannot judge it there).
 
 J never depends on the iterate's dilation class, so the iterate's scale
 is free to drift; at convergence the minimizer is materialized once as
@@ -106,6 +109,7 @@ class SolveReport:
     mass: float = 0.0
     projections: int = 0  # project calls made by this solve
     line_search_trials: int = 0
+    bracket_evaluations: int = 0  # bracket calls made by those projections
 
     def as_dict(self, with_trace: bool = True) -> dict:
         d = {
@@ -121,6 +125,7 @@ class SolveReport:
             "mass": self.mass,
             "projections": self.projections,
             "line_search_trials": self.line_search_trials,
+            "bracket_evaluations": self.bracket_evaluations,
         }
         if with_trace:
             d["trace"] = [[float(a), float(b), float(c)] for a, b, c in self.trace]
@@ -333,8 +338,10 @@ class _Descent:
 
     Every projection, line-search trials included, uses project's
     default root width from the current hint (see run for its reuse);
-    projections and trials count the solve's project calls and
-    line-search trials.
+    projections, trials and bracket_evaluations count the solve's
+    project calls, line-search trials and the bracket evaluations of
+    those projections.  Where J's round-off decides the Armijo test, a
+    step is judged by the shape gradient instead (see run and step).
     """
 
     _MEMORY = 8
@@ -349,12 +356,15 @@ class _Descent:
         self.it = 0
         self.pairs = []  # (s_vec, y_vec, 1/<y,s>_w)
         self.projections = 0
+        self.bracket_evaluations = 0
         self.trials = 0
         self._derivative = _node_gradient(grid.nodes)
 
     def _project(self, u):
         self.projections += 1
-        return project(u, self.nl, s_hint=self.s_hint)
+        fiber = project(u, self.nl, s_hint=self.s_hint)
+        self.bracket_evaluations += fiber.evaluations
+        return fiber
 
     def _dilation_generator(self, u):
         du = self._derivative(u.values)
@@ -368,11 +378,12 @@ class _Descent:
         return vec - self.grid.inner(vec, gen) * gen
 
     def gradient_state(self, u, fiber=None):
-        """The state at u; fiber, if given, is u's projection from the
-        current hint (the accepted line-search trial's)."""
+        """The state (fiber, g, gshape, gn, gen) at u; fiber, if given, is
+        u's projection from the current hint (the accepted line-search
+        trial's).  The hint is left as it is: run moves it to s(u) when
+        it adopts the state."""
         if fiber is None:
             fiber = self._project(u)
-        self.s_hint = fiber.s_star
         g = reduced_gradient(u, self.nl, fiber)
         gt = tangent_project(g, u, self.opts.mass)
         gen = self._dilation_generator(u)
@@ -417,18 +428,23 @@ class _Descent:
             if len(self.pairs) > self._MEMORY:
                 self.pairs.pop(0)
 
-    def step(self, u, J, dvec, slope):
-        """Armijo backtracking from u along -dvec.
+    def step(self, u, J, dvec, slope, gn=None):
+        """Armijo backtracking from u along -dvec, or, with gn given (the
+        round-off regime, see run), one trial judged by the shape gradient.
 
-        Returns (cand, fiber) for the accepted trial, whose projection is
-        the one gradient_state would make for it, or None when the step
-        collapses below floating-point resolution.
+        Returns (cand, fiber, state) for the accepted trial, whose
+        projection is the one gradient_state would make for it, or None.
+        Armijo backtracking returns state None and gives up when the step
+        collapses below floating-point resolution.  In the round-off
+        regime J cannot judge a step, so the only trial is the capped
+        unit step, accepted iff its shape-gradient norm is below gn; its
+        gradient state is returned for run to adopt.
         """
         # warm-start the line search near the previously accepted step and
         # cap it so a single move cannot tunnel out of the current basin
         dn = self.grid.norm(dvec)
         un = self.grid.norm(u.values)
-        t = min(1.0, max(2.0 * self.tau, 1e-3))
+        t = 1.0 if gn is not None else min(1.0, max(2.0 * self.tau, 1e-3))
         if dn > 0:
             t = min(t, 0.5 * un / dn)
         while t >= 1e-16:
@@ -442,9 +458,15 @@ class _Descent:
                     f"non-finite J during line search at iteration {self.it}",
                     iterate=cand,
                 )
+            if gn is not None:
+                state = self.gradient_state(cand, fiber)
+                if not state[3] < gn:
+                    return None
+                self.tau = t
+                return cand, fiber, state
             if fiber.value <= J - _DECREASE * t * slope:
                 self.tau = t
-                return cand, fiber
+                return cand, fiber, None
             t *= _BACKTRACK
         return None
 
@@ -455,14 +477,18 @@ class _Descent:
         The loop has four exits, named in self.termination:
 
           * "gradient": the shape gradient meets the gate (stationary);
-          * "roundoff": the Armijo margin of a unit step, _DECREASE times
-            the search direction's slope, is at most one ulp of J
-            (eps |J|), so every Armijo test at t <= 1 is decided by
-            round-off, and the gradient set no new low, so it shows no
-            progress either (stationary);
+          * "roundoff": in the round-off regime, the unit step did not
+            lower the shape gradient (stationary);
           * "step_collapse": backtracking fell below floating-point
             resolution (stationary);
           * "budget": max_iters spent.
+
+        The round-off regime is an iteration whose Armijo margin of a
+        unit step, _DECREASE times the search direction's slope, is at
+        most one ulp of J (eps |J|): every Armijo test at t <= 1 is then
+        decided by J's round-off, so step judges its one trial by the
+        shape gradient instead, and a rejected trial ends the descent at
+        the current iterate.
 
         A budget exit whose lowest-gradient iterate (best_gn, best_u) is
         quasi-stationary hands that iterate back as stationary, so a run
@@ -470,30 +496,31 @@ class _Descent:
         finish; termination keeps the exit that fired.
 
         Each iterate is projected once: the accepted trial's projection
-        becomes the next gradient state, and the iterate handed back
-        carries its projection, so the finish does not project again.
-        Only a restart from best_u projects an iterate a second time,
-        because the hint has moved since.
+        (in the round-off regime, its whole gradient state) becomes the
+        next iteration's, and the iterate handed back carries its
+        projection, so the finish does not project again.  Only a restart
+        from best_u projects an iterate a second time, because the hint
+        has moved since.
         """
         stationary = False
         self.termination = "budget"
-        prev_vals = prev_grad = fiber = None
+        prev_vals = prev_grad = fiber = state = None
         self.best_gn, self.best_u, self.best_J, self.best_fiber = math.inf, u, math.inf, None
         while self.it < budget:
-            fiber, g, gshape, gn, gen = self.gradient_state(u, fiber)
+            fiber, g, gshape, gn, gen = state or self.gradient_state(u, fiber)
+            self.s_hint = fiber.s_star
             J = fiber.value
             self.trace.append((J, gn, self.tau))
             if gn <= self.opts.grad_tol * (1.0 + abs(J)):
                 stationary = True
                 self.termination = "gradient"
                 break
-            new_low = gn < self.best_gn
-            if new_low:
+            if gn < self.best_gn:
                 self.best_gn, self.best_u, self.best_J, self.best_fiber = gn, u, J, fiber
             elif gn > 30.0 * self.best_gn and self.pairs:
                 # quasi-Newton wandered off along a soft mode: restart
                 # from the best point seen with a clean history
-                u, fiber = self.best_u, None
+                u, fiber, state = self.best_u, None, None
                 self.pairs.clear()
                 prev_vals = prev_grad = None
                 self.it += 1
@@ -502,23 +529,18 @@ class _Descent:
                 self.push_pair(u.values - prev_vals, gshape.values - prev_grad)
             prev_vals, prev_grad = u.values.copy(), gshape.values.copy()
             dvec, slope = self.direction(u, g, gshape, gen)
-            if not new_low and _DECREASE * slope <= np.finfo(float).eps * abs(J):
-                # J's round-off decides the Armijo test and the gradient
-                # stopped falling: the iterate is numerically stationary;
-                # the residual bundle decides convergence
-                stationary = True
-                self.termination = "roundoff"
-                break
-            accepted = self.step(u, J, dvec, slope)
+            roundoff = _DECREASE * slope <= np.finfo(float).eps * abs(J)
+            accepted = self.step(u, J, dvec, slope, gn if roundoff else None)
             self.it += 1
             if accepted is None:
-                # step collapsed below floating-point resolution: the
-                # iterate is numerically stationary; the residual bundle
-                # decides convergence
+                # J's round-off decides the Armijo test and the unit step
+                # does not lower the gradient, or the step collapsed below
+                # floating-point resolution: the iterate is numerically
+                # stationary; the residual bundle decides convergence
                 stationary = True
-                self.termination = "step_collapse"
+                self.termination = "roundoff" if roundoff else "step_collapse"
                 break
-            u, fiber = accepted
+            u, fiber, state = accepted
         if not stationary and self.best_gn <= 1e-4 * (1.0 + abs(self.best_J)):
             # the promotion stays for criterion 4: materializing the
             # promoted iterate keeps the f6' sweep's warm chain in a
@@ -607,6 +629,7 @@ def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions) -> Solv
         mass=m,
         projections=engine.projections,
         line_search_trials=engine.trials,
+        bracket_evaluations=engine.bracket_evaluations,
     )
 
 

@@ -306,6 +306,42 @@ class TestProject:
             project(bump(line_grid), subcritical_quartic(), s_hint=s_hint)
         assert str(exc.value) == text
 
+    @pytest.mark.parametrize("s_hint", [5.0, -5.0])
+    def test_unusable_slope_takes_the_doubling_path(self, line_grid, s_hint):
+        # F = t^4/4 at N = 1 has k = (1/2)(4 - 2) - 2 = -1: no Newton step,
+        # so every step is the unit-slope guess bounded by doubling the
+        # distance from the anchor (the secants point the wrong way), out
+        # to the cap
+        u, nl = bump(line_grid), subcritical_quartic()
+        T = grad_norm_sq(u)
+        F_integrals = {}
+        b = functional._fiber_bracket(u, nl, s_hint, T, F_integrals)
+        k = functional._slope_estimate(T, b, F_integrals[s_hint], s_hint, 1)
+        assert k == pytest.approx(-1.0, rel=1e-12)
+        with mock.patch.object(functional, "_fiber_bracket",
+                               wraps=functional._fiber_bracket) as bracket:
+            with pytest.raises(NonconformanceError):
+                project(u, nl, s_hint=s_hint)
+        steps = [call.args[2] for call in bracket.call_args_list]
+        d = math.copysign(1.0, s_hint)
+        want = [s_hint + d * x for x in (0, 0.5, 1, 2, 4, 8, 16, 32, 64, 128)]
+        assert steps == want + [d * functional._BRACKET_CAP]
+
+    @pytest.mark.parametrize("N, p", [(1, 8.0), (2, 5.5), (3, 4.5), (5, 3.1)])
+    def test_slope_estimate_is_exact_for_pure_powers(self, N, p):
+        # int F_tilde / int F = p - 2 for F = |t|^p / p, so
+        # k = (N/2)(p - 2) - 2 whatever the profile and s
+        nl = builtin("pure_power", N, p=p)
+        g = make_grid(N, 16.0, 801)
+        for u in random_profiles(g, 3, seed=N):
+            T = grad_norm_sq(u)
+            s_star = project(u, nl).s_star
+            for s in (s_star - 2.0, s_star, s_star + 1.0):
+                F_integrals = {}
+                b = functional._fiber_bracket(u, nl, s, T, F_integrals)
+                k = functional._slope_estimate(T, b, F_integrals[s], s, N)
+                assert k == pytest.approx(0.5 * N * (p - 2.0) - 2.0, rel=1e-12)
+
     @pytest.mark.parametrize("N, p", [(1, 8.0), (2, 5.5), (3, 4.5)])
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
@@ -323,14 +359,14 @@ class TestProject:
                 fr = project(u, nl)
             assert fr.s_star == pytest.approx(s_exact, abs=1e-10)
             assert fr.bracket[0] <= fr.s_star <= fr.bracket[1]
-            # y is linear in s: the anchor, up to four doubling steps out
-            # to |s*| <= 8, one secant step onto the root and one closing
-            # step (measured: 2-7)
-            assert bracket.call_count <= 7
+            # y is linear in s with the slope k that the Newton step from
+            # the anchor uses: the anchor, the step onto the root and one
+            # closing step (measured: 2-3)
+            assert bracket.call_count <= 3
 
     def test_evaluation_budget(self, monkeypatch, line_grid, p8, log2d):
         # measured: warm projections take 2-6 bracket evaluations (mean
-        # 3.9) and cold ones 2-11; the bounds add a margin, and the exact
+        # 3.75) and cold ones 2-9; the bounds add a margin, and the exact
         # counts pin the root solver's iterates
         calls = [0]
         inner = functional._fiber_bracket
@@ -357,7 +393,68 @@ class TestProject:
                     warm.append(evaluations(near, nl, fr.s_star)[0])
         assert np.mean(warm) <= 5
         assert max(cold) <= 14
-        assert (cold[0], warm[0], sum(cold), sum(warm)) == (6, 3, 136, 171)
+        assert (cold[0], warm[0], sum(cold), sum(warm)) == (3, 3, 102, 165)
+
+    @pytest.mark.parametrize("name, N, params", FIBER_BUILTINS,
+                             ids=[spec[0] for spec in FIBER_BUILTINS])
+    def test_evaluations_counter_is_the_bracket_calls(self, name, N, params):
+        nl = builtin(name, N, **params)
+        u = random_profiles(make_grid(N, 16.0, 801), 1, seed=6)[0]
+        for s_hint in (0.0, project(u, nl).s_star + 0.3):  # cold, then warm
+            with mock.patch.object(functional, "_fiber_bracket",
+                                   wraps=functional._fiber_bracket) as bracket:
+                fr = project(u, nl, s_hint=s_hint)
+            assert fr.evaluations == bracket.call_count >= 1
+
+
+EPS = float(np.finfo(float).eps)
+
+
+class TestProjectProperties:
+    """project on random smooth profiles, from cold and warm hints."""
+
+    SPECS = FIBER_BUILTINS + [("user", 1, {})]
+
+    @staticmethod
+    def spec(name, N, params):
+        if name == "user":
+            return from_callables("user", compile_expression("abs(t)^6 * t"),
+                                  compile_expression("abs(t)^8 / 8"), params={"N": N})
+        return builtin(name, N, **params)
+
+    @pytest.mark.parametrize("name, N, params", SPECS, ids=[spec[0] for spec in SPECS])
+    @given(sigma=st.floats(0.5, 3.0), amp=st.floats(0.2, 3.0), mode=st.integers(0, 2),
+           ripple=st.floats(-0.4, 0.4), delta=st.floats(-2.0, 2.0))
+    @settings(max_examples=15, deadline=None)
+    def test_cold_and_warm_roots(self, name, N, params, sigma, amp, mode, ripple, delta):
+        nl = self.spec(name, N, params)
+        g = make_grid(N, 16.0, 801)
+        r = g.nodes
+        vals = amp * np.exp(-((r / sigma) ** 2)) * (
+            1.0 + ripple * np.cos(mode * math.pi * r / (4.0 * sigma)))
+        vals[-1] = 0.0
+        u = GridFunction(g, vals)
+        cold = project(u, nl)
+        s = cold.s_star
+        warm = project(u, nl, s_hint=s + delta)
+        for fr in (cold, warm):
+            lo, hi = fr.bracket
+            assert functional._fiber_bracket(u, nl, lo) >= 0.0 >= functional._fiber_bracket(u, nl, hi)
+            assert lo <= fr.s_star <= hi
+        # The loop stops once its next step is at most
+        # tol = width + 4 eps |s|, so each s* lies within about tol of the
+        # computed bracket's sign change.  That sign change is itself only
+        # defined up to the bracket's round-off: its term
+        # e^{log(N/2 |int F_tilde|) - (N+2)s} carries a relative error of
+        # about eps ((N+2)|s| + 64), and |d bracket/ds| is about k T at
+        # the root, k the slope estimate.  Cold and warm s* therefore
+        # agree within twice the sum of the two.
+        T = grad_norm_sq(u)
+        F_integrals = {}
+        b = functional._fiber_bracket(u, nl, s, T, F_integrals)
+        k = functional._slope_estimate(T, b, F_integrals[s], s, N)
+        tol = functional._ROOT_WIDTH + functional._ROOT_RTOL * abs(s)
+        assert abs(warm.s_star - s) <= 2.0 * (tol + EPS * ((N + 2) * abs(s) + 64.0) / k)
 
 
 class TestScipyPorts:

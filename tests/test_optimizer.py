@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,10 +46,31 @@ def solved(p8, soliton_grid):
 
 
 @pytest.fixture(scope="module")
-def criterion2(p8, soliton_grid):
-    """(best, reports) of criterion 2's three-replica solve."""
+def criterion2_run(p8, soliton_grid):
+    """(best, reports, brackets) of criterion 2's three-replica solve;
+    brackets[i] counts the _fiber_bracket calls replica i made."""
+    from nlsground import functional, optimizer
+
     opts = SolveOptions(mass=1.0, grad_tol=1e-8, check_hypotheses=False)
-    return multistart_minimize(soliton_grid, p8, opts, restarts=3)
+    brackets = []
+    solve = optimizer.minimize
+    with mock.patch.object(functional, "_fiber_bracket",
+                           wraps=functional._fiber_bracket) as bracket:
+        def counted(*args, **kw):
+            before = bracket.call_count
+            rep = solve(*args, **kw)
+            brackets.append(bracket.call_count - before)
+            return rep
+
+        with mock.patch.object(optimizer, "minimize", counted):
+            best, reports = multistart_minimize(soliton_grid, p8, opts, restarts=3)
+    return best, reports, brackets
+
+
+@pytest.fixture(scope="module")
+def criterion2(criterion2_run):
+    """(best, reports) of criterion 2's three-replica solve."""
+    return criterion2_run[:2]
 
 
 class TestInitialProfile:
@@ -354,25 +376,28 @@ class TestNewtonPolishFailures:
 class TestTermination:
     """The exit that ended the descent, recorded in SolveReport.termination."""
 
-    @pytest.mark.parametrize("name, N, params, R, stretch, m, max_iters", [
-        # J is converged to its last bit by iteration ~12 and the gradient
-        # stops falling at 4.1e-7, just above its gate of 4.0e-7; the
-        # descent ends at iteration 15
-        ("log_supercritical", 2, {}, 400.0, 150.0, 1.0, 30),
+    @pytest.mark.parametrize("name, N, params, R, stretch, m, max_iters, max_projections", [
+        # J is converged to its last bit by iteration ~12 while the
+        # gradient still lies just above its gate of 4.0e-7; the round-off
+        # regime's unit steps carry it to the gate (measured: 13
+        # iterations, 14 projections)
+        ("log_supercritical", 2, {}, 400.0, 150.0, 1.0, 15, 16),
         # the cold replica of the warm/cold sweep test at m = 1.3: its
-        # slope sits at 4-6 ulps of J, which a one-ulp bound on the slope
-        # missed, and the limit-cycle patience then ran it 162 iterations
-        ("pure_power", 1, {"p": 8.0}, 40.0, 60.0, 1.3, 20),
+        # slope sits at 4-6 ulps of J, so its Armijo margin is far below
+        # one ulp (measured: 11 iterations, 12 projections)
+        ("pure_power", 1, {"p": 8.0}, 40.0, 60.0, 1.3, 13, 14),
     ], ids=["log_m1", "pure_power_m1.3"])
-    def test_roundoff_exit_ends_the_stall(self, name, N, params, R, stretch, m, max_iters):
+    def test_roundoff_exit_ends_the_stall(self, name, N, params, R, stretch, m,
+                                          max_iters, max_projections):
         nl = builtin(name, N, **params)
         g = make_grid(N, R, 2001, stretch=stretch)
         opts = SolveOptions(mass=m, grad_tol=1e-8, max_iters=800,
                             check_hypotheses=False)
         rep = minimize(g, nl, opts)
-        assert rep.termination == "roundoff"
+        assert rep.termination == "gradient"
         assert rep.iterations <= max_iters
-        assert rep.as_dict()["termination"] == "roundoff"
+        assert rep.projections <= max_projections
+        assert rep.as_dict()["termination"] == "gradient"
 
     def test_progressing_descent_meets_gradient_gate(self, criterion2):
         # criterion 2's solve: in its seed-1 replica J is flat to the last
@@ -386,6 +411,89 @@ class TestTermination:
         assert reports[1].iterations == 11
         exits = {"gradient", "roundoff", "step_collapse", "budget"}
         assert all(r.termination in exits for r in reports)
+
+
+class TestRoundoffRegime:
+    """Once the unit step's Armijo margin is at most one ulp of J, step
+    makes one trial, the capped unit step, judged by the shape gradient."""
+
+    @pytest.fixture(scope="class")
+    def engine(self, p8):
+        from nlsground import optimizer
+
+        grid = make_grid(1, 30.0, 2001, stretch=60.0)
+        opts = SolveOptions(mass=1.0, grad_tol=1e-8, check_hypotheses=False)
+        engine = optimizer._Descent(grid, p8, opts)
+        u = initial_profile(grid, 1.0, seed=2, noise=0.1)
+        fiber, g, gshape, gn, gen = engine.gradient_state(u)
+        engine.s_hint = fiber.s_star
+        dvec, slope = engine.direction(u, g, gshape, gen)
+        return engine, u, fiber.value, gn, dvec, slope
+
+    def test_rejected_trial_leaves_the_descent_as_it_was(self, engine):
+        engine, u, J, gn, dvec, slope = engine
+        trials, hint, tau = engine.trials, engine.s_hint, engine.tau
+        # no trial can lower the gradient below 0
+        assert engine.step(u, J, dvec, slope, gn=0.0) is None
+        assert engine.trials == trials + 1
+        assert (engine.s_hint, engine.tau) == (hint, tau)
+
+    def test_accepted_trial_is_the_capped_unit_step(self, engine):
+        engine, u, J, gn, dvec, slope = engine
+        grid = engine.grid
+        t = min(1.0, 0.5 * grid.norm(u.values) / grid.norm(dvec))
+        cand, fiber, state = engine.step(u, J, dvec, slope, gn=math.inf)
+        want = sphere_retract(GridFunction(grid, u.values - t * dvec), 1.0)
+        assert np.array_equal(cand.values, want.values)
+        assert engine.tau == t
+        # the trial's gradient state, handed on for the next iteration
+        again = engine.gradient_state(cand, fiber)
+        assert state[0] is fiber
+        assert state[3] == again[3]
+        assert np.array_equal(state[2].values, again[2].values)
+
+    def test_cold_log_point_reaches_the_gate(self, monkeypatch):
+        # log_sweep's cold m = 0.5 point: from iteration 11 J is flat to
+        # its last bit while the gradient, 2.9e-3, is far above its gate of
+        # 8.2e-5, so only the shape gradient can judge the steps there
+        # (measured: 14 iterations, 15 projections)
+        from nlsground import optimizer
+
+        calls = []
+        step = optimizer._Descent.step
+
+        def spy(engine, u, J, dvec, slope, gn=None):
+            trials = engine.trials
+            out = step(engine, u, J, dvec, slope, gn)
+            regime = optimizer._DECREASE * slope <= np.finfo(float).eps * abs(J)
+            calls.append((regime, gn is not None, engine.trials - trials))
+            return out
+
+        monkeypatch.setattr(optimizer._Descent, "step", spy)
+        nl = builtin("log_supercritical", 2)
+        g = make_grid(2, 400.0, 4001, stretch=150.0)
+        opts = SolveOptions(mass=0.5, grad_tol=1e-8, max_iters=800,
+                            check_hypotheses=False)
+        rep = minimize(g, nl, opts)
+        assert rep.termination == "gradient"
+        assert rep.iterations <= 16
+        assert rep.projections <= 20
+        assert len(calls) == rep.iterations
+        in_regime = [trials for regime, judged, trials in calls if regime]
+        assert in_regime, "the descent never entered the round-off regime"
+        # step judges by the gradient exactly in the regime, with one trial
+        assert all(regime == judged for regime, judged, _ in calls)
+        assert in_regime == [1] * len(in_regime)
+
+    def test_unit_step_that_keeps_the_gradient_ends_roundoff(self, criterion2):
+        # criterion 2's seed-2 replica: in the regime, the unit step at
+        # iteration 20 does not lower the shape gradient, so the descent
+        # ends there; the Newton polish still certifies its endpoint
+        _, reports = criterion2
+        rep = reports[2]
+        assert rep.termination == "roundoff"
+        assert rep.iterations == 20
+        assert rep.converged
 
 
 class TestProjectionReuse:
@@ -403,9 +511,17 @@ class TestProjectionReuse:
             assert data["projections"] == rep.projections
             assert data["line_search_trials"] == rep.line_search_trials
 
+    def test_bracket_counter_is_the_bracket_calls(self, criterion2_run):
+        _, reports, brackets = criterion2_run
+        assert [rep.bracket_evaluations for rep in reports] == brackets
+        for rep in reports:
+            assert rep.as_dict(with_trace=False)["bracket_evaluations"] == rep.bracket_evaluations
+
     @pytest.mark.parametrize("max_iters", [3, 9], ids=["raw_frame", "promotion"])
     def test_counts_every_projection(self, p8, monkeypatch, max_iters):
         from nlsground import optimizer
+
+        from nlsground import functional
 
         calls = []
         project = optimizer.project
@@ -414,9 +530,12 @@ class TestProjectionReuse:
         grid = make_grid(1, 30.0, 2001, stretch=60.0)
         opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=max_iters,
                             check_hypotheses=False)
-        rep = minimize(grid, p8, opts)
+        with mock.patch.object(functional, "_fiber_bracket",
+                               wraps=functional._fiber_bracket) as bracket:
+            rep = minimize(grid, p8, opts)
         assert rep.termination == "budget"
         assert rep.projections == len(calls) == 1 + rep.line_search_trials
+        assert rep.bracket_evaluations == bracket.call_count
 
 
 class TestFinishArithmetic:
