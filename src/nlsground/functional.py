@@ -53,8 +53,8 @@ from .nonlinearity import NonlinearitySpec, f_tilde
 # need s well above 50; 200 still terminates fast for nonconforming f.
 _BRACKET_CAP = 200.0
 _ROOT_WIDTH = 1e-13
-# the root solve stops once a step is at most width + _ROOT_RTOL |s|, and
-# raises RuntimeError after _ROOT_ITERS bracket evaluations
+# the root solve stops once a step is at most _ROOT_WIDTH + _ROOT_RTOL |s|,
+# and raises RuntimeError after _ROOT_ITERS bracket evaluations
 _ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
 _ROOT_ITERS = 100
 # exp(_LOG_MAX) is still finite in double precision
@@ -241,8 +241,7 @@ def _slope_estimate(T: float, b: float, F_integral: float, s: float, N: int) -> 
     return math.exp(min(log_ratio, _LOG_MAX)) - 2.0
 
 
-def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
-            width: float = _ROOT_WIDTH) -> FiberResult:
+def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0) -> FiberResult:
     """Find the unique s(u) with P(s(u) * u) = 0 and the value I(s(u) * u).
 
     One safeguarded secant loop on y(s) = log(1 - bracket(s)/T), which is
@@ -256,13 +255,13 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
     distance from the start.  After the sign change, each step stays
     strictly inside the sign-change interval, which is returned as
     FiberResult.bracket, or the loop bisects.  The loop stops when the
-    next step would be at most width + 4 eps |s| and both ends of the
-    interval are known; a root
-    approached from one side gets one closing step of that size across
-    it.  s(u) is the end with the smaller bracket.  The loop keeps the f
-    array of the current ends only, and hands the one at s(u) to
-    reduced_gradient through the FiberResult, with the number of bracket
-    evaluations it made as FiberResult.evaluations.
+    next step would be at most 1e-13 + 4 eps |s| and both ends of the
+    interval are known; a root approached from one side gets one closing
+    step of that size across it.  s(u) is the end with the smaller
+    bracket.  The loop keeps the f array of the current ends only, and
+    hands the one at s(u) to reduced_gradient through the FiberResult,
+    with the number of bracket evaluations it made as
+    FiberResult.evaluations.
 
     Raises ValueError for the zero profile and NonconformanceError when no
     sign change of the monotone bracket exists within |s| <= _BRACKET_CAP.
@@ -303,7 +302,7 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0,
             k = _slope_estimate(T, b, at_s[1], s, N)
             newton = math.isfinite(k) and k > 0.0
             t = s - y / k if newton else s - y
-        tol = width + _ROOT_RTOL * abs(s)
+        tol = _ROOT_WIDTH + _ROOT_RTOL * abs(s)
         # the bracket decreases in s: the root lies on the side of s that
         # b's sign points to
         d = 1.0 if b > 0.0 else -1.0

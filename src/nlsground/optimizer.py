@@ -332,13 +332,11 @@ class _Descent:
 
     A small two-loop L-BFGS history absorbs the remaining curvature of
     the nonlinear term; pairs are transported between tangent spaces by
-    plain projection.  If the shape gradient still blows up past 30x its
-    running best, the iterate reverts to the best point seen and the
-    history is dropped.
+    plain projection.
 
-    Every projection, line-search trials included, uses project's
-    default root width from the current hint (see run for its reuse);
-    projections, trials and bracket_evaluations count the solve's
+    Every projection, line-search trials included, starts from the
+    current hint with project's one root tolerance (see run for its
+    reuse); projections, trials and bracket_evaluations count the solve's
     project calls, line-search trials and the bracket evaluations of
     those projections.  Where J's round-off decides the Armijo test, a
     step is judged by the shape gradient instead (see run and step).
@@ -432,13 +430,12 @@ class _Descent:
         """Armijo backtracking from u along -dvec, or, with gn given (the
         round-off regime, see run), one trial judged by the shape gradient.
 
-        Returns (cand, fiber, state) for the accepted trial, whose
-        projection is the one gradient_state would make for it, or None.
-        Armijo backtracking returns state None and gives up when the step
+        Returns (cand, state) for the accepted trial, state being
+        gradient_state(cand, fiber) from the trial's projection fiber, for
+        run to adopt; or None.  Armijo backtracking gives up when the step
         collapses below floating-point resolution.  In the round-off
         regime J cannot judge a step, so the only trial is the capped
-        unit step, accepted iff its shape-gradient norm is below gn; its
-        gradient state is returned for run to adopt.
+        unit step, accepted iff its shape-gradient norm is below gn.
         """
         # warm-start the line search near the previously accepted step and
         # cap it so a single move cannot tunnel out of the current basin
@@ -458,16 +455,14 @@ class _Descent:
                     f"non-finite J during line search at iteration {self.it}",
                     iterate=cand,
                 )
-            if gn is not None:
-                state = self.gradient_state(cand, fiber)
-                if not state[3] < gn:
-                    return None
-                self.tau = t
-                return cand, fiber, state
-            if fiber.value <= J - _DECREASE * t * slope:
-                self.tau = t
-                return cand, fiber, None
-            t *= _BACKTRACK
+            if gn is None and not fiber.value <= J - _DECREASE * t * slope:
+                t *= _BACKTRACK
+                continue
+            state = self.gradient_state(cand, fiber)
+            if gn is not None and not state[3] < gn:
+                return None
+            self.tau = t
+            return cand, state
         return None
 
     def run(self, u, budget):
@@ -490,24 +485,23 @@ class _Descent:
         shape gradient instead, and a rejected trial ends the descent at
         the current iterate.
 
-        A budget exit whose lowest-gradient iterate (best_gn, best_u) is
-        quasi-stationary hands that iterate back as stationary, so a run
-        that stalls near the minimizer still reaches the stationary
-        finish; termination keeps the exit that fired.
+        A budget exit whose lowest-gradient iterate is quasi-stationary
+        hands that iterate back as stationary, so a run that stalls near
+        the minimizer still reaches the stationary finish; termination
+        keeps the exit that fired.
 
-        Each iterate is projected once: the accepted trial's projection
-        (in the round-off regime, its whole gradient state) becomes the
-        next iteration's, and the iterate handed back carries its
-        projection, so the finish does not project again.  Only a restart
-        from best_u projects an iterate a second time, because the hint
-        has moved since.
+        Each iterate is projected once: the accepted trial's gradient
+        state, built on its projection, becomes the next iteration's, and
+        the iterate handed back carries its projection, so the finish
+        does not project again.
         """
         stationary = False
         self.termination = "budget"
-        prev_vals = prev_grad = fiber = state = None
-        self.best_gn, self.best_u, self.best_J, self.best_fiber = math.inf, u, math.inf, None
+        prev_vals = prev_grad = None
+        state = self.gradient_state(u)
+        best_gn, best = math.inf, (u, state[0])
         while self.it < budget:
-            fiber, g, gshape, gn, gen = state or self.gradient_state(u, fiber)
+            fiber, g, gshape, gn, gen = state
             self.s_hint = fiber.s_star
             J = fiber.value
             self.trace.append((J, gn, self.tau))
@@ -515,16 +509,8 @@ class _Descent:
                 stationary = True
                 self.termination = "gradient"
                 break
-            if gn < self.best_gn:
-                self.best_gn, self.best_u, self.best_J, self.best_fiber = gn, u, J, fiber
-            elif gn > 30.0 * self.best_gn and self.pairs:
-                # quasi-Newton wandered off along a soft mode: restart
-                # from the best point seen with a clean history
-                u, fiber, state = self.best_u, None, None
-                self.pairs.clear()
-                prev_vals = prev_grad = None
-                self.it += 1
-                continue
+            if gn < best_gn:
+                best_gn, best = gn, (u, fiber)
             if prev_vals is not None:
                 self.push_pair(u.values - prev_vals, gshape.values - prev_grad)
             prev_vals, prev_grad = u.values.copy(), gshape.values.copy()
@@ -540,21 +526,18 @@ class _Descent:
                 stationary = True
                 self.termination = "roundoff" if roundoff else "step_collapse"
                 break
-            u, fiber, state = accepted
-        if not stationary and self.best_gn <= 1e-4 * (1.0 + abs(self.best_J)):
+            u, state = accepted
+        if not stationary and best_gn <= 1e-4 * (1.0 + abs(best[1].value)):
             # the promotion stays for criterion 4: materializing the
             # promoted iterate keeps the f6' sweep's warm chain in a
             # resolved dilation class; without it that chain reports
             # E = 2.55 at m = 1000, below the mountain-pass floor 4.27
-            return self.best_u, self.best_fiber, True
-        if fiber is None:
-            # the budget ran out right after a restart
-            fiber = self._project(u)
-        return u, fiber, stationary
+            return (*best, True)
+        return u, state[0], stationary
 
 
-def _finish(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions,
-            u: GridFunction, fiber: FiberResult, stationary: bool):
+def _finish(nl: NonlinearitySpec, m: float, u: GridFunction,
+            fiber: FiberResult, stationary: bool):
     """Pick the endpoint a solve reports from the descent's endpoint u and
     u's projection fiber, which the descent hands over, so the finish
     projects nothing.
@@ -576,14 +559,11 @@ def _finish(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions,
     violation <= 1, then decides convergence.  A rejected candidate falls
     back to the frame.
     """
-    m = opts.mass
     J = fiber.value
     if stationary:
-        start = u
-        if abs(fiber.s_star) > 1e-14:
-            start = sphere_retract(dilate(fiber.s_star, u), m)
+        start = sphere_retract(dilate(fiber.s_star, u), m)
         candidates = [start]
-        polished = _newton_polish(grid, nl, start, m)
+        polished = _newton_polish(u.grid, nl, start, m)
         if polished is not None:
             candidates.append(polished)
 
@@ -612,7 +592,7 @@ def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions) -> Solv
     engine = _Descent(grid, nl, opts)
     u, fiber, stationary = engine.run(u, opts.max_iters)
     profile, energy, converged, (mu, pde, poh) = _finish(
-        grid, nl, opts, u, fiber, stationary)
+        nl, m, u, fiber, stationary)
     return SolveReport(
         profile=profile,
         energy=energy,

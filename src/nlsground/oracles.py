@@ -31,6 +31,10 @@ import numpy as np
 
 from .grid import sphere_area
 
+# Gauss-Legendre panels of the bubble quadratures on [0, 1] (a quarter as
+# many on each geometric tail segment, see _quad_algebraic_tail)
+_BUBBLE_PANELS = 160
+
 
 @dataclass
 class OracleTable:
@@ -195,7 +199,7 @@ class Soliton1D:
         )
 
 
-def critical_grad_norm_sq(N: int, panels: int = 160) -> tuple[float, float]:
+def critical_grad_norm_sq(N: int) -> tuple[float, float]:
     """Gradient norm of the standard bubble, i.e. S^{N/2}, with error bound.
 
     Finite for every N >= 3 (the bubble's mass is finite only for N >= 5,
@@ -211,7 +215,7 @@ def critical_grad_norm_sq(N: int, panels: int = 160) -> tuple[float, float]:
         # |U'(r)|^2 r^{N-1} = c2 r^{N+1} (1+r^2)^{-N}
         return c2 * r ** (N + 1) * (1.0 + r**2) ** (-N)
 
-    total, err = _quad_algebraic_tail(integrand, panels, cutoff)
+    total, err = _quad_algebraic_tail(integrand, _BUBBLE_PANELS, cutoff)
     # analytic tail: integrand ~ c2 r^{1-N} (1 - N r^{-2} + ...)
     tail = c2 * (cutoff ** (2.0 - N) / (N - 2.0) - cutoff ** (-float(N)))
     bound = c2 * cutoff ** (-float(N) - 2.0) * N * (N + 1) / 2.0
@@ -227,7 +231,7 @@ class Bubble:
     S^{N/2}/N.
     """
 
-    def __init__(self, N: int, eps: float, panels: int = 160):
+    def __init__(self, N: int, eps: float):
         if N < 5:
             raise ValueError("the bubble is in L^2(R^N) only when N >= 5")
         if not 0 < eps < math.inf:
@@ -241,13 +245,13 @@ class Bubble:
         def u2_weighted(r):
             return c2 * (1.0 + r**2) ** (2.0 - N) * r ** (N - 1)
 
-        v, e = _quad_algebraic_tail(u2_weighted, panels, cutoff)
+        v, e = _quad_algebraic_tail(u2_weighted, _BUBBLE_PANELS, cutoff)
         # integrand ~ c2 r^{3-N} (1 - (N-2) r^{-2} + ...)
         tail = c2 * (cutoff ** (4.0 - N) / (N - 4.0) - cutoff ** (2.0 - N))
         bound = c2 * cutoff ** (-float(N)) * (N - 2.0) * (N - 1.0) / 2.0
         self.unit_mass = omega * (v + tail)
         self.mass = eps * self.unit_mass
-        g, ge = critical_grad_norm_sq(N, panels)
+        g, ge = critical_grad_norm_sq(N)
         self.grad_norm_sq = g
         self.action = g / N
         self.error_bounds = {

@@ -124,38 +124,29 @@ def _verdicts(masses, energies, multipliers, converged):
     }
 
 
-def _merge(record):
-    """Name the chain whose report a point keeps, from its {"warm",
-    "cold"} record: the converged report with the lowest energy, else
-    the warm report, else the cold one."""
-    conv = [k for k, r in record.items() if r is not None and r.converged]
-    if conv:
-        return min(conv, key=lambda k: record[k].energy)
-    return "warm" if record["warm"] is not None else "cold"
-
-
 def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
           cold_restarts: int = 0) -> SweepResult:
     """Compute E_m over an increasing mass grid.
 
     Runs one ascending warm-started chain (the first point starts cold)
-    with optional cold multistart replicas at every point; _merge picks
-    each point's report.  When the previous point's report converged, the
-    warm descent starts from that report's descent iterate, retracted to
-    the new mass: it keeps the dilation class the descent chose, where
-    the materialized profile would reset it to the fixed-grid Pohozaev
-    manifold, whose tail at large mass presses against the box and
-    slows the next descent several-fold.  An unconverged point hands on
-    its reported profile instead: its iterate is uncertified, and a
-    chain started from one can stall (when criterion 4's f6' sweep hands
-    on the iterates of its unconverged points, six of its seven descents
-    end on the 1500-iteration budget: 10222 iterations in all, against
-    3218).  A point whose minimizer sits below grid resolution stays
-    non-converged and reports its descent frame's J.  The hypothesis gate
-    runs once, before the first point, and raises NonconformanceError
-    for the whole sweep.  A failing point (solver exception) is recorded
-    and skipped; the sweep itself fails only when more than a quarter of
-    the points fail.
+    with optional cold multistart replicas at every point.  A point
+    keeps the converged report with the lower energy (the warm one on a
+    tie), else the warm report, else the cold one.  When the previous
+    point's report converged, the warm descent starts from that report's
+    descent iterate, retracted to the new mass: it keeps the dilation
+    class the descent chose, where the materialized profile would reset
+    it to the fixed-grid Pohozaev manifold, whose tail at large mass
+    presses against the box and slows the next descent several-fold.  An
+    unconverged point hands on its reported profile instead: its iterate
+    is uncertified, and a chain started from one can stall (when
+    criterion 4's f6' sweep hands on the iterates of its unconverged
+    points, six of its seven descents end on the 1500-iteration budget:
+    10222 iterations in all, against 3218).  A point whose minimizer
+    sits below grid resolution stays non-converged and reports its
+    descent frame's J.  The hypothesis gate runs once, before the first
+    point, and raises NonconformanceError for the whole sweep.  A
+    failing point (solver exception) is recorded and skipped; the sweep
+    itself fails only when more than a quarter of the points fail.
     """
     masses = np.asarray(list(masses), dtype=float)
     if masses.size < 2 or not np.all(np.diff(masses) > 0):
@@ -168,41 +159,34 @@ def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
         _gate(nl, grid.dimension)
         opts = replace(opts, check_hypotheses=False)
     n = masses.size
-    # one record per mass point: the report each chain supplied there
-    records = [dict(warm=None, cold=None) for _ in range(n)]
+    reports: list = [None] * n
     chains: list = [None] * n
     warm_starts: list = [None] * n
     failures = []
-    prev = prev_kind = None
+    prev = None
     for k, m in enumerate(masses):
         point = replace(opts, mass=float(m))
+        candidates = []
         try:
             if prev is not None:
-                warm_starts[k] = prev_kind
-                warm = replace(point, custom_profile=prev)
-                records[k]["warm"] = minimize(grid, nl, warm)
+                warm_starts[k] = "iterate" if prev.converged else "profile"
+                start = prev.iterate if prev.converged else prev.profile
+                candidates.append(("warm", minimize(
+                    grid, nl, replace(point, custom_profile=start))))
             if cold_restarts > 0 or prev is None:
-                records[k]["cold"], _ = multistart_minimize(
+                cold, _ = multistart_minimize(
                     grid, nl, point, restarts=max(cold_restarts, 1))
+                candidates.append(("cold", cold))
         except (NonconformanceError, ValueError, RuntimeError) as exc:
             failures.append({"mass": float(m), "error": str(exc)})
             continue
-        chains[k] = _merge(records[k])
-        rep = records[k][chains[k]]
-        prev_kind = "iterate" if rep.converged else "profile"
-        prev = rep.iterate if rep.converged else rep.profile
+        pool = [c for c in candidates if c[1].converged] or candidates[:1]
+        chains[k], reports[k] = min(pool, key=lambda c: c[1].energy)
+        prev = reports[k]
 
-    energies = np.full(n, np.nan)
-    multipliers = np.full(n, np.nan)
-    converged = np.zeros(n, dtype=bool)
-    reports: list = [None] * n
-    for k in range(n):
-        if chains[k] is None:
-            continue
-        rep = reports[k] = records[k][chains[k]]
-        energies[k] = rep.energy
-        multipliers[k] = rep.multiplier
-        converged[k] = rep.converged
+    energies = np.array([np.nan if r is None else r.energy for r in reports])
+    multipliers = np.array([np.nan if r is None else r.multiplier for r in reports])
+    converged = np.array([r is not None and r.converged for r in reports])
     if len(failures) > 0.25 * n:
         raise RuntimeError(
             f"sweep failed at {len(failures)} of {n} points: {failures}"

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
@@ -344,6 +344,7 @@ class TestProject:
 
     @pytest.mark.parametrize("N, p", [(1, 8.0), (2, 5.5), (3, 4.5)])
     @given(seed=st.integers(0, 2**31 - 1))
+    @example(seed=6597)
     @settings(max_examples=10, deadline=None)
     def test_pure_power_closed_form(self, N, p, seed):
         # for F = |t|^p / p the bracket is T - (N/2)(1 - 2/p) A e^{ks},
@@ -361,8 +362,13 @@ class TestProject:
             assert fr.bracket[0] <= fr.s_star <= fr.bracket[1]
             # y is linear in s with the slope k that the Newton step from
             # the anchor uses: the anchor, the step onto the root and one
-            # closing step (measured: 2-3)
-            assert bracket.call_count <= 3
+            # closing step (measured: 2-3).  At large s* (N = 1, p = 8,
+            # seed 6597: s* >= 4.45) T - b at the anchor is about 0.5 % of
+            # T and formed by cancellation, so the Newton step can miss
+            # the root by more than the stop tolerance (1.4e-13 against
+            # 1.05e-13) and one secant step follows (measured: 4 in 23 of
+            # seeds 0-7999 for N = 1, never for the other two cases)
+            assert bracket.call_count <= 4
 
     def test_evaluation_budget(self, monkeypatch, line_grid, p8, log2d):
         # measured: warm projections take 2-6 bracket evaluations (mean

@@ -24,7 +24,7 @@ from nlsground.expressions import compile_expression
 from nlsground.functional import action, pohozaev, reduced_value
 from nlsground.grid import ConfigurationError, neg_laplacian
 from nlsground.nonlinearity import from_callables
-from nlsground.optimizer import _diagnostics, _node_gradient
+from nlsground.optimizer import _DECREASE, _diagnostics, _node_gradient
 from nlsground.oracles import Bubble, Soliton1D
 
 
@@ -442,15 +442,35 @@ class TestRoundoffRegime:
         engine, u, J, gn, dvec, slope = engine
         grid = engine.grid
         t = min(1.0, 0.5 * grid.norm(u.values) / grid.norm(dvec))
-        cand, fiber, state = engine.step(u, J, dvec, slope, gn=math.inf)
+        cand, state = engine.step(u, J, dvec, slope, gn=math.inf)
         want = sphere_retract(GridFunction(grid, u.values - t * dvec), 1.0)
         assert np.array_equal(cand.values, want.values)
         assert engine.tau == t
         # the trial's gradient state, handed on for the next iteration
-        again = engine.gradient_state(cand, fiber)
-        assert state[0] is fiber
+        again = engine.gradient_state(cand, state[0])
         assert state[3] == again[3]
         assert np.array_equal(state[2].values, again[2].values)
+
+    def test_accepted_armijo_trial_hands_on_its_gradient_state(self, engine):
+        # outside the round-off regime step backtracks from the warm-started
+        # step; the accepted trial's state is the one run adopts next
+        engine, u, J, gn, dvec, slope = engine
+        grid = engine.grid
+        trials = engine.trials
+        cand, state = engine.step(u, J, dvec, slope)
+        t = engine.tau
+        want = sphere_retract(GridFunction(grid, u.values - t * dvec), 1.0)
+        assert np.array_equal(cand.values, want.values)
+        fiber = state[0]
+        assert fiber.value <= J - _DECREASE * t * slope
+        again = engine.gradient_state(cand, fiber)
+        assert state[3] == again[3]
+        for a, b in ((state[1], again[1]), (state[2], again[2])):
+            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(state[4], again[4])
+        # one projection per trial, none for the state
+        assert engine.projections - engine.trials == 1
+        assert engine.trials > trials
 
     def test_cold_log_point_reaches_the_gate(self, monkeypatch):
         # log_sweep's cold m = 0.5 point: from iteration 11 J is flat to

@@ -181,27 +181,35 @@ class TestAscendingChain:
     MASSES = [0.5, 1.0, 2.0, 4.0]
 
     @staticmethod
-    def fake_report(grid, m):
-        # converged only at masses >= 2; the descent iterate differs from
-        # the reported profile, so a warm start shows which one it took
+    def fake_report(grid, m, energy=None, converged=None):
+        # by default converged only at masses >= 2; the descent iterate
+        # differs from the reported profile, so a warm start shows which
+        # one it took
         return SolveReport(
-            profile=initial_profile(grid, m), energy=1.0 / m, multiplier=1.0,
+            profile=initial_profile(grid, m),
+            energy=1.0 / m if energy is None else energy, multiplier=1.0,
             pde_residual=0.0, pohozaev_residual=0.0, boundary_tail=0.0,
-            iterations=1, trace=[], converged=m >= 2.0,
+            iterations=1, trace=[],
+            converged=m >= 2.0 if converged is None else converged,
             termination="gradient", iterate=initial_profile(grid, m, width=0.5),
             mass=m)
 
-    def run_chain(self, monkeypatch, cold_restarts):
+    def run_chain(self, monkeypatch, cold_restarts, warm=None, cold=None):
+        """Sweep with faked solves; warm(grid, m) and cold(grid, m), if
+        given, return the warm descent's and the cold multistart's report
+        (or raise) in place of fake_report."""
         grid = make_grid(1, 20.0, 301)
         warm_calls, cold_calls = [], []
+        warm = warm or self.fake_report
+        cold = cold or self.fake_report
 
         def fake_minimize(grid, nl, opts):
             warm_calls.append(opts)
-            return self.fake_report(grid, opts.mass)
+            return warm(grid, opts.mass)
 
         def fake_multistart(grid, nl, opts, restarts):
             cold_calls.extend([opts.mass] * restarts)
-            return self.fake_report(grid, opts.mass), []
+            return cold(grid, opts.mass), []
 
         module = importlib.import_module("nlsground.sweep")
         monkeypatch.setattr(module, "minimize", fake_minimize)
@@ -236,6 +244,77 @@ class TestAscendingChain:
         payload = res.as_dict()
         assert payload["chains"] == res.chains
         assert payload["warm_starts"] == res.warm_starts
+
+    def test_cold_report_wins_when_only_it_converged(self, monkeypatch):
+        # the warm report is lower but unconverged: the converged cold
+        # report is kept
+        def warm(grid, m):
+            return self.fake_report(grid, m, energy=0.5 / m, converged=False)
+
+        def cold(grid, m):
+            return self.fake_report(grid, m, converged=True)
+
+        res, _, _ = self.run_chain(monkeypatch, 2, warm=warm, cold=cold)
+        assert res.chains == ["cold"] * 4
+        assert list(res.energies) == [1.0 / m for m in self.MASSES]
+        assert list(res.converged) == [True] * 4
+        assert all(r.converged for r in res.reports)
+
+    def test_cold_report_wins_with_the_lower_energy(self, monkeypatch):
+        # both converged: the lower energy decides, whichever chain has it
+        def warm(grid, m):
+            return self.fake_report(grid, m, converged=True)
+
+        def cold(grid, m):
+            return self.fake_report(grid, m, energy=(0.5 if m == 2.0 else 2.0) / m,
+                                    converged=True)
+
+        res, warm_calls, _ = self.run_chain(monkeypatch, 2, warm=warm, cold=cold)
+        assert res.chains == ["cold", "warm", "cold", "warm"]
+        assert list(res.energies) == [2.0 / 0.5, 1.0 / 1.0, 0.5 / 2.0, 1.0 / 4.0]
+        # the next warm descent starts from the kept report's iterate
+        assert warm_calls[2].custom_profile is res.reports[2].iterate
+
+    def test_failed_point(self, monkeypatch):
+        def warm(grid, m):
+            if m == 2.0:
+                raise RuntimeError("descent blew up")
+            return self.fake_report(grid, m)
+
+        res, warm_calls, _ = self.run_chain(monkeypatch, 0, warm=warm)
+        assert res.failures == [{"mass": 2.0, "error": "descent blew up"}]
+        assert res.chains == ["cold", "warm", None, "warm"]
+        assert res.reports[2] is None
+        assert math.isnan(res.energies[2]) and math.isnan(res.multipliers[2])
+        assert not res.converged[2]
+        # the failed warm descent was given the unconverged m = 1 profile
+        assert res.warm_starts == [None, "profile", "profile", "profile"]
+        # the point after it warm-starts from the last good report, m = 1's
+        assert [o.mass for o in warm_calls] == [1.0, 2.0, 4.0]
+        assert warm_calls[2].custom_profile is res.reports[1].profile
+
+    def test_failed_cold_first_point(self, monkeypatch):
+        def cold(grid, m):
+            if m == 0.5:
+                raise ValueError("no start")
+            return self.fake_report(grid, m)
+
+        res, warm_calls, cold_calls = self.run_chain(monkeypatch, 0, cold=cold)
+        assert res.failures == [{"mass": 0.5, "error": "no start"}]
+        assert res.chains == [None, "cold", "warm", "warm"]
+        assert res.warm_starts == [None, None, "profile", "iterate"]
+        # with no good report yet, the next point starts cold
+        assert cold_calls == [0.5, 1.0]
+        assert [o.mass for o in warm_calls] == [2.0, 4.0]
+
+    def test_more_than_a_quarter_failed_raises(self, monkeypatch):
+        def warm(grid, m):
+            if m >= 2.0:
+                raise RuntimeError("stalled")
+            return self.fake_report(grid, m)
+
+        with pytest.raises(RuntimeError, match="2 of 4 points"):
+            self.run_chain(monkeypatch, 0, warm=warm)
 
 
 class TestHypothesisGate:
