@@ -260,7 +260,7 @@ def cmd_sweep(args) -> int:
         else:
             line += (f" converged={rep.converged} iterations={rep.iterations}"
                      f" termination={rep.termination} projections={rep.projections}"
-                     f" brackets={rep.bracket_evaluations}")
+                     f" brackets={rep.bracket_evaluations} newton={rep.newton_steps}")
         print(line, file=sys.stderr)
     print("E_m:", result.sparkline())
     v = result.verdicts

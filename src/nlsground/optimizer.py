@@ -62,6 +62,12 @@ _PDE_TOL = 1e-5
 _POHOZAEV_TOL = 1e-6
 # bordered Newton steps in _newton_polish
 _POLISH_ITERS = 8
+# _newton_polish stops before a trial once its correction is at most
+# _POLISH_RTOL ||v||: over the polish steps of the acceptance, optimizer,
+# sweep and CLI tests, corrections up to 7.2e-14 ||v|| lowered the
+# residual at most 1.16-fold (round-off), those from 1.7e-13 ||v|| up by
+# as much as 6e3-fold
+_POLISH_RTOL = 1e-13
 
 
 class DiagnosticError(RuntimeError):
@@ -110,6 +116,7 @@ class SolveReport:
     projections: int = 0  # project calls made by this solve
     line_search_trials: int = 0
     bracket_evaluations: int = 0  # bracket calls made by those projections
+    newton_steps: int = 0  # steps _newton_polish accepted, 0 when none ran
 
     def as_dict(self, with_trace: bool = True) -> dict:
         d = {
@@ -126,6 +133,7 @@ class SolveReport:
             "projections": self.projections,
             "line_search_trials": self.line_search_trials,
             "bracket_evaluations": self.bracket_evaluations,
+            "newton_steps": self.newton_steps,
         }
         if with_trace:
             d["trace"] = [[float(a), float(b), float(c)] for a, b, c in self.trace]
@@ -203,16 +211,23 @@ def _diagnostics(u: GridFunction, nl: NonlinearitySpec, m: float):
 
 
 def _newton_polish(grid: RadialGrid, nl: NonlinearitySpec, u: GridFunction,
-                   m: float) -> GridFunction | None:
+                   m: float) -> tuple[GridFunction, int] | None:
     """Bordered Newton on { -Delta u + mu u = f(u), mass(u) = m }.
 
     Called only from an excellent initial guess (the descent minimizer),
-    so it stays in the local basin and drives the PDE residual to
-    round-off.  f' is taken by centered differences since nonlinearities
-    are only assumed continuous.  Each step solves the symmetric
-    tridiagonal Jacobian for two right-hand sides with one LAPACK dgtsv
-    call (grid.symmetric_tridiagonal_solve).  Returns None when the
-    iteration fails to contract or the Jacobian is singular.
+    so it stays in the local basin.  f' is taken by centered differences
+    since nonlinearities are only assumed continuous.  Each step solves
+    the symmetric tridiagonal Jacobian for two right-hand sides with one
+    LAPACK dgtsv call (grid.symmetric_tridiagonal_solve), then tries the
+    correction dv at t = min(1, 0.2 ||v|| / ||dv||) and up to five
+    halvings, accepting the first trial that lowers the residual norm.
+
+    The iteration stops after _POLISH_ITERS steps, when no trial lowers
+    the residual, when the residual is at most 1e-13 (1 + |mu|) ||v||,
+    or, before any trial, when ||dv|| <= _POLISH_RTOL ||v||: a
+    correction that small is round-off and cannot lower the residual
+    (see _POLISH_RTOL).  Returns (profile, accepted steps), or None when
+    the Jacobian is singular or its solve is not finite.
     """
     v = u.values.copy()
     n = grid.size - 1
@@ -227,6 +242,7 @@ def _newton_polish(grid: RadialGrid, nl: NonlinearitySpec, u: GridFunction,
     mu = multiplier(u, nl, m)
     res = residual(v, mu)
     best = grid.norm(res)
+    steps = 0
     for _ in range(_POLISH_ITERS):
         delta = 1e-7 * (1.0 + np.abs(v))
         fp = (nl.f(v + delta) - nl.f(v - delta)) / (2.0 * delta)
@@ -250,9 +266,10 @@ def _newton_polish(grid: RadialGrid, nl: NonlinearitySpec, u: GridFunction,
             return None
         dmu = (2.0 * float(np.dot(w[:n], v[:n] * x1)) - c0) / ux2
         dv = x1 - dmu * x2
-        step_cap = 0.2 * grid.norm(v) / max(grid.norm(np.concatenate([dv, [0.0]])), 1e-300)
-        t = min(1.0, step_cap)
-        improved = False
+        v_norm, dv_norm = grid.norm(v), grid.norm(np.concatenate([dv, [0.0]]))
+        if dv_norm <= _POLISH_RTOL * v_norm:
+            break
+        t = min(1.0, 0.2 * v_norm / max(dv_norm, 1e-300))
         for _ in range(6):
             v_new = v.copy()
             v_new[:n] += t * dv
@@ -261,15 +278,14 @@ def _newton_polish(grid: RadialGrid, nl: NonlinearitySpec, u: GridFunction,
             r_new = grid.norm(res_new)
             if r_new < best:
                 v, mu, res, best = v_new, mu_new, res_new, r_new
-                improved = True
                 break
             t *= 0.5
-        if not improved:
+        else:
             break
+        steps += 1
         if best <= 1e-13 * (1.0 + abs(mu)) * grid.norm(v):
             break
-    out = sphere_retract(GridFunction(grid, v), m)
-    return out
+    return sphere_retract(GridFunction(grid, v), m), steps
 
 
 def _node_gradient(nodes: np.ndarray):
@@ -542,7 +558,9 @@ def _finish(nl: NonlinearitySpec, m: float, u: GridFunction,
     u's projection fiber, which the descent hands over, so the finish
     projects nothing.
 
-    Returns (profile, energy, converged, (mu, pde, poh)).  A descent that
+    Returns (profile, energy, converged, (mu, pde, poh), newton_steps),
+    newton_steps being the steps the Newton polish accepted (0 when it
+    did not run or gave up).  A descent that
     did not end stationary reports its frame: the iterate u itself at
     its own J, never converged.  That J bounds the minimum of the
     discrete problem from above, not E_m itself (discretization error
@@ -560,12 +578,14 @@ def _finish(nl: NonlinearitySpec, m: float, u: GridFunction,
     back to the frame.
     """
     J = fiber.value
+    newton_steps = 0
     if stationary:
         start = sphere_retract(dilate(fiber.s_star, u), m)
         candidates = [start]
         polished = _newton_polish(u.grid, nl, start, m)
         if polished is not None:
-            candidates.append(polished)
+            candidates.append(polished[0])
+            newton_steps = polished[1]
 
         def violation(v, diag):
             _, pde, poh = diag
@@ -577,8 +597,8 @@ def _finish(nl: NonlinearitySpec, m: float, u: GridFunction,
         energy = action(v, nl)
         if (math.isfinite(energy) and energy > 0.0
                 and abs(energy - J) <= 0.05 * max(abs(J), 1.0)):
-            return v, energy, violation(v, diag) <= 1.0, diag
-    return u, J, False, _diagnostics(u, nl, m)
+            return v, energy, violation(v, diag) <= 1.0, diag, newton_steps
+    return u, J, False, _diagnostics(u, nl, m), newton_steps
 
 
 def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions) -> SolveReport:
@@ -591,7 +611,7 @@ def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions) -> Solv
                         width=opts.init_width, custom=opts.custom_profile)
     engine = _Descent(grid, nl, opts)
     u, fiber, stationary = engine.run(u, opts.max_iters)
-    profile, energy, converged, (mu, pde, poh) = _finish(
+    profile, energy, converged, (mu, pde, poh), newton_steps = _finish(
         nl, m, u, fiber, stationary)
     return SolveReport(
         profile=profile,
@@ -610,6 +630,7 @@ def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions) -> Solv
         projections=engine.projections,
         line_search_trials=engine.trials,
         bracket_evaluations=engine.bracket_evaluations,
+        newton_steps=newton_steps,
     )
 
 

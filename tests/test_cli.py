@@ -356,6 +356,7 @@ class TestSolveCommand:
             assert rep["projections"] == 1 + rep["line_search_trials"]
             # every projection makes at least one bracket evaluation
             assert rep["bracket_evaluations"] >= rep["projections"]
+            assert isinstance(rep["newton_steps"], int) and rep["newton_steps"] >= 0
         if report["converged"]:
             assert code == EXIT_OK
         else:
@@ -499,9 +500,10 @@ class TestSweepCommand:
         multipliers = np.array([1.0, 1.0, np.nan])
         converged = np.array([True, False, False])
         reports = [SimpleNamespace(converged=True, iterations=12, termination="gradient",
-                                   projections=25, bracket_evaluations=90),
+                                   projections=25, bracket_evaluations=90, newton_steps=2),
                    SimpleNamespace(converged=False, iterations=800, termination="budget",
-                                   projections=1700, bracket_evaluations=5100),
+                                   projections=1700, bracket_evaluations=5100,
+                                   newton_steps=0),
                    None]
 
         def fake_sweep(grid, nl, masses_, opts, cold_restarts=0):
@@ -519,9 +521,9 @@ class TestSweepCommand:
         assert out.splitlines()[0] == "E_m: █_ "
         assert err.splitlines() == [
             "m=1 chain=cold warm_start=None converged=True iterations=12 termination=gradient"
-            " projections=25 brackets=90",
+            " projections=25 brackets=90 newton=2",
             "m=2 chain=warm warm_start=iterate converged=False iterations=800 termination=budget"
-            " projections=1700 brackets=5100",
+            " projections=1700 brackets=5100 newton=0",
             "m=4 chain=None warm_start=profile failed",
         ]
 

@@ -371,8 +371,8 @@ class TestProject:
             assert bracket.call_count <= 4
 
     def test_evaluation_budget(self, monkeypatch, line_grid, p8, log2d):
-        # measured: warm projections take 2-6 bracket evaluations (mean
-        # 3.75) and cold ones 2-9; the bounds add a margin, and the exact
+        # measured: warm projections take 2-5 bracket evaluations (mean
+        # 3.55) and cold ones 2-7; the bounds add a margin, and the exact
         # counts pin the root solver's iterates
         calls = [0]
         inner = functional._fiber_bracket
@@ -399,7 +399,7 @@ class TestProject:
                     warm.append(evaluations(near, nl, fr.s_star)[0])
         assert np.mean(warm) <= 5
         assert max(cold) <= 14
-        assert (cold[0], warm[0], sum(cold), sum(warm)) == (3, 3, 102, 165)
+        assert (cold[0], warm[0], sum(cold), sum(warm)) == (3, 3, 91, 156)
 
     @pytest.mark.parametrize("name, N, params", FIBER_BUILTINS,
                              ids=[spec[0] for spec in FIBER_BUILTINS])
@@ -428,6 +428,27 @@ class TestProjectProperties:
                                   compile_expression("abs(t)^8 / 8"), params={"N": N})
         return builtin(name, N, **params)
 
+    @staticmethod
+    def bisect(u, nl):
+        """A sign change of the bracket by plain bisection down to
+        adjacent doubles, from an interval grown around s = 0."""
+        def bracket(s):
+            return functional._fiber_bracket(u, nl, s)
+
+        lo, hi = -1.0, 1.0
+        while bracket(lo) < 0.0:
+            lo *= 2.0
+        while bracket(hi) > 0.0:
+            hi *= 2.0
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                return lo
+            if bracket(mid) >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+
     @pytest.mark.parametrize("name, N, params", SPECS, ids=[spec[0] for spec in SPECS])
     @given(sigma=st.floats(0.5, 3.0), amp=st.floats(0.2, 3.0), mode=st.integers(0, 2),
            ripple=st.floats(-0.4, 0.4), delta=st.floats(-2.0, 2.0))
@@ -440,9 +461,17 @@ class TestProjectProperties:
             1.0 + ripple * np.cos(mode * math.pi * r / (4.0 * sigma)))
         vals[-1] = 0.0
         u = GridFunction(g, vals)
-        cold = project(u, nl)
+
+        def counted(s_hint):
+            with mock.patch.object(functional, "_fiber_bracket",
+                                   wraps=functional._fiber_bracket) as bracket:
+                fr = project(u, nl, s_hint=s_hint)
+            assert fr.evaluations == bracket.call_count
+            return fr
+
+        cold = counted(0.0)
         s = cold.s_star
-        warm = project(u, nl, s_hint=s + delta)
+        warm = counted(s + delta)
         for fr in (cold, warm):
             lo, hi = fr.bracket
             assert functional._fiber_bracket(u, nl, lo) >= 0.0 >= functional._fiber_bracket(u, nl, hi)
@@ -453,14 +482,19 @@ class TestProjectProperties:
         # defined up to the bracket's round-off: its term
         # e^{log(N/2 |int F_tilde|) - (N+2)s} carries a relative error of
         # about eps ((N+2)|s| + 64), and |d bracket/ds| is about k T at
-        # the root, k the slope estimate.  Cold and warm s* therefore
-        # agree within twice the sum of the two.
+        # the root, k the slope estimate.  Each s* therefore lies within
+        # the sum of the two of a bisection reference, and cold and warm
+        # s* agree within twice that sum.
         T = grad_norm_sq(u)
         F_integrals = {}
         b = functional._fiber_bracket(u, nl, s, T, F_integrals)
         k = functional._slope_estimate(T, b, F_integrals[s], s, N)
         tol = functional._ROOT_WIDTH + functional._ROOT_RTOL * abs(s)
-        assert abs(warm.s_star - s) <= 2.0 * (tol + EPS * ((N + 2) * abs(s) + 64.0) / k)
+        zone = EPS * ((N + 2) * abs(s) + 64.0) / k
+        ref = self.bisect(u, nl)
+        for fr in (cold, warm):
+            assert abs(fr.s_star - ref) <= tol + zone
+        assert abs(warm.s_star - s) <= 2.0 * (tol + zone)
 
 
 class TestScipyPorts:

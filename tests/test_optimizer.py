@@ -303,6 +303,12 @@ class TestFinishEndpoints:
         assert rep.energy == pytest.approx(J, rel=1e-10, abs=0)
         assert rep.pde_residual > 1e-3
 
+    def test_budget_exit_reports_no_newton_steps(self, grid, p8):
+        _, rep = self.solve(grid, p8, 3)
+        assert rep.termination == "budget" and not rep.converged
+        assert rep.newton_steps == 0
+        assert rep.as_dict(with_trace=False)["newton_steps"] == 0
+
     def test_budget_exit_skips_newton_polish(self, grid, p8, monkeypatch):
         # the frame is reported as is: no Newton tail from the raw iterate
         from nlsground import optimizer
@@ -371,6 +377,68 @@ class TestNewtonPolishFailures:
         zero = from_callables("zero", lambda t: 0.0 * t, lambda t: 0.0 * t)
         with pytest.raises(TypeError, match="bad call"):
             optimizer._newton_polish(g, zero, u, mass(u))
+
+
+class TestNewtonPolishExit:
+    """The polish counts its accepted steps and ends once its correction
+    is round-off."""
+
+    def test_converged_solves_count_their_steps(self, criterion2):
+        _, reports = criterion2
+        for rep in reports:
+            assert rep.converged
+            assert rep.newton_steps >= 1
+            assert rep.as_dict(with_trace=False)["newton_steps"] == rep.newton_steps
+
+    def test_round_off_correction_ends_the_polish(self, monkeypatch):
+        # the log_sweep chain up to its first certified point, the warm
+        # m = 4: a spy logs the polish's f calls ("f") and the residual's
+        # Laplacians ("lap", one per residual evaluation)
+        from dataclasses import replace
+
+        from nlsground import optimizer
+        from nlsground.sweep import sweep
+
+        polishes = []
+        real_polish, real_lap = optimizer._newton_polish, optimizer.neg_laplacian
+
+        def spy(grid, nl, u, m):
+            log = []
+
+            def f(t, inner=nl.f):
+                log.append("f")
+                return inner(t)
+
+            def lap(gf):
+                log.append("lap")
+                return real_lap(gf)
+
+            with mock.patch.object(optimizer, "neg_laplacian", lap):
+                out = real_polish(grid, replace(nl, f=f), u, m)
+            polishes.append((log, out))
+            return out
+
+        monkeypatch.setattr(optimizer, "_newton_polish", spy)
+        nl = builtin("log_supercritical", 2)
+        grid = make_grid(2, 400.0, 4001, stretch=150.0)
+        opts = SolveOptions(mass=0.5, grad_tol=1e-8, max_iters=800, check_hypotheses=False)
+        res = sweep(grid, nl, [0.5, 1.0, 2.0, 4.0], opts)
+        rep = res.reports[-1]
+        assert res.chains[-1] == "warm"
+        log, (_, steps) = polishes[-1]
+        assert steps == rep.newton_steps >= 1
+        # the multiplier's f and the first residual, then per iteration an
+        # f' pair and one residual per trial; the last f' pair gave a
+        # round-off correction, and no trial followed it
+        assert log[:3] == ["f", "lap", "f"]
+        assert log[-4:] == ["lap", "f", "f", "f"]
+        trials = log.count("lap") - 1
+        assert log.count("f") == 2 + 2 * (steps + 1) + trials
+        # the certified report still meets the residual bundle
+        assert rep.converged
+        assert rep.pde_residual <= optimizer._PDE_TOL
+        assert rep.pohozaev_residual <= optimizer._POHOZAEV_TOL * max(
+            1.0, grad_norm_sq(rep.profile))
 
 
 class TestTermination:
