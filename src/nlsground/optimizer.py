@@ -560,9 +560,9 @@ def _finish(nl: NonlinearitySpec, m: float, u: GridFunction,
 
     Returns (profile, energy, converged, (mu, pde, poh), newton_steps),
     newton_steps being the steps the Newton polish accepted (0 when it
-    did not run or gave up).  A descent that
-    did not end stationary reports its frame: the iterate u itself at
-    its own J, never converged.  That J bounds the minimum of the
+    did not run or gave up).  A descent that did not end stationary
+    reports its frame: the iterate u itself at its own J, never
+    converged.  That J bounds the minimum of the
     discrete problem from above, not E_m itself (discretization error
     moves the discrete level either way); materializing such a profile
     through interpolation would produce garbage.

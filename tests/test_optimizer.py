@@ -303,12 +303,6 @@ class TestFinishEndpoints:
         assert rep.energy == pytest.approx(J, rel=1e-10, abs=0)
         assert rep.pde_residual > 1e-3
 
-    def test_budget_exit_reports_no_newton_steps(self, grid, p8):
-        _, rep = self.solve(grid, p8, 3)
-        assert rep.termination == "budget" and not rep.converged
-        assert rep.newton_steps == 0
-        assert rep.as_dict(with_trace=False)["newton_steps"] == 0
-
     def test_budget_exit_skips_newton_polish(self, grid, p8, monkeypatch):
         # the frame is reported as is: no Newton tail from the raw iterate
         from nlsground import optimizer
@@ -320,6 +314,8 @@ class TestFinishEndpoints:
         _, rep = self.solve(grid, p8, 3)
         assert rep.termination == "budget" and not rep.converged
         assert calls == []
+        assert rep.newton_steps == 0
+        assert rep.as_dict(with_trace=False)["newton_steps"] == 0
 
     def test_budget_promotion_materializes(self, grid, p8):
         # a near-stationary best iterate is handed to the stationary finish,
