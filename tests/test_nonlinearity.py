@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from nlsground import builtin, check_conditions, f_tilde, g_quotient
-from nlsground.nonlinearity import from_callables
+from nlsground.expressions import compile_expression
+from nlsground.nonlinearity import _dead_floor, from_callables
 
 LOG2 = math.log(2.0)
 
@@ -173,6 +174,62 @@ class TestBuiltinConstruction:
         assert "f5" not in cp and "f4" in cp and "odd" in cp
         f6p = builtin("f6prime_example", 3).claimed
         assert "f6p" in f6p and "f5" in f6p
+
+
+TINY = np.finfo(float).tiny
+
+
+class TestDeadFloor:
+    """Each builtin's dead floor t0: below it the fused pair's |f| and |F|
+    lie below 2^-1022, and the first |t| where either is normal lies
+    within a factor 2 above it."""
+
+    # the battery's and the benchmark's settings, the first |t| where f
+    # or F is normal (a dense scan), and two more dimensions
+    CASES = [
+        ("pure_power", 1, {"p": 8.0}, 1.12e-44),
+        ("log_supercritical", 2, {}, 8.17e-78),
+        ("critical_piecewise", 5, {}, 1.41e-132),
+        ("f6prime_example", 3, {"beta": 1.0, "beta_N": 1.0 / 3.0}, 2.95e-62),
+        ("log_supercritical", 3, {}, None),
+        ("pure_power", 3, {"p": 4.5}, None),
+    ]
+
+    @staticmethod
+    def dead(nl, t):
+        """Per |t|: |f| and |F| below 2^-1022 at +t and at -t."""
+        out = np.ones(t.shape, dtype=bool)
+        for sign in (1.0, -1.0):
+            with np.errstate(all="ignore"):
+                fv, F = nl.f_and_F(sign * t)
+            out &= (np.abs(fv) < TINY) & (np.abs(F) < TINY)
+        return out
+
+    @pytest.mark.parametrize("name, N, params, first", CASES,
+                             ids=[f"{c[0]}-N{c[1]}" for c in CASES])
+    def test_dead_below_and_normal_within_a_factor_two(self, name, N, params, first):
+        nl = builtin(name, N, **params)
+        t0 = nl.dead_floor
+        below = np.geomspace(5e-324, t0, 200001)[:-1]
+        assert self.dead(nl, below).all()
+        above = np.geomspace(t0, 2.0 * t0, 20001)
+        live = ~self.dead(nl, above)
+        assert live.any() and not live[0]
+        if first is not None:
+            assert above[np.argmax(live)] == pytest.approx(first, rel=0.01)
+
+    def test_user_specs_carry_no_floor(self):
+        cubic = subcritical_cubic()
+        user = from_callables("user", compile_expression("abs(t)^6 * t"),
+                              compile_expression("abs(t)^8 / 8"))
+        assert cubic.dead_floor == 0.0 and user.dead_floor == 0.0
+
+    def test_scan_edges(self):
+        # a pair live at 2^-1074 gets no floor, NaN counts as live, and a
+        # pair dead up to 1 gets the scan's top
+        assert _dead_floor(lambda t: (np.sign(t), 0.0 * t)) == 0.0
+        assert _dead_floor(lambda t: (np.full_like(t, np.nan), 0.0 * t)) == 0.0
+        assert _dead_floor(lambda t: (0.0 * t, 0.0 * t)) == 1.0
 
 
 class TestStructuralInvariants:

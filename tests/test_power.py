@@ -8,13 +8,15 @@ whose power reaches 2^-1022) on edge values, check that flushing those
 lanes moves none of the fiber layer's results against the kernel that
 flushed only the lanes rounding to zero, and pin that pow really skips
 the tail of a decaying profile.  The builtins' fused (f, F) pairs, the
-reduced gradient's reuse of the bracket's f at s* and the bracket's lazy
-non-finite repair are checked bit for bit against the separate paths.
+reduced gradient's reuse of the bracket's f at s*, the bracket's lazy
+non-finite repair and its live-prefix cut are checked bit for bit
+against the separate or full-array paths.
 """
 
 import dataclasses
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -24,6 +26,8 @@ from nlsground import GridFunction, builtin, make_grid, sphere_retract
 from nlsground import expressions, functional, nonlinearity
 from nlsground.expressions import compile_expression
 from nlsground.nonlinearity import from_callables, power
+
+from conftest import random_profiles
 
 # critical_piecewise's default p in dimension 5
 PIECEWISE_P = 0.5 * (2.0 + 4.0 / 5 + 8.0 / 25 + 10.0 / 3)
@@ -599,3 +603,178 @@ class TestLazyRepair:
                     repaired["moderate"] += int(np.any(bad & ~huge))
                     repaired["huge"] += int(np.any(bad & huge))
         assert repaired["moderate"] > 0 and repaired["huge"] > 0, repaired
+
+
+def full_bracket(u, nl, s, T=None, F_integrals=None, f_values=None, tail=None):
+    """_fiber_bracket as it stood before the live-prefix cut: the pair on
+    every lane of the grid.  tail is taken and ignored, so that project
+    can run on this function."""
+    g = u.grid
+    N = g.dimension
+    if T is None:
+        T = functional.grad_norm_sq(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = math.exp(min(0.5 * N * s, functional._SCALE_LOG_MAX)) * u.values
+        fv, F = nl.f_and_F(scaled)
+        ft = fv * scaled
+        ft -= 2.0 * F
+        if F_integrals is not None:
+            F_integrals[s] = g.integrate(F)
+        if f_values is not None:
+            f_values[s] = fv
+        integral = g.integrate(ft)
+        if not math.isfinite(integral):
+            bad = ~np.isfinite(ft)
+            ft = np.where(bad, np.where(np.abs(scaled) > 1e30, np.inf, 0.0), ft)
+            integral = g.integrate(ft)
+    if integral == 0.0:
+        return T
+    log_term = math.log(0.5 * N * abs(integral)) - (N + 2) * s
+    return T - math.copysign(math.exp(min(log_term, functional._LOG_MAX)), integral)
+
+
+def full_gradient(u, nl, fiber):
+    """reduced_gradient as it stood before the cut, for a projection made
+    on full_bracket: the f term on every lane."""
+    N = u.grid.dimension
+    s = fiber.s_star
+    fv = fiber._f_star[2]
+    if 0.5 * N * s > functional._SCALE_LOG_MAX:
+        fv = nl.f(math.exp(0.5 * N * s) * u.values)
+    return (math.exp(2.0 * s) * functional.neg_laplacian(u).values
+            - math.exp(-0.5 * N * s) * fv)
+
+
+def fiber_fields(fr):
+    return bits([fr.s_star, fr.value, fr.residual, *fr.bracket]).tolist() + [fr.evaluations]
+
+
+def live_count(u, nl, s):
+    """The lanes the bracket at s evaluates, checked against the cut's
+    contract: every lane past them scales below the dead floor, and the
+    block of lanes before the cut holds one that does not."""
+    f_values = {}
+    functional._fiber_bracket(u, nl, s, f_values=f_values)
+    n = len(f_values[s])
+    scale = math.exp(min(0.5 * u.grid.dimension * s, functional._SCALE_LOG_MAX))
+    live = ~(scale * np.abs(u.values) < nl.dead_floor)
+    assert not live[n:].any()
+    block = functional._LIVE_BLOCK
+    assert n in (0, u.values.size) or live[(n - 1) // block * block:n].any()
+    return n
+
+
+class TestLivePrefix:
+    """The bracket evaluates the pair on the live prefix of the grid only;
+    its value and F integral, every projection field, the bracket calls
+    project makes and the reduced gradient carry the bits of the
+    full-array reference above."""
+
+    def assert_matches_full(self, u, nl, s_values, hints):
+        T = functional.grad_norm_sq(u)
+        for s in s_values:
+            live_count(u, nl, s)
+            got_F, ref_F = {}, {}
+            got = functional._fiber_bracket(u, nl, s, T, got_F)
+            ref = full_bracket(u, nl, s, T, ref_F)
+            assert bits(got) == bits(ref), (nl.name, s)
+            assert bits(got_F[s]) == bits(ref_F[s]), (nl.name, s)
+        for hint in hints:
+            seen = []
+            inner = functional._fiber_bracket
+
+            def record(u_, nl_, s, *args):
+                b = inner(u_, nl_, s, *args)
+                seen.append((s, b))
+                return b
+
+            with mock.patch.object(functional, "_fiber_bracket", record):
+                fr = functional.project(u, nl, s_hint=hint)
+            with mock.patch.object(functional, "_fiber_bracket", full_bracket):
+                ref = functional.project(u, nl, s_hint=hint)
+            assert fiber_fields(fr) == fiber_fields(ref), (nl.name, hint)
+            got = functional.reduced_gradient(u, nl, fr).values
+            assert np.array_equal(bits(got), bits(full_gradient(u, nl, ref))), (nl.name, hint)
+            # a standalone call, as FiberBatch.check makes, gives the bits
+            # of the call inside project
+            for s, b in seen:
+                assert bits(functional._fiber_bracket(u, nl, s)) == bits(b), (nl.name, s)
+
+    def test_benchmark_profiles(self):
+        for name, nl, profiles in fiber_specs(3):
+            cut = 0
+            for u in profiles:
+                s = functional.project(u, nl).s_star
+                self.assert_matches_full(u, nl, [s - 8.0, s - 2.0, s, s + 1.0, s + 3.0],
+                                         [0.0, s + 0.3])
+                cut += live_count(u, nl, s) < u.values.size
+            # the builtins cut dead tails; the user spec has no floor
+            assert (cut > 0) == (name != "user"), name
+
+    @given(case=st.sampled_from(FIBER_CASES + (("user", 1, {}, None),)),
+           seed=st.integers(0, 2**31 - 1), delta=st.floats(-2.0, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_random_profiles(self, case, seed, delta):
+        name, N, params, _ = case
+        nl = user_spec() if name == "user" else builtin(name, N, **params)
+        u = random_profiles(make_grid(N, 16.0, 801), 1, seed=seed, widths=(0.3, 4.0))[0]
+        s = functional.project(u, nl).s_star
+        self.assert_matches_full(u, nl, [s - 5.0, s, s + 2.0], [0.0, s + delta])
+
+    def test_every_lane_cut(self):
+        # below the scale where max|u| reaches the floor nothing is
+        # evaluated: an F integral of 0 and a bracket of exactly T
+        for name, nl, profiles in fiber_specs(1):
+            if name == "user":
+                continue
+            u = profiles[0]
+            N = u.grid.dimension
+            s = 2.0 / N * (math.log(nl.dead_floor) - math.log(np.max(np.abs(u.values)))) - 1.0
+            assert live_count(u, nl, s) == 0, name
+            F_integrals = {}
+            T = functional.grad_norm_sq(u)
+            assert functional._fiber_bracket(u, nl, s, T, F_integrals) == T, name
+            assert F_integrals[s] == 0.0, name
+            self.assert_matches_full(u, nl, [s, s - 10.0], [])
+
+    def test_no_lane_cut(self):
+        # a profile live 1/16 of the grid before its end keeps every lane
+        # and never builds the block maxima
+        for name, N, params, _ in FIBER_CASES:
+            nl = builtin(name, N, **params)
+            g = make_grid(N, 16.0, 801)
+            vals = np.exp(-((g.nodes / 12.0) ** 2))
+            vals[-1] = 0.0
+            u = GridFunction(g, vals)
+            s = functional.project(u, nl).s_star
+            for t in (s - 3.0, s, s + 3.0):
+                tail = []
+                scale = math.exp(0.5 * N * t)
+                assert functional._live_lanes(u, nl.dead_floor, scale, tail) == g.size, name
+                assert tail == [], name
+            self.assert_matches_full(u, nl, [s - 3.0, s, s + 3.0], [0.0])
+
+    def test_bump_beyond_a_dead_stretch(self):
+        # a narrow bump far out in the tail, behind a stretch where every
+        # lane scales below the floor: the cut lies past the bump
+        nl = builtin("pure_power", 1, p=8.0)
+        g = make_grid(1, 24.0, 24001)
+        r = g.nodes
+        vals = np.exp(-((r / 0.8) ** 2)) + 1e-3 * np.exp(-(((r - 20.0) / 0.05) ** 2))
+        vals[-1] = 0.0
+        u = GridFunction(g, vals)
+        s = functional.project(u, nl).s_star
+        scale = math.exp(0.5 * s)
+        dead = scale * np.abs(vals) < nl.dead_floor
+        n = live_count(u, nl, s)
+        bump = int(np.searchsorted(r, 20.0))
+        assert bump < n < g.size
+        assert dead[int(np.searchsorted(r, 12.0)):int(np.searchsorted(r, 18.0))].all()
+        self.assert_matches_full(u, nl, [s - 4.0, s, s + 4.0], [0.0, s + 1.0])
+
+    def test_scale_cap(self):
+        # from N s/2 = _SCALE_LOG_MAX on, the scale stays e^700
+        for name, nl, profiles in fiber_specs(1):
+            u = profiles[0]
+            cap = 2.0 * functional._SCALE_LOG_MAX / u.grid.dimension
+            self.assert_matches_full(u, nl, [cap - 1.0, cap, cap + 5.0], [])
