@@ -116,7 +116,7 @@ class SolveReport:
     projections: int = 0  # project calls made by this solve
     line_search_trials: int = 0
     bracket_evaluations: int = 0  # bracket calls made by those projections
-    newton_steps: int = 0  # steps _newton_polish accepted, 0 when none ran
+    newton_steps: int = 0  # steps of the polish that gave profile, else 0
 
     def as_dict(self, with_trace: bool = True) -> dict:
         d = {
@@ -481,18 +481,19 @@ class _Descent:
             return cand, state
         return None
 
-    def run(self, u, budget):
-        """Descend from u; returns (u, fiber, stationary), fiber being u's
-        projection, and sets termination.
+    def run(self, u):
+        """Descend from u; returns (u, fiber), fiber being u's projection,
+        and sets termination.
 
-        The loop has four exits, named in self.termination:
+        The loop has three stationary exits and the budget, named in
+        self.termination:
 
-          * "gradient": the shape gradient meets the gate (stationary);
+          * "gradient": the shape gradient meets the gate;
           * "roundoff": in the round-off regime, the unit step did not
-            lower the shape gradient (stationary);
+            lower the shape gradient;
           * "step_collapse": backtracking fell below floating-point
-            resolution (stationary);
-          * "budget": max_iters spent.
+            resolution;
+          * "budget": max_iters spent, not stationary.
 
         The round-off regime is an iteration whose Armijo margin of a
         unit step, _DECREASE times the search direction's slope, is at
@@ -501,32 +502,22 @@ class _Descent:
         shape gradient instead, and a rejected trial ends the descent at
         the current iterate.
 
-        A budget exit whose lowest-gradient iterate is quasi-stationary
-        hands that iterate back as stationary, so a run that stalls near
-        the minimizer still reaches the stationary finish; termination
-        keeps the exit that fired.
-
         Each iterate is projected once: the accepted trial's gradient
         state, built on its projection, becomes the next iteration's, and
         the iterate handed back carries its projection, so the finish
         does not project again.
         """
-        stationary = False
         self.termination = "budget"
         prev_vals = prev_grad = None
         state = self.gradient_state(u)
-        best_gn, best = math.inf, (u, state[0])
-        while self.it < budget:
+        while self.it < self.opts.max_iters:
             fiber, g, gshape, gn, gen = state
             self.s_hint = fiber.s_star
             J = fiber.value
             self.trace.append((J, gn, self.tau))
             if gn <= self.opts.grad_tol * (1.0 + abs(J)):
-                stationary = True
                 self.termination = "gradient"
                 break
-            if gn < best_gn:
-                best_gn, best = gn, (u, fiber)
             if prev_vals is not None:
                 self.push_pair(u.values - prev_vals, gshape.values - prev_grad)
             prev_vals, prev_grad = u.values.copy(), gshape.values.copy()
@@ -539,17 +530,10 @@ class _Descent:
                 # does not lower the gradient, or the step collapsed below
                 # floating-point resolution: the iterate is numerically
                 # stationary; the residual bundle decides convergence
-                stationary = True
                 self.termination = "roundoff" if roundoff else "step_collapse"
                 break
             u, state = accepted
-        if not stationary and best_gn <= 1e-4 * (1.0 + abs(best[1].value)):
-            # the promotion stays for criterion 4: materializing the
-            # promoted iterate keeps the f6' sweep's warm chain in a
-            # resolved dilation class; without it that chain reports
-            # E = 2.55 at m = 1000, below the mountain-pass floor 4.27
-            return (*best, True)
-        return u, state[0], stationary
+        return u, state[0]
 
 
 def _finish(nl: NonlinearitySpec, m: float, u: GridFunction,
@@ -559,10 +543,10 @@ def _finish(nl: NonlinearitySpec, m: float, u: GridFunction,
     projects nothing.
 
     Returns (profile, energy, converged, (mu, pde, poh), newton_steps),
-    newton_steps being the steps the Newton polish accepted (0 when it
-    did not run or gave up).  A descent that did not end stationary
-    reports its frame: the iterate u itself at its own J, never
-    converged.  That J bounds the minimum of the
+    newton_steps being the steps the Newton polish accepted when its
+    profile is the one returned, else 0.  A descent that did not end
+    stationary reports its frame: the iterate u itself at its own J,
+    never converged.  That J bounds the minimum of the
     discrete problem from above, not E_m itself (discretization error
     moves the discrete level either way); materializing such a profile
     through interpolation would produce garbage.
@@ -578,27 +562,26 @@ def _finish(nl: NonlinearitySpec, m: float, u: GridFunction,
     back to the frame.
     """
     J = fiber.value
-    newton_steps = 0
     if stationary:
         start = sphere_retract(dilate(fiber.s_star, u), m)
-        candidates = [start]
+        candidates = [(start, 0)]
         polished = _newton_polish(u.grid, nl, start, m)
         if polished is not None:
-            candidates.append(polished[0])
-            newton_steps = polished[1]
+            candidates.append(polished)
 
         def violation(v, diag):
             _, pde, poh = diag
             return max(pde / _PDE_TOL,
                        poh / (_POHOZAEV_TOL * max(1.0, grad_norm_sq(v))))
 
-        v, diag = min(((v, _diagnostics(v, nl, m)) for v in candidates),
-                      key=lambda item: violation(*item))
+        v, steps, diag = min(((v, steps, _diagnostics(v, nl, m))
+                              for v, steps in candidates),
+                             key=lambda item: violation(item[0], item[2]))
         energy = action(v, nl)
         if (math.isfinite(energy) and energy > 0.0
                 and abs(energy - J) <= 0.05 * max(abs(J), 1.0)):
-            return v, energy, violation(v, diag) <= 1.0, diag, newton_steps
-    return u, J, False, _diagnostics(u, nl, m), newton_steps
+            return v, energy, violation(v, diag) <= 1.0, diag, steps
+    return u, J, False, _diagnostics(u, nl, m), 0
 
 
 def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions) -> SolveReport:
@@ -610,9 +593,9 @@ def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions) -> Solv
     u = initial_profile(grid, m, seed=opts.seed, noise=opts.noise,
                         width=opts.init_width, custom=opts.custom_profile)
     engine = _Descent(grid, nl, opts)
-    u, fiber, stationary = engine.run(u, opts.max_iters)
+    u, fiber = engine.run(u)
     profile, energy, converged, (mu, pde, poh), newton_steps = _finish(
-        nl, m, u, fiber, stationary)
+        nl, m, u, fiber, engine.termination != "budget")
     return SolveReport(
         profile=profile,
         energy=energy,
