@@ -1,8 +1,9 @@
 """Command-line surface: check / solve / sweep / oracle.
 
 Configuration comes from an optional dotted-key text file plus flags
-(flags win).  Every run writes the fully resolved configuration next to
-its outputs so results are reproducible from their own artifacts.
+(flags win); a command takes only the flags and keys it reads.  Every
+run writes the fully resolved configuration next to its outputs so
+results are reproducible from their own artifacts.
 
 Exit codes: 0 ok, 2 not converged, 3 nonconformance, 4 hypothesis fail,
 5 inconclusive, 6 verdict fail, 64 usage error.
@@ -66,7 +67,7 @@ def dump_config(cfg: dict) -> str:
     return "".join(f"{k} = {cfg[k]}\n" for k in sorted(cfg))
 
 
-# argparse dest -> the dotted key its flag sets
+# argparse dest -> the dotted key its flag sets; a command reads its flags' keys
 _FLAG_KEYS = {
     "dim": "problem.dim", "builtin": "problem.builtin",
     "f_expr": "problem.f_expr", "F_expr": "problem.F_expr",
@@ -74,20 +75,21 @@ _FLAG_KEYS = {
     "mass": "solve.mass", "masses": "solve.masses", "seed": "solve.seed",
     "restarts": "solve.restarts", "cold_restarts": "solve.cold_restarts",
     "max_iters": "solve.max_iters", "grad_tol": "solve.grad_tol",
-    "out": "output.dir",
+    "force": "solve.force", "out": "output.dir",
 }
-# every dotted key the commands read, besides problem.param.<name>
-_CONFIG_KEYS = frozenset(_FLAG_KEYS.values()) | {"solve.force"}
 
 
 def resolve_config(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
         cfg.update(parse_config_file(args.config))
-        unknown = sorted(k for k in cfg if k not in _CONFIG_KEYS
+        keys = sorted(key for dest, key in _FLAG_KEYS.items() if dest in vars(args))
+        unknown = sorted(k for k in cfg if k not in keys
                          and not k.startswith("problem.param."))
         if unknown:
-            raise UsageError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
+            raise UsageError(f"{args.config}: unknown config keys: {', '.join(unknown)} "
+                             f"({args.command} reads {', '.join(keys)} "
+                             "and problem.param.<name>)")
     for dest, key in _FLAG_KEYS.items():
         value = getattr(args, dest, None)
         if value is not None:
@@ -97,8 +99,6 @@ def resolve_config(args) -> dict:
             raise UsageError(f"--param expects name=value, got {kv!r}")
         name, value = kv.split("=", 1)
         cfg[f"problem.param.{name.strip()}"] = value.strip()
-    if getattr(args, "force", False):
-        cfg["solve.force"] = "true"
     return cfg
 
 
@@ -278,6 +278,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_oracle(args) -> int:
     case = args.case
+    reads = {"soliton": ("p", "mu"), "bubble": ("dim", "eps"), "gn": ("dim", "p")}[case]
+    unread = [f"--{k}" for k in ("dim", "p", "mu", "eps")
+              if getattr(args, k) is not None and k not in reads]
+    if unread:
+        raise UsageError(f"oracle --case {case} does not read {', '.join(unread)}")
     if case == "bubble" and args.dim is None:
         raise UsageError("oracle --case bubble requires --dim")
     if case == "gn" and (args.dim is None or args.p is None):
@@ -299,14 +304,14 @@ def cmd_oracle(args) -> int:
     except ValueError as exc:
         # the oracles' own range checks (dimension, exponent, eps, mu)
         raise UsageError(f"oracle --case {case}: {exc}") from None
-    cfg = resolve_config(args)
-    out = _outdir(cfg)
+    out = _outdir(resolve_config(args))
     _write(os.path.join(out, "oracle.json"), _json(table.as_dict()))
     print(json.dumps(table.values, sort_keys=True))
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_problem(p: argparse.ArgumentParser):
+    """The flags of the commands that build a nonlinearity."""
     p.add_argument("--config", help="dotted-key config file")
     p.add_argument("--dim", type=int, help="spatial dimension N")
     p.add_argument("--builtin", help="builtin nonlinearity name")
@@ -315,7 +320,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--f-expr", dest="f_expr", help="expression for f(t)")
     p.add_argument("--F-expr", dest="F_expr", help="expression for F(t)")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="base random seed")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -326,31 +330,37 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("check", help="certify hypotheses f0-f7 numerically")
-    _add_common(c)
+    c = sub.add_parser("check", allow_abbrev=False,
+                       help="certify hypotheses f0-f7 numerically")
+    _add_problem(c)
 
-    s = sub.add_parser("solve", help="compute the ground state at one mass")
-    _add_common(s)
+    s = sub.add_parser("solve", allow_abbrev=False,
+                       help="compute the ground state at one mass")
+    _add_problem(s)
     s.add_argument("--mass", type=float)
     s.add_argument("--restarts", type=int)
 
-    w = sub.add_parser("sweep", help="sweep E_m over a mass grid")
-    _add_common(w)
+    w = sub.add_parser("sweep", allow_abbrev=False,
+                       help="sweep E_m over a mass grid")
+    _add_problem(w)
     w.add_argument("--masses", help="lo:hi:n (log-spaced) or comma list")
     w.add_argument("--cold-restarts", dest="cold_restarts", type=int)
 
     for p in (s, w):
+        p.add_argument("--seed", type=int, help="base random seed")
         p.add_argument("--radius", type=float)
         p.add_argument("--points", type=int)
         p.add_argument("--stretch", type=float)
         p.add_argument("--max-iters", dest="max_iters", type=int)
         p.add_argument("--grad-tol", dest="grad_tol", type=float)
-        p.add_argument("--force", action="store_true",
+        p.add_argument("--force", action="store_const", const="true",
                        help="skip the hypothesis gate")
 
-    o = sub.add_parser("oracle", help="emit closed-form reference tables")
-    _add_common(o)
+    o = sub.add_parser("oracle", allow_abbrev=False,
+                       help="emit closed-form reference tables")
     o.add_argument("--case", required=True, choices=["soliton", "bubble", "gn"])
+    o.add_argument("--dim", type=int, help="spatial dimension N")
+    o.add_argument("--out", help="output directory")
     o.add_argument("--p", type=float)
     o.add_argument("--mu", type=float)
     o.add_argument("--eps", type=float)

@@ -45,6 +45,9 @@ _GEOM_DECAY = 0.6
 _T_MIN = 1e-6
 _T_MAX = 1e6
 _PER_DECADE = 9
+# f2 reads |f| only below e^600: the expression language caps exp's
+# argument at 700, so larger values are saturated, not growth
+_F_SATURATION = math.exp(600.0)
 # numpy's ``**`` sends these exponents to its positive and square loops,
 # which stay faster than a masked pow even on underflowing lanes
 _FAST_EXPONENTS = (1.0, 2.0)
@@ -504,6 +507,31 @@ def _scan(signed, vals, tol):
     return wit
 
 
+def _f2_planar(ts, fv):
+    """The f2 entry at N = 2 from |f| on the unsaturated sample ts: pass
+    on clean power growth over the last two decades; fail where the slope
+    of log|f| in t^2 over the last decade (gamma for t^a exp(gamma t^2),
+    t^(b-2) for exp(t^b)) does not fall or keeps 90 % in its Aitken
+    limit; else inconclusive (undecidable by sampling)."""
+    slope, r2 = _loglog_slope(ts[-2 * _PER_DECADE:], fv[-2 * _PER_DECADE:])
+    if slope is not None and r2 >= 0.99:
+        return {"verdict": "pass", "witnesses": _witness(ts[-6:], fv[-6:]),
+                "method": f"clean power growth (exponent {slope:.2f}) up to "
+                          f"t={ts[-1]:.0e}; subgaussian on sample"}
+    pts = np.arange(fv.size - 1 - _PER_DECADE, fv.size, 3)
+    if pts[0] >= 0 and np.all(fv[pts] > 0):
+        rates = np.diff(np.log(fv[pts])) / np.diff(ts[pts] ** 2)
+        d1, d2 = np.diff(rates)
+        limit = rates[2] if d2 >= 0 else rates[2] - d2 * d2 / (d2 - d1) if d1 < d2 else 0.0
+        if np.all(rates > 0) and limit >= 0.9 * rates[2]:
+            return {"verdict": "fail", "witnesses": _witness(ts[pts[1:]], rates),
+                    "method": f"gaussian-type growth exp({limit:.2e} t^2) "
+                              f"below t={ts[-1]:.2e}"}
+    return {"verdict": "inconclusive", "witnesses": _witness(ts[-6:], fv[-6:]),
+            "method": "growth neither cleanly polynomial nor gaussian below "
+                      "saturation; all-gamma limit undecidable by sampling"}
+
+
 def check_conditions(nl: NonlinearitySpec, N: int) -> ConditionReport:
     """Numerically certify the hypotheses f0-f7, f6', and oddness.
 
@@ -560,43 +588,15 @@ def check_conditions(nl: NonlinearitySpec, N: int) -> ConditionReport:
                      "witnesses": _witness(ts[:9], q1[0][:9]),
                      "method": "; ".join(m for _, m in res1)}
 
-    # f2: growth at infinity
+    # f2: growth at infinity, read on the samples before |f| saturates
+    over = np.flatnonzero(~(np.abs(fs[0]) <= _F_SATURATION))
+    end = int(over[0]) if over.size else n
     if N >= 3:
-        v, m = _limit_zero(ts, q2, approach_zero=False)
-        entries["f2"] = {"verdict": v, "witnesses": _witness(ts[-9:], q2[-9:]),
+        v, m = _limit_zero(ts[:end], q2[:end], approach_zero=False)
+        entries["f2"] = {"verdict": v, "witnesses": _witness(ts[:end][-9:], q2[:end][-9:]),
                          "method": m}
     elif N == 2:
-        fv = np.abs(fs[0])
-        slope, r2 = _loglog_slope(ts[-2 * _PER_DECADE:], fv[-2 * _PER_DECADE:])
-        if slope is not None and r2 >= 0.99 and np.all(np.isfinite(fv)):
-            entries["f2"] = {
-                "verdict": "pass",
-                "witnesses": _witness(ts[-6:], fv[-6:]),
-                "method": f"clean power growth (exponent {slope:.2f}) up to "
-                          f"t={ts.max():.0e}; subgaussian on sample",
-            }
-        else:
-            # try log f ~ gamma t^2: genuine Moser-Trudinger-type growth
-            ok = np.isfinite(fv) & (fv > 0)
-            gam = None
-            if ok.sum() > 4:
-                x, y = ts[ok][-12:] ** 2, np.log(fv[ok][-12:])
-                A = np.vstack([x, np.ones_like(x)]).T
-                coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
-                gam = float(coef[0])
-            if gam is not None and gam > 0:
-                entries["f2"] = {
-                    "verdict": "fail",
-                    "witnesses": _witness(ts[-6:], fv[-6:]),
-                    "method": f"gaussian-type growth exp({gam:.2e} t^2) detected",
-                }
-            else:
-                entries["f2"] = {
-                    "verdict": "inconclusive",
-                    "witnesses": _witness(ts[-6:], fv[-6:]),
-                    "method": "growth neither cleanly polynomial nor gaussian; "
-                              "all-gamma limit undecidable by sampling",
-                }
+        entries["f2"] = _f2_planar(ts[:end], np.abs(fs[0][:end]))
     else:
         entries["f2"] = {"verdict": "pass", "witnesses": [],
                          "method": "not applicable for N=1"}

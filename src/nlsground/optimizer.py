@@ -29,7 +29,8 @@ certified only relative to multistart (multistart_minimize).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from .nonlinearity import NonlinearitySpec, check_conditions
 from .functional import (
     FiberResult,
     NonconformanceError,
-    action,
     dilate,
     project,
     reduced_gradient,
@@ -119,22 +119,9 @@ class SolveReport:
     newton_steps: int = 0  # steps of the polish that gave profile, else 0
 
     def as_dict(self, with_trace: bool = True) -> dict:
-        d = {
-            "energy": self.energy,
-            "multiplier": self.multiplier,
-            "pde_residual": self.pde_residual,
-            "pohozaev_residual": self.pohozaev_residual,
-            "boundary_tail": self.boundary_tail,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "termination": self.termination,
-            "seed": self.seed,
-            "mass": self.mass,
-            "projections": self.projections,
-            "line_search_trials": self.line_search_trials,
-            "bracket_evaluations": self.bracket_evaluations,
-            "newton_steps": self.newton_steps,
-        }
+        """Every field but the two profiles, with the trace last if asked."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name not in ("profile", "iterate", "trace")}
         if with_trace:
             d["trace"] = [[float(a), float(b), float(c)] for a, b, c in self.trace]
         return d
@@ -196,9 +183,20 @@ def _gate(nl: NonlinearitySpec, N: int):
         )
 
 
-def _diagnostics(u: GridFunction, nl: NonlinearitySpec, m: float):
-    """(mu, PDE residual, |P(u)|) from one f/F evaluation, with the
-    arithmetic of multiplier and pohozaev."""
+class _Certificate(NamedTuple):
+    mu: float
+    residual: np.ndarray  # -Delta u + mu u - f(u)
+    pde: float
+    poh: float
+    energy: float  # I(u)
+    violation: float  # of the residual bundle; <= 1 certifies u
+
+
+def _certificate(u: GridFunction, nl: NonlinearitySpec, m: float) -> _Certificate:
+    """u's residual bundle and action from one f/F evaluation, one
+    ||grad u||^2 and one Laplacian, with the arithmetic of multiplier,
+    pohozaev and action: the PDE residual relative to ||u||, |P(u)|, and
+    the violation max(pde / _PDE_TOL, |P| / (_POHOZAEV_TOL max(1, T)))."""
     g = u.grid
     fv, Fv = nl.f_and_F(u.values)
     fu = fv * u.values
@@ -207,12 +205,14 @@ def _diagnostics(u: GridFunction, nl: NonlinearitySpec, m: float):
     res = neg_laplacian(u).values + mu * u.values - fv
     pde = g.norm(res) / max(g.norm(u.values), 1e-300)
     poh = abs(T - 0.5 * g.dimension * g.integrate(fu - 2.0 * Fv))
-    return mu, pde, poh
+    violation = max(pde / _PDE_TOL, poh / (_POHOZAEV_TOL * max(1.0, T)))
+    return _Certificate(mu, res, pde, poh, 0.5 * T - g.integrate(Fv), violation)
 
 
-def _newton_polish(grid: RadialGrid, nl: NonlinearitySpec, u: GridFunction,
-                   m: float) -> tuple[GridFunction, int] | None:
-    """Bordered Newton on { -Delta u + mu u = f(u), mass(u) = m }.
+def _newton_polish(u: GridFunction, nl: NonlinearitySpec, m: float,
+                   cert: _Certificate) -> tuple[GridFunction, int] | None:
+    """Bordered Newton on { -Delta u + mu u = f(u), mass(u) = m }, started
+    from mu and the residual of u's certificate cert.
 
     Called only from an excellent initial guess (the descent minimizer),
     so it stays in the local basin.  f' is taken by centered differences
@@ -229,18 +229,13 @@ def _newton_polish(grid: RadialGrid, nl: NonlinearitySpec, u: GridFunction,
     (see _POLISH_RTOL).  Returns (profile, accepted steps), or None when
     the Jacobian is singular or its solve is not finite.
     """
+    grid = u.grid
     v = u.values.copy()
     n = grid.size - 1
     w = grid.weights
     fc = grid._flux_coef
     off = -fc[: n - 1]
-
-    def residual(vals, mu):
-        gf = GridFunction(grid, vals)
-        return neg_laplacian(gf).values + mu * vals - nl.f(vals)
-
-    mu = multiplier(u, nl, m)
-    res = residual(v, mu)
+    mu, res = cert.mu, cert.residual
     best = grid.norm(res)
     steps = 0
     for _ in range(_POLISH_ITERS):
@@ -274,7 +269,8 @@ def _newton_polish(grid: RadialGrid, nl: NonlinearitySpec, u: GridFunction,
             v_new = v.copy()
             v_new[:n] += t * dv
             mu_new = mu + t * dmu
-            res_new = residual(v_new, mu_new)
+            res_new = (neg_laplacian(GridFunction(grid, v_new)).values
+                       + mu_new * v_new - nl.f(v_new))
             r_new = grid.norm(res_new)
             if r_new < best:
                 v, mu, res, best = v_new, mu_new, res_new, r_new
@@ -542,46 +538,39 @@ def _finish(nl: NonlinearitySpec, m: float, u: GridFunction,
     u's projection fiber, which the descent hands over, so the finish
     projects nothing.
 
-    Returns (profile, energy, converged, (mu, pde, poh), newton_steps),
-    newton_steps being the steps the Newton polish accepted when its
-    profile is the one returned, else 0.  A descent that did not end
-    stationary reports its frame: the iterate u itself at its own J,
-    never converged.  That J bounds the minimum of the
+    Returns (profile, energy, converged, certificate, newton_steps),
+    certificate being profile's and newton_steps the steps the Newton
+    polish accepted when its profile is the one returned, else 0.  A
+    descent that did not end stationary reports its frame: the iterate u
+    itself at its own J, never converged.  That J bounds the minimum of the
     discrete problem from above, not E_m itself (discretization error
     moves the discrete level either way); materializing such a profile
     through interpolation would produce garbage.
 
     Stationary u is materialized onto the Pohozaev manifold as
     dilate(s(u), u) (P vanishes there to root-solve accuracy), and a
-    bordered Newton tail from it trades the O(h^2) gap between the two
-    discrete stationarity notions into the Pohozaev budget while zeroing
-    the PDE residual.  The candidate with the smaller bundle violation is
-    kept if its action agrees with J (a large mismatch means the profile
-    was at grid scale and the interpolation destroyed it); the bundle,
-    violation <= 1, then decides convergence.  A rejected candidate falls
-    back to the frame.
+    bordered Newton tail from it and its certificate trades the O(h^2)
+    gap between the two discrete stationarity notions into the Pohozaev
+    budget while zeroing the PDE residual.  Each candidate is certified
+    once; the one with the smaller bundle violation is kept if its
+    action agrees with J (a large mismatch means the profile was at grid
+    scale and the interpolation destroyed it); violation <= 1 then
+    decides convergence.  A rejected candidate falls back to the frame.
     """
     J = fiber.value
     if stationary:
         start = sphere_retract(dilate(fiber.s_star, u), m)
-        candidates = [(start, 0)]
-        polished = _newton_polish(u.grid, nl, start, m)
+        cert = _certificate(start, nl, m)
+        candidates = [(start, 0, cert)]
+        polished = _newton_polish(start, nl, m, cert)
         if polished is not None:
-            candidates.append(polished)
-
-        def violation(v, diag):
-            _, pde, poh = diag
-            return max(pde / _PDE_TOL,
-                       poh / (_POHOZAEV_TOL * max(1.0, grad_norm_sq(v))))
-
-        v, steps, diag = min(((v, steps, _diagnostics(v, nl, m))
-                              for v, steps in candidates),
-                             key=lambda item: violation(item[0], item[2]))
-        energy = action(v, nl)
-        if (math.isfinite(energy) and energy > 0.0
-                and abs(energy - J) <= 0.05 * max(abs(J), 1.0)):
-            return v, energy, violation(v, diag) <= 1.0, diag, steps
-    return u, J, False, _diagnostics(u, nl, m), 0
+            v, steps = polished
+            candidates.append((v, steps, _certificate(v, nl, m)))
+        v, steps, cert = min(candidates, key=lambda c: c[2].violation)
+        E = cert.energy
+        if math.isfinite(E) and E > 0.0 and abs(E - J) <= 0.05 * max(abs(J), 1.0):
+            return v, E, cert.violation <= 1.0, cert, steps
+    return u, J, False, _certificate(u, nl, m), 0
 
 
 def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions) -> SolveReport:
@@ -594,14 +583,14 @@ def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions) -> Solv
                         width=opts.init_width, custom=opts.custom_profile)
     engine = _Descent(grid, nl, opts)
     u, fiber = engine.run(u)
-    profile, energy, converged, (mu, pde, poh), newton_steps = _finish(
+    profile, energy, converged, cert, newton_steps = _finish(
         nl, m, u, fiber, engine.termination != "budget")
     return SolveReport(
         profile=profile,
         energy=energy,
-        multiplier=mu,
-        pde_residual=pde,
-        pohozaev_residual=poh,
+        multiplier=cert.mu,
+        pde_residual=cert.pde,
+        pohozaev_residual=cert.poh,
         boundary_tail=abs(float(profile.values[-2])),
         iterations=engine.it,
         trace=engine.trace,

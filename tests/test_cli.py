@@ -339,6 +339,54 @@ class TestCheckCommand:
         assert not (tmp_path / "out").exists()
 
 
+class TestCommandKnobs:
+    """Each command accepts only the flags and config keys it reads."""
+
+    PROBLEM = ["--builtin", "pure_power", "--param", "p=8", "--dim", "1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--builtin", "log_supercritical", "--dim", "3", "--seed", "5"],
+        ["oracle", "--case", "soliton", "--builtin", "nonsense"],
+        ["oracle", "--case", "soliton", "--param", "x=1"],
+        ["oracle", "--case", "soliton", "--f-expr", "((("],
+        ["oracle", "--case", "soliton", "--seed", "3"],
+        ["oracle", "--case", "soliton", "--config", "run.cfg"],
+        ["oracle", "--case", "soliton", "--dim", "3"],
+        ["oracle", "--case", "bubble", "--dim", "5", "--p", "8", "--mu", "2"],
+        ["oracle", "--case", "gn", "--dim", "1", "--p", "6", "--eps", "0.5"],
+        ["solve", *PROBLEM, "--mass", "1", "--masses", "1,2"],
+        ["solve", *PROBLEM, "--mass", "1", "--cold-restarts", "1"],
+        ["sweep", *PROBLEM, "--masses", "1,2", "--restarts", "2"],
+        # no abbreviations: --mass is not sweep's --masses
+        ["sweep", *PROBLEM, "--mass", "1,2"],
+    ])
+    def test_ignored_flag_is_usage(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, line", [
+        ("check", "grid.points = 99"),
+        ("check", "solve.mass = -1"),
+        ("check", "solve.seed = 5"),
+        ("check", "solve.force = true"),
+        ("solve", "solve.masses = 1,2"),
+        ("solve", "solve.cold_restarts = 1"),
+        ("sweep", "solve.mass = 1"),
+        ("sweep", "solve.restarts = 2"),
+    ])
+    def test_ignored_config_key_is_usage(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "run.cfg"
+        own = {"check": "", "solve": "solve.mass = 1\n", "sweep": "solve.masses = 1,2\n"}
+        cfg.write_text("problem.builtin = pure_power\nproblem.param.p = 8\n"
+                       f"problem.dim = 1\n{own[command]}{line}\n")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        key = line.split(" = ")[0]
+        assert f"unknown config keys: {key} ({command} reads " in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSolveCommand:
     ARGS = [
         "solve", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",

@@ -294,6 +294,36 @@ class TestCheckConditions:
         rep = check_conditions(builtin("pure_power", 1, p=8.0), 1)
         assert not_passing(rep, ["f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "odd"]) == []
 
+    @pytest.mark.parametrize("f_expr, verdict, gamma", [
+        # exp's argument is capped at 700, so |f| saturates near t = 26
+        # here: only the samples below e^600 may decide
+        ("t*exp(t^2)", "fail", 1.0),
+        ("t*abs(t)^20*exp(0.5*t^2)", "fail", 0.5),
+        ("t*exp(0.01*t^2)", "fail", 0.01),
+        # subgaussian: the slope of log|f| in t^2 falls toward 0
+        ("t*abs(t)^2*ln(1+abs(t))*exp(abs(t)^0.5)", "inconclusive", None),
+        ("t*exp(abs(t))", "inconclusive", None),
+    ])
+    def test_planar_f2_reads_growth_below_saturation(self, f_expr, verdict, gamma):
+        from nlsground.expressions import compile_expression
+
+        nl = from_callables("growth", compile_expression(f_expr),
+                            compile_expression("abs(t)^2"))
+        entry = check_conditions(nl, 2).entries["f2"]
+        assert entry["verdict"] == verdict, entry["method"]
+        if gamma is not None:
+            assert f"exp({gamma:.2e} t^2)" in entry["method"]
+            assert entry["witnesses"]
+
+    def test_f2_ignores_saturated_samples_at_n3(self):
+        # exp(|t|) - 1 outgrows t^5, so f2 cannot pass; its samples past
+        # the exp cap sit at e^700, whose quotient by t^5 falls like a power
+        from nlsground.expressions import compile_expression
+
+        nl = from_callables("growth", compile_expression("exp(abs(t)) - 1"),
+                            compile_expression("abs(t)^2"))
+        assert check_conditions(nl, 3).verdict("f2") == "inconclusive"
+
     def test_f4_violation_detected(self):
         # mass-subcritical power: g is decreasing, f4 must fail
         rep = check_conditions(subcritical_cubic(), 3)
@@ -351,8 +381,8 @@ def _parent_h_schwarz(nl, t, N: int):
 
 def parent_check_conditions(nl, N: int):
     from nlsground.nonlinearity import (
-        _PER_DECADE, _T_MAX, _T_MIN, ConditionReport, _diverges, _limit_zero,
-        _loglog_slope, _witness,
+        _F_SATURATION, _PER_DECADE, _T_MAX, _T_MIN, ConditionReport, _diverges,
+        _f2_planar, _limit_zero, _witness,
     )
 
     n = int(_PER_DECADE * math.log10(_T_MAX / _T_MIN))
@@ -397,43 +427,18 @@ def parent_check_conditions(nl, N: int):
     entries["f1"] = {"verdict": v, "witnesses": _witness(ts[:9], q0[:9]),
                      "method": "; ".join(methods)}
 
+    # f2 reads f only before it saturates, and the planar decision is
+    # _f2_planar's; the reference supplies its own sample of f
+    with np.errstate(over="ignore"):
+        fv = np.abs(nl.f(ts))
+    end = next((i for i, x in enumerate(fv) if not x <= _F_SATURATION), ts.size)
     if N >= 3:
-        q = np.abs(quotient(nl.f, two_star - 1.0))
-        v, m = _limit_zero(ts, q, approach_zero=False)
-        entries["f2"] = {"verdict": v, "witnesses": _witness(ts[-9:], q[-9:]),
+        q = np.abs(quotient(nl.f, two_star - 1.0))[:end]
+        v, m = _limit_zero(ts[:end], q, approach_zero=False)
+        entries["f2"] = {"verdict": v, "witnesses": _witness(ts[:end][-9:], q[-9:]),
                          "method": m}
     elif N == 2:
-        with np.errstate(over="ignore"):
-            fv = np.abs(nl.f(ts))
-        slope, r2 = _loglog_slope(ts[-2 * _PER_DECADE:], fv[-2 * _PER_DECADE:])
-        if slope is not None and r2 >= 0.99 and np.all(np.isfinite(fv)):
-            entries["f2"] = {
-                "verdict": "pass",
-                "witnesses": _witness(ts[-6:], fv[-6:]),
-                "method": f"clean power growth (exponent {slope:.2f}) up to "
-                          f"t={ts.max():.0e}; subgaussian on sample",
-            }
-        else:
-            ok = np.isfinite(fv) & (fv > 0)
-            gam = None
-            if ok.sum() > 4:
-                x, y = ts[ok][-12:] ** 2, np.log(fv[ok][-12:])
-                A = np.vstack([x, np.ones_like(x)]).T
-                coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
-                gam = float(coef[0])
-            if gam is not None and gam > 0:
-                entries["f2"] = {
-                    "verdict": "fail",
-                    "witnesses": _witness(ts[-6:], fv[-6:]),
-                    "method": f"gaussian-type growth exp({gam:.2e} t^2) detected",
-                }
-            else:
-                entries["f2"] = {
-                    "verdict": "inconclusive",
-                    "witnesses": _witness(ts[-6:], fv[-6:]),
-                    "method": "growth neither cleanly polynomial nor gaussian; "
-                              "all-gamma limit undecidable by sampling",
-                }
+        entries["f2"] = _f2_planar(ts[:end], fv[:end])
     else:
         entries["f2"] = {"verdict": "pass", "witnesses": [],
                          "method": "not applicable for N=1"}

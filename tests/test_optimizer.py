@@ -21,10 +21,12 @@ from nlsground import (
     tangent_project,
 )
 from nlsground.expressions import compile_expression
-from nlsground.functional import pohozaev, reduced_value
+from nlsground.functional import action, pohozaev, reduced_value
 from nlsground.grid import ConfigurationError, neg_laplacian
 from nlsground.nonlinearity import from_callables
-from nlsground.optimizer import _DECREASE, _diagnostics, _node_gradient
+from nlsground.optimizer import (
+    _DECREASE, _PDE_TOL, _POHOZAEV_TOL, _certificate, _node_gradient,
+)
 from nlsground.oracles import Bubble, Soliton1D
 
 
@@ -249,12 +251,11 @@ class TestMinimize:
         with pytest.raises(NonconformanceError):
             minimize(g, sub, opts2)
 
-    def test_gate_cache_ignores_object_identity(self, monkeypatch):
-        # a freed spec's id can be handed to a new spec with the same name
-        # and params; force that collision and require separate verdicts
+    def test_gate_keeps_no_state(self):
+        # two specs with the same name and params but different f: the
+        # second gate call must check its own spec, not reuse the first
+        # verdict
         from nlsground import optimizer
-
-        monkeypatch.setattr(optimizer, "id", lambda obj: 0, raising=False)
 
         def spec(power):
             def f(t):
@@ -352,7 +353,8 @@ class TestNewtonPolishFailures:
 
         g, u = frozen
         zero = from_callables("zero", lambda t: 0.0 * t, lambda t: 0.0 * t)
-        assert optimizer._newton_polish(g, zero, u, mass(u)) is None
+        m = mass(u)
+        assert optimizer._newton_polish(u, zero, m, _certificate(u, zero, m)) is None
 
     def test_nonfinite_jacobian_returns_none(self, soliton_grid, p8):
         from nlsground import optimizer
@@ -361,7 +363,8 @@ class TestNewtonPolishFailures:
         inf_slope = from_callables("inf", lambda t: np.where(t > 0.5, np.inf, 0.0 * t),
                                    lambda t: 0.0 * t)
         with np.errstate(invalid="ignore"):
-            assert optimizer._newton_polish(soliton_grid, inf_slope, u, 1.0) is None
+            cert = _certificate(u, inf_slope, 1.0)
+            assert optimizer._newton_polish(u, inf_slope, 1.0, cert) is None
 
     def test_other_errors_propagate(self, frozen, monkeypatch):
         from nlsground import optimizer
@@ -372,8 +375,9 @@ class TestNewtonPolishFailures:
         monkeypatch.setattr(optimizer, "symmetric_tridiagonal_solve", bad_call)
         g, u = frozen
         zero = from_callables("zero", lambda t: 0.0 * t, lambda t: 0.0 * t)
+        m = mass(u)
         with pytest.raises(TypeError, match="bad call"):
-            optimizer._newton_polish(g, zero, u, mass(u))
+            optimizer._newton_polish(u, zero, m, _certificate(u, zero, m))
 
 
 class TestNewtonPolishExit:
@@ -399,7 +403,7 @@ class TestNewtonPolishExit:
         polishes = []
         real_polish, real_lap = optimizer._newton_polish, optimizer.neg_laplacian
 
-        def spy(grid, nl, u, m):
+        def spy(u, nl, m, cert):
             log = []
 
             def f(t, inner=nl.f):
@@ -411,7 +415,7 @@ class TestNewtonPolishExit:
                 return real_lap(gf)
 
             with mock.patch.object(optimizer, "neg_laplacian", lap):
-                out = real_polish(grid, replace(nl, f=f), u, m)
+                out = real_polish(u, replace(nl, f=f), m, cert)
             polishes.append((log, out))
             return out
 
@@ -424,13 +428,14 @@ class TestNewtonPolishExit:
         assert res.chains[-1] == "warm"
         log, (_, steps) = polishes[-1]
         assert steps == rep.newton_steps >= 1
-        # the multiplier's f and the first residual, then per iteration an
-        # f' pair and one residual per trial; the last f' pair gave a
-        # round-off correction, and no trial followed it
-        assert log[:3] == ["f", "lap", "f"]
+        # the start's mu and residual come from its certificate, so the
+        # polish opens with an f' pair; then one residual per trial and an
+        # f' pair per iteration; the last f' pair gave a round-off
+        # correction, and no trial followed it
+        assert log[:3] == ["f", "f", "lap"]
         assert log[-4:] == ["lap", "f", "f", "f"]
-        trials = log.count("lap") - 1
-        assert log.count("f") == 2 + 2 * (steps + 1) + trials
+        trials = log.count("lap")
+        assert log.count("f") == 2 * (steps + 1) + trials
         # the certified report still meets the residual bundle
         assert rep.converged
         assert rep.pde_residual <= optimizer._PDE_TOL
@@ -476,6 +481,29 @@ class TestTermination:
         assert reports[1].iterations == 11
         exits = {"gradient", "roundoff", "step_collapse", "budget"}
         assert all(r.termination in exits for r in reports)
+
+    def test_step_collapse_is_a_stationary_exit(self, solved, soliton_grid, p8, monkeypatch):
+        # an Armijo margin no trial can meet: backtracking tries the unit
+        # step and 53 halvings, down to 2^-53, and the next falls below 1e-16;
+        # from the certified soliton the finish then materializes and
+        # polishes the iterate, as after any stationary exit
+        from nlsground import optimizer
+
+        monkeypatch.setattr(optimizer, "_DECREASE", math.inf)
+        starts = []
+        polish = optimizer._newton_polish
+        monkeypatch.setattr(optimizer, "_newton_polish",
+                            lambda u, *a: starts.append(u) or polish(u, *a))
+        opts = SolveOptions(mass=1.0, grad_tol=1e-300, max_iters=50,
+                            custom_profile=solved.profile, check_hypotheses=False)
+        rep = minimize(soliton_grid, p8, opts)
+        assert rep.termination == "step_collapse"
+        assert rep.iterations == 1
+        assert rep.line_search_trials == 54
+        assert rep.projections == 1 + rep.line_search_trials
+        assert len(starts) == 1 and starts[0] is not rep.iterate
+        assert rep.converged and rep.profile is not rep.iterate
+        assert rep.newton_steps >= 1
 
 
 class TestRoundoffRegime:
@@ -624,7 +652,7 @@ class TestProjectionReuse:
 
 
 class TestFinishArithmetic:
-    """The finish's shared evaluations keep the bits of the separate ones."""
+    """The finish's certificate keeps the bits of the separate evaluations."""
 
     SPECS = [
         ("pure_power", 1, {"p": 8.0}),
@@ -647,7 +675,12 @@ class TestFinishArithmetic:
         mu = multiplier(u, nl, m)
         res = neg_laplacian(u).values + mu * u.values - nl.f(u.values)
         pde = g.norm(res) / max(g.norm(u.values), 1e-300)
-        assert _diagnostics(u, nl, m) == (mu, pde, abs(pohozaev(u, nl)))
+        poh = abs(pohozaev(u, nl))
+        violation = max(pde / _PDE_TOL, poh / (_POHOZAEV_TOL * max(1.0, grad_norm_sq(u))))
+        cert = _certificate(u, nl, m)
+        assert np.array_equal(cert.residual, res)
+        assert (cert.mu, cert.pde, cert.poh, cert.energy, cert.violation) == (
+            mu, pde, poh, action(u, nl), violation)
 
     @pytest.mark.parametrize("nodes", [
         0.25 * np.arange(401.0),
