@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .grid import ConfigurationError, make_grid
+from .grid import ConfigurationError, make_grid, open_artifact
 from .nonlinearity import builtin, check_conditions, from_callables
 from .functional import NonconformanceError
 from .optimizer import DiagnosticError, SolveOptions, multistart_minimize
@@ -47,19 +47,22 @@ class UsageError(ValueError):
 def parse_config_file(path: str) -> dict:
     """Read `key = value` lines with dotted keys; '#' starts a comment."""
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:  # exc.object: the file's bytes
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise UsageError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
     cfg = {}
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key = value")
+        key, value = line.split("=", 1)
+        cfg[key.strip()] = value.strip()
     return cfg
 
 
@@ -163,11 +166,6 @@ def _outdir(cfg: dict) -> str:
     return out
 
 
-def _write(path: str, text: str):
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 def _json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -180,8 +178,10 @@ def cmd_check(args) -> int:
     nl = build_nonlinearity(cfg, N)
     report = check_conditions(nl, N)
     out = _outdir(cfg)
-    _write(os.path.join(out, "conditions.json"), report.to_json(indent=2) + "\n")
-    _write(os.path.join(out, "resolved.cfg"), dump_config(cfg))
+    with open_artifact(os.path.join(out, "conditions.json")) as fh:
+        fh.write(report.to_json(indent=2) + "\n")
+    with open_artifact(os.path.join(out, "resolved.cfg")) as fh:
+        fh.write(dump_config(cfg))
     battery = {h: report.verdict(h) for h in _CHECK_BATTERY}
     print(f"{nl.name} N={N}: " + " ".join(f"{h}={v}" for h, v in battery.items()))
     extra = {h: report.verdict(h) for h in ("f6", "f6p", "f7", "odd")}
@@ -205,11 +205,13 @@ def cmd_solve(args) -> int:
     restarts = _number(cfg, "solve.restarts", int, 5)
     best, reports = multistart_minimize(grid, nl, opts, restarts=restarts)
     out = _outdir(cfg)
-    _write(os.path.join(out, "resolved.cfg"), dump_config(cfg))
+    with open_artifact(os.path.join(out, "resolved.cfg")) as fh:
+        fh.write(dump_config(cfg))
     best.profile.to_csv(os.path.join(out, "profile.csv"))
     payload = best.as_dict()
     payload["replicas"] = [r.as_dict(with_trace=False) for r in reports]
-    _write(os.path.join(out, "report.json"), _json(payload))
+    with open_artifact(os.path.join(out, "report.json")) as fh:
+        fh.write(_json(payload))
     print(f"E={best.energy:.12g} mu={best.multiplier:.12g} "
           f"converged={best.converged} iters={best.iterations}")
     return EXIT_OK if best.converged else EXIT_NOT_CONVERGED
@@ -244,14 +246,16 @@ def cmd_sweep(args) -> int:
     cold = _number(cfg, "solve.cold_restarts", int, 0)
     result = sweep(grid, nl, masses, opts, cold_restarts=cold)
     out = _outdir(cfg)
-    _write(os.path.join(out, "resolved.cfg"), dump_config(cfg))
+    with open_artifact(os.path.join(out, "resolved.cfg")) as fh:
+        fh.write(dump_config(cfg))
     result.to_csv(os.path.join(out, "sweep.csv"))
     payload = result.as_dict()
     try:
         payload["mountain_pass_floor"] = mountain_pass_floor(grid, nl)
     except NonconformanceError:
         pass
-    _write(os.path.join(out, "verdicts.json"), _json(payload))
+    with open_artifact(os.path.join(out, "verdicts.json")) as fh:
+        fh.write(_json(payload))
     for m, rep, chain, start in zip(result.masses, result.reports,
                                     result.chains, result.warm_starts):
         line = f"m={m:.6g} chain={chain} warm_start={start}"
@@ -262,7 +266,9 @@ def cmd_sweep(args) -> int:
                      f" termination={rep.termination} projections={rep.projections}"
                      f" brackets={rep.bracket_evaluations} newton={rep.newton_steps}")
         print(line, file=sys.stderr)
-    print("E_m:", result.sparkline())
+    # block characters that stdout cannot encode (an ASCII locale) print as escapes
+    enc = sys.stdout.encoding or "utf-8"
+    print("E_m:", result.sparkline().encode(enc, "backslashreplace").decode(enc))
     v = result.verdicts
     print(f"positive={v['all_positive']} nonincreasing={v['nonincreasing']['verdict']} "
           f"strict={v['strictly_decreasing']['verdict']} "
@@ -305,7 +311,8 @@ def cmd_oracle(args) -> int:
         # the oracles' own range checks (dimension, exponent, eps, mu)
         raise UsageError(f"oracle --case {case}: {exc}") from None
     out = _outdir(resolve_config(args))
-    _write(os.path.join(out, "oracle.json"), _json(table.as_dict()))
+    with open_artifact(os.path.join(out, "oracle.json")) as fh:
+        fh.write(_json(table.as_dict()))
     print(json.dumps(table.values, sort_keys=True))
     return EXIT_OK
 

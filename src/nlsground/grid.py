@@ -57,6 +57,21 @@ class ConfigurationError(ValueError):
     """Invalid grid or run configuration."""
 
 
+def open_artifact(path):
+    """Open path for writing as a new UTF-8 text file.
+
+    Whatever is at path is unlinked first, so a link there is replaced,
+    not written through, and the text goes to a fresh inode: ext4
+    (auto_da_alloc) forces writeback of a file truncated in place, and
+    the next rewrite of it waits for the disk.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "w", encoding="utf-8")
+
+
 def _load_flapack():
     """scipy.linalg._flapack, loaded from its file without importing scipy.
 
@@ -208,7 +223,7 @@ class GridFunction:
         the transient strings small.
         """
         r, u = self.grid.nodes, self.values
-        with open(path, "w") as fh:
+        with open_artifact(path) as fh:
             fh.write("r,u\n")
             for i in range(0, r.size, _CSV_CHUNK):
                 rows = np.column_stack((r[i:i + _CSV_CHUNK], u[i:i + _CSV_CHUNK]))

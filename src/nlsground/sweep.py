@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import ConfigurationError, RadialGrid
+from .grid import ConfigurationError, RadialGrid, open_artifact
 from .nonlinearity import NonlinearitySpec, check_conditions
 from .functional import NonconformanceError
 from .optimizer import SolveOptions, SolveReport, _gate, minimize, multistart_minimize
@@ -66,7 +66,7 @@ class SweepResult:
         }
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
+        with open_artifact(path) as fh:
             fh.write("m,E,mu,converged\n")
             for m, e, mu, c in zip(self.masses, self.energies,
                                    self.multipliers, self.converged):

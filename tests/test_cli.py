@@ -27,6 +27,13 @@ from nlsground.nonlinearity import power
 from nlsground.optimizer import DiagnosticError
 
 
+def _env_with_src(**extra):
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 SOLVE_CFG = "problem.builtin = pure_power\nproblem.param.p = 8\nproblem.dim = 1\nsolve.mass = 1\n"
 # config files whose values are not numbers where the commands need them,
 # or that name a key the commands do not read
@@ -220,6 +227,46 @@ class TestConfigRoundtrip:
 
         with pytest.raises(UsageError):
             parse_config_file(path)
+
+    def test_non_ascii_expression_roundtrip(self, tmp_path):
+        # resolved.cfg is written as UTF-8 and --config reads it back as UTF-8;
+        # ٦ is an Arabic-Indic six, a digit to the expression language
+        argv = ["check", "--dim", "1", "--f-expr", "abs(t)^٦ * t", "--F-expr", "abs(t)^8 / 8"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(argv + ["--out", str(a)]) == EXIT_OK
+        assert "problem.f_expr = abs(t)^٦ * t\n".encode() in (a / "resolved.cfg").read_bytes()
+        assert main(["check", "--config", str(a / "resolved.cfg"), "--out", str(b)]) == EXIT_OK
+        assert (a / "conditions.json").read_bytes() == (b / "conditions.json").read_bytes()
+        assert parse_config_file(b / "resolved.cfg") == {
+            **parse_config_file(a / "resolved.cfg"), "output.dir": str(b)}
+
+    def test_ascii_locale(self, tmp_path):
+        # under the C locale with neither UTF-8 mode nor locale coercion, a
+        # UTF-8 config is read as UTF-8, a config that is not UTF-8 is a
+        # usage error naming its line, and the sweep's sparkline prints as
+        # escapes: no traceback from locale-dependent I/O
+        env = _env_with_src(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "nlsground.cli", *argv],
+                                  cwd=tmp_path, env=env, capture_output=True,
+                                  encoding="utf-8", timeout=120)
+
+        (tmp_path / "user.cfg").write_bytes(
+            "problem.dim = 1\nproblem.f_expr = abs(t)^٦ * t\n"
+            "problem.F_expr = abs(t)^8 / 8\n".encode())
+        done = run("check", "--config", "user.cfg", "--out", "a")
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert "abs(t)^٦ * t".encode() in (tmp_path / "a" / "resolved.cfg").read_bytes()
+        (tmp_path / "latin1.cfg").write_bytes(b"problem.dim = 1\n# ok\nproblem.f_expr = t\xb2\n")
+        done = run("check", "--config", "latin1.cfg", "--out", "b")
+        assert (done.returncode, done.stderr) == (
+            EXIT_USAGE, "error: latin1.cfg:3: not UTF-8 text (invalid start byte)\n")
+        done = run("sweep", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
+                   "--masses", "1,2", "--radius", "30", "--points", "401", "--stretch", "60",
+                   "--out", "c")
+        assert done.returncode == EXIT_OK
+        assert done.stdout.splitlines()[0] == "E_m: \\u2588_"
 
 
 class TestCheckCommand:
@@ -427,9 +474,11 @@ class TestSolveCommand:
     def test_determinism_byte_for_byte(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(self.ARGS + ["--out", str(a)])
+        first = {name: (a / name).read_bytes() for name in ("report.json", "profile.csv")}
         main(self.ARGS + ["--out", str(b)])
-        assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
-        assert (a / "profile.csv").read_bytes() == (b / "profile.csv").read_bytes()
+        main(self.ARGS + ["--out", str(a)])  # a rerun into the populated directory
+        for name, data in first.items():
+            assert (a / name).read_bytes() == (b / name).read_bytes() == data
 
         def stripped(path):
             return [ln for ln in path.read_text().splitlines()
@@ -524,6 +573,11 @@ class TestSweepCommand:
                                              "budget"}
             assert int(fields["projections"]) > int(fields["iterations"])
             assert int(fields["brackets"]) >= int(fields["projections"])
+        # a rerun into the populated directory writes the same bytes
+        first = {name: (tmp_path / name).read_bytes() for name in ("sweep.csv", "verdicts.json")}
+        assert main(self.ARGS + ["--out", str(tmp_path)]) == EXIT_OK
+        for name, data in first.items():
+            assert (tmp_path / name).read_bytes() == data
 
     def test_nonconforming_spec_exits_nonconformance(self, tmp_path, capsys):
         # the gate runs once before the first point, so a spec that fails
@@ -629,9 +683,6 @@ def test_import_path_loads_only_scipys_flapack():
     # the subpackages that share scipy.special are never loaded
     code = ("import sys, nlsground.cli; "
             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_env_with_src(), capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out.split() == ["scipy.linalg._flapack"]

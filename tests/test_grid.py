@@ -334,6 +334,40 @@ class TestProfileIO:
         row_writer(u, tmp_path / "rows.csv")
         assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
+    def test_rewrite_makes_a_fresh_file(self, tmp_path):
+        g = make_grid(2, 5.0, 64)
+        u = GridFunction(g, np.linspace(1.0, 0.0, 64))
+        u.to_csv(tmp_path / "fresh.csv")
+        path = tmp_path / "profile.csv"
+        GridFunction(make_grid(2, 5.0, 640), np.ones(640)).to_csv(path)
+        kept = tmp_path / "kept.csv"
+        os.link(path, kept)  # holds the old inode, so its number cannot be reused
+        old = kept.read_bytes()
+        assert len(old) > len((tmp_path / "fresh.csv").read_bytes())
+        u.to_csv(path)
+        # exactly a fresh write's bytes, on a new inode; the old file is untouched
+        assert path.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+        assert path.stat().st_ino != kept.stat().st_ino
+        assert kept.read_bytes() == old
+
+    def test_link_at_path_is_replaced(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"keep me\n")
+        path = tmp_path / "profile.csv"
+        path.symlink_to(target)
+        u = GridFunction(make_grid(1, 1.0, 32), np.ones(32))
+        u.to_csv(path)
+        assert not path.is_symlink()
+        assert np.array_equal(GridFunction.from_csv(path, u.grid).values, u.values)
+        assert target.read_bytes() == b"keep me\n"
+
+    def test_directory_at_path_raises(self, tmp_path):
+        (tmp_path / "profile.csv").mkdir()
+        u = GridFunction(make_grid(1, 1.0, 32), np.ones(32))
+        with pytest.raises(IsADirectoryError):
+            u.to_csv(tmp_path / "profile.csv")
+        assert (tmp_path / "profile.csv").is_dir()
+
     def test_rejects_mismatched_grid(self, tmp_path):
         g = make_grid(2, 5.0, 64)
         other = make_grid(2, 5.0, 65)
