@@ -151,18 +151,21 @@ def build_grid(cfg: dict, N: int):
 
 
 def build_options(cfg: dict, mass: float) -> SolveOptions:
-    return SolveOptions(
-        mass=mass,
-        max_iters=_number(cfg, "solve.max_iters", int, 4000),
-        grad_tol=_number(cfg, "solve.grad_tol", float, 1e-8),
-        seed=_number(cfg, "solve.seed", int, 0),
-        check_hypotheses=cfg.get("solve.force", "false").lower() != "true",
-    )
+    """SolveOptions at mass; a setting cfg leaves out keeps its default."""
+    given = {name: _number(cfg, f"solve.{name}", kind)
+             for name, kind in (("max_iters", int), ("grad_tol", float), ("seed", int))
+             if f"solve.{name}" in cfg}
+    return SolveOptions(mass=mass, **given,
+                        check_hypotheses=cfg.get("solve.force", "false").lower() != "true")
 
 
 def _outdir(cfg: dict) -> str:
     out = cfg.get("output.dir", "runs/latest")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except UnicodeEncodeError:
+        raise UsageError(f"output directory {out!r} has no name in the file-system "
+                         f"encoding {sys.getfilesystemencoding()}") from None
     return out
 
 
@@ -310,6 +313,11 @@ def cmd_oracle(args) -> int:
     except ValueError as exc:
         # the oracles' own range checks (dimension, exponent, eps, mu)
         raise UsageError(f"oracle --case {case}: {exc}") from None
+    except OverflowError:
+        given = " ".join(f"--{k} {getattr(args, k)}" for k in reads
+                         if getattr(args, k) is not None)
+        raise UsageError(f"oracle --case {case}: a value computed from {given} "
+                         "overflows a double") from None
     out = _outdir(resolve_config(args))
     with open_artifact(os.path.join(out, "oracle.json")) as fh:
         fh.write(_json(table.as_dict()))
@@ -390,19 +398,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
+        try:
+            return _COMMANDS[args.command](args)
+        except DiagnosticError as exc:
+            print(f"diagnostic failure: {exc}", file=sys.stderr)
+            if exc.iterate is not None:
+                # a usage error from _outdir reaches the handlers below
+                path = os.path.join(_outdir(resolve_config(args)), "diagnostic_iterate.csv")
+                exc.iterate.to_csv(path)
+                print(f"iterate dumped to {path}", file=sys.stderr)
+            return EXIT_NONCONFORMANCE
     except (UsageError, ExpressionError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonconformanceError as exc:
         print(f"nonconformance: {exc}", file=sys.stderr)
-        return EXIT_NONCONFORMANCE
-    except DiagnosticError as exc:
-        print(f"diagnostic failure: {exc}", file=sys.stderr)
-        if exc.iterate is not None:
-            path = os.path.join(_outdir(resolve_config(args)), "diagnostic_iterate.csv")
-            exc.iterate.to_csv(path)
-            print(f"iterate dumped to {path}", file=sys.stderr)
         return EXIT_NONCONFORMANCE
 
 

@@ -58,7 +58,8 @@ class ConfigurationError(ValueError):
 
 
 def open_artifact(path):
-    """Open path for writing as a new UTF-8 text file.
+    """Open path for writing as a new UTF-8 text file; a surrogate escape
+    (an undecodable byte of argv or a path) is written as that byte.
 
     Whatever is at path is unlinked first, so a link there is replaced,
     not written through, and the text goes to a fresh inode: ext4
@@ -69,7 +70,7 @@ def open_artifact(path):
         os.unlink(path)
     except FileNotFoundError:
         pass
-    return open(path, "w", encoding="utf-8")
+    return open(path, "w", encoding="utf-8", errors="surrogateescape")
 
 
 def _load_flapack():

@@ -387,19 +387,18 @@ def builtin(name: str, N: int, **params) -> NonlinearitySpec:
     return ctor(N, **params)
 
 
-def from_callables(name: str, f, F, claimed=(), params=None) -> NonlinearitySpec:
-    """Wrap user-supplied callables (e.g. parsed expressions) as a spec."""
-    return NonlinearitySpec(
-        name=name, f=f, F=F, claimed=frozenset(claimed), params=dict(params or {})
-    )
+def from_callables(name: str, f, F, params=None) -> NonlinearitySpec:
+    """Wrap user callables (e.g. parsed expressions) as a spec claiming no hypothesis."""
+    return NonlinearitySpec(name=name, f=f, F=F, claimed=frozenset(),
+                            params=dict(params or {}))
 
 
 # ---------------------------------------------------------------------------
 # verdict machinery
 
 
-def _witness(ts, qs, k=4):
-    idx = np.linspace(0, len(ts) - 1, min(k, len(ts))).astype(int)
+def _witness(ts, qs):
+    idx = np.linspace(0, len(ts) - 1, min(4, len(ts))).astype(int)
     return [{"t": float(ts[i]), "value": float(qs[i])} for i in idx]
 
 

@@ -82,11 +82,8 @@ class DiagnosticError(RuntimeError):
 class SolveOptions:
     mass: float
     max_iters: int = 4000
-    grad_tol: float = 1e-7
+    grad_tol: float = 1e-8
     seed: int = 0
-    noise: float = 0.0
-    init_width: float = 1.0
-    custom_profile: GridFunction | None = None  # start here instead of a gaussian
     check_hypotheses: bool = True
 
     def __post_init__(self):
@@ -573,16 +570,22 @@ def _finish(nl: NonlinearitySpec, m: float, u: GridFunction,
     return u, J, False, _certificate(u, nl, m), 0
 
 
-def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions) -> SolveReport:
-    """Single descent run; see module docstring for the scheme and
-    _finish for the endpoint the report certifies."""
+def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions,
+             start: GridFunction | None = None) -> SolveReport:
+    """Single descent run from start (initial_profile(grid, m) if None), used
+    as given: a profile on grid with |mass(start) / m - 1| <= 1e-12.  See
+    module docstring for the scheme and _finish for the endpoint the
+    report certifies."""
     if opts.check_hypotheses:
         _gate(nl, grid.dimension)
     m = opts.mass
-    u = initial_profile(grid, m, seed=opts.seed, noise=opts.noise,
-                        width=opts.init_width, custom=opts.custom_profile)
+    if start is None:
+        start = initial_profile(grid, m)
+    elif start.grid is not grid or not abs(mass(start) / m - 1.0) <= 1e-12:
+        raise ConfigurationError("the start must be a profile on the solve's grid with mass "
+                                 f"m = {m!r}; its mass is {mass(start)!r}")
     engine = _Descent(grid, nl, opts)
-    u, fiber = engine.run(u)
+    u, fiber = engine.run(start)
     profile, energy, converged, cert, newton_steps = _finish(
         nl, m, u, fiber, engine.termination != "budget")
     return SolveReport(
@@ -622,15 +625,12 @@ def multistart_minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptio
     if opts.check_hypotheses:
         _gate(nl, grid.dimension)
         opts = replace(opts, check_hypotheses=False)
-    replicas = []
+    reports = []
     for i in range(restarts):
-        replicas.append(replace(
-            opts,
-            seed=opts.seed + i,
-            noise=opts.noise if i == 0 else max(opts.noise, 0.1),
-            init_width=opts.init_width * _WIDTH_CYCLE[i % len(_WIDTH_CYCLE)],
-        ))
-    reports = [minimize(grid, nl, ro) for ro in replicas]
+        seed = opts.seed + i
+        start = initial_profile(grid, opts.mass, seed=seed, noise=0.0 if i == 0 else 0.1,
+                                width=_WIDTH_CYCLE[i % len(_WIDTH_CYCLE)])
+        reports.append(minimize(grid, nl, replace(opts, seed=seed), start))
     converged = [r for r in reports if r.converged]
     pool = converged if converged else reports
     best = min(pool, key=lambda r: r.energy)

@@ -32,8 +32,10 @@ import numpy as np
 from .grid import sphere_area
 
 # Gauss-Legendre panels of the bubble quadratures on [0, 1] (a quarter as
-# many on each geometric tail segment, see _quad_algebraic_tail)
+# many on each geometric tail segment, see _quad_algebraic_tail), and the
+# radius where the bubble's analytic tail takes over from the quadrature
 _BUBBLE_PANELS = 160
+_TAIL_CUTOFF = 1e6
 
 
 @dataclass
@@ -49,9 +51,9 @@ class OracleTable:
         return asdict(self)
 
 
-def _gauss_panels(a: float, b: float, panels: int, order: int = 12):
-    """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    x0, w0 = np.polynomial.legendre.leggauss(order)
+def _gauss_panels(a: float, b: float, panels: int):
+    """Composite 12-point Gauss-Legendre nodes/weights on [a, b]."""
+    x0, w0 = np.polynomial.legendre.leggauss(12)
     edges = np.linspace(a, b, panels + 1)
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
@@ -72,12 +74,12 @@ def _with_bound(fn, a, b, panels):
     return fine, abs(fine - coarse)
 
 
-def _quad_algebraic_tail(fn, panels, cutoff=1e6):
-    """Integrate fn over [0, cutoff): [0,1] finely, then geometric panels."""
+def _quad_algebraic_tail(fn, panels):
+    """Integrate fn over [0, _TAIL_CUTOFF): [0,1] finely, then geometric panels."""
     total, err = _with_bound(fn, 0.0, 1.0, panels)
     lo = 1.0
-    while lo < cutoff:
-        hi = min(lo * 8.0, cutoff)
+    while lo < _TAIL_CUTOFF:
+        hi = min(lo * 8.0, _TAIL_CUTOFF)
         v, e = _with_bound(fn, lo, hi, max(panels // 4, 4))
         total += v
         err += e
@@ -140,14 +142,14 @@ class Soliton1D:
             "pohozaev": 2.0 * e_t + (p - 2.0) * e_v,
         }
 
-    def pde_residual(self, n_samples: int = 1000) -> float:
-        """Max residual of -w'' + mu w - |w|^{p-2} w over sampled points.
+    def pde_residual(self) -> float:
+        """Max residual of -w'' + mu w - |w|^{p-2} w over 1000 sampled points.
 
         Uses the chain-rule second derivative of the sech profile, so the
         residual probes the closed form's parameter algebra rather than
         finite-difference noise.
         """
-        x = np.linspace(1e-3, 10.0 / math.sqrt(self.mu), n_samples)
+        x = np.linspace(1e-3, 10.0 / math.sqrt(self.mu), 1000)
         k = 2.0 / (self.p - 2.0)
         z = self.rate * x
         sech = 2.0 * np.exp(-np.abs(z)) / (1.0 + np.exp(-2.0 * np.abs(z)))
@@ -209,16 +211,15 @@ def critical_grad_norm_sq(N: int) -> tuple[float, float]:
         raise ValueError("critical bubble requires N >= 3")
     omega = sphere_area(N)
     c2 = (N * (N - 2.0)) ** ((N - 2.0) / 2.0) * (N - 2.0) ** 2
-    cutoff = 1e6
 
     def integrand(r):
         # |U'(r)|^2 r^{N-1} = c2 r^{N+1} (1+r^2)^{-N}
         return c2 * r ** (N + 1) * (1.0 + r**2) ** (-N)
 
-    total, err = _quad_algebraic_tail(integrand, _BUBBLE_PANELS, cutoff)
+    total, err = _quad_algebraic_tail(integrand, _BUBBLE_PANELS)
     # analytic tail: integrand ~ c2 r^{1-N} (1 - N r^{-2} + ...)
-    tail = c2 * (cutoff ** (2.0 - N) / (N - 2.0) - cutoff ** (-float(N)))
-    bound = c2 * cutoff ** (-float(N) - 2.0) * N * (N + 1) / 2.0
+    tail = c2 * (_TAIL_CUTOFF ** (2.0 - N) / (N - 2.0) - _TAIL_CUTOFF ** (-float(N)))
+    bound = c2 * _TAIL_CUTOFF ** (-float(N) - 2.0) * N * (N + 1) / 2.0
     return omega * (total + tail), omega * (err + bound)
 
 
@@ -240,15 +241,14 @@ class Bubble:
         self.eps = float(eps)
         omega = sphere_area(N)
         c2 = (N * (N - 2.0)) ** ((N - 2.0) / 2.0)
-        cutoff = 1e6
 
         def u2_weighted(r):
             return c2 * (1.0 + r**2) ** (2.0 - N) * r ** (N - 1)
 
-        v, e = _quad_algebraic_tail(u2_weighted, _BUBBLE_PANELS, cutoff)
+        v, e = _quad_algebraic_tail(u2_weighted, _BUBBLE_PANELS)
         # integrand ~ c2 r^{3-N} (1 - (N-2) r^{-2} + ...)
-        tail = c2 * (cutoff ** (4.0 - N) / (N - 4.0) - cutoff ** (2.0 - N))
-        bound = c2 * cutoff ** (-float(N)) * (N - 2.0) * (N - 1.0) / 2.0
+        tail = c2 * (_TAIL_CUTOFF ** (4.0 - N) / (N - 4.0) - _TAIL_CUTOFF ** (2.0 - N))
+        bound = c2 * _TAIL_CUTOFF ** (-float(N)) * (N - 2.0) * (N - 1.0) / 2.0
         self.unit_mass = omega * (v + tail)
         self.mass = eps * self.unit_mass
         g, ge = critical_grad_norm_sq(N)
@@ -288,45 +288,25 @@ class Bubble:
         )
 
 
-def gn_check(N: int, p: float, widths=None, shapes=None) -> float:
-    """Estimate the best Gagliardo-Nirenberg constant by maximizing the
-    Weinstein quotient over a family of radial Gaussian profiles.
+def gn_check(N: int, p: float) -> float:
+    """Weinstein quotient of the gaussian u = exp(-r^2/2), a lower bound
+    for the best Gagliardo-Nirenberg constant C in
 
         ||u||_p^p <= C ||grad u||_2^a ||u||_2^b,
         a = N(p-2)/2,  b = p - a.
 
-    Returns the largest quotient found; by construction every profile of
-    the family satisfies the inequality with this constant.  Used only as
-    a sanity bound in tests.
+    The quotient is invariant under u -> c u(x/s).  Closed forms:
+    ||grad u||^2 = (N/2) ||u||^2 and int_0^inf e^{-k r^2/2} r^{N-1} dr =
+    Gamma(N/2) (2/k)^{N/2} / 2.  Used only as a sanity bound in tests.
     """
-    if shapes is None:
-        shapes = [1.0, 2.0, 4.0]
-    if widths is None:
-        widths = np.geomspace(0.25, 4.0, 9)
     a = N * (p - 2.0) / 2.0
     b = p - a
     if not (0 < a < p):
         raise ValueError("exponent outside the Gagliardo-Nirenberg window")
     omega = sphere_area(N)
-    best = 0.0
-    for q in shapes:
-        for s in widths:
-            # u = exp(-q (r/s)^2 / 2)
-            def moment(k, s=s, q=q):
-                X = s * math.sqrt(200.0 / q)
-                return omega * _quad(
-                    lambda r: np.exp(-k * q * (r / s) ** 2 / 2.0) * r ** (N - 1),
-                    0.0, X, 160,
-                )
 
-            def grad2(s=s, q=q):
-                X = s * math.sqrt(200.0 / q)
-                return omega * _quad(
-                    lambda r: (q * r / s**2) ** 2
-                    * np.exp(-q * (r / s) ** 2) * r ** (N - 1),
-                    0.0, X, 160,
-                )
+    def moment(k):
+        return omega * math.gamma(N / 2.0) * (2.0 / k) ** (N / 2.0) / 2.0
 
-            quotient = moment(p) / (grad2() ** (a / 2.0) * moment(2) ** (b / 2.0))
-            best = max(best, quotient)
-    return best
+    m2 = moment(2.0)
+    return moment(p) / ((0.5 * N * m2) ** (a / 2.0) * m2 ** (b / 2.0))

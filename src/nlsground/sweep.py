@@ -30,7 +30,7 @@ import numpy as np
 from .grid import ConfigurationError, RadialGrid, open_artifact
 from .nonlinearity import NonlinearitySpec, check_conditions
 from .functional import NonconformanceError
-from .optimizer import SolveOptions, SolveReport, _gate, minimize, multistart_minimize
+from .optimizer import SolveOptions, _gate, initial_profile, minimize, multistart_minimize
 from .oracles import critical_grad_norm_sq
 
 _NONINC_TOL = 1e-4
@@ -146,7 +146,8 @@ def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
     descent frame's J.  The hypothesis gate runs once, before the first
     point, and raises NonconformanceError for the whole sweep.  A
     failing point (solver exception) is recorded and skipped; the sweep
-    itself fails only when more than a quarter of the points fail.
+    itself fails only when more than a quarter of the points fail, with
+    a NonconformanceError naming each failed mass and its error.
     """
     masses = np.asarray(list(masses), dtype=float)
     if masses.size < 2 or not np.all(np.diff(masses) > 0):
@@ -170,9 +171,9 @@ def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
         try:
             if prev is not None:
                 warm_starts[k] = "iterate" if prev.converged else "profile"
-                start = prev.iterate if prev.converged else prev.profile
-                candidates.append(("warm", minimize(
-                    grid, nl, replace(point, custom_profile=start))))
+                start = initial_profile(grid, point.mass, custom=prev.iterate
+                                        if prev.converged else prev.profile)
+                candidates.append(("warm", minimize(grid, nl, point, start)))
             if cold_restarts > 0 or prev is None:
                 cold, _ = multistart_minimize(
                     grid, nl, point, restarts=max(cold_restarts, 1))
@@ -188,9 +189,9 @@ def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
     multipliers = np.array([np.nan if r is None else r.multiplier for r in reports])
     converged = np.array([r is not None and r.converged for r in reports])
     if len(failures) > 0.25 * n:
-        raise RuntimeError(
-            f"sweep failed at {len(failures)} of {n} points: {failures}"
-        )
+        raise NonconformanceError(
+            f"sweep failed at {len(failures)} of {n} points: "
+            + "; ".join(f"m={f['mass']!r}: {f['error']}" for f in failures))
     ok = ~np.isnan(energies)
     verdicts = _verdicts(masses[ok], energies[ok], multipliers[ok], converged[ok])
     return SweepResult(

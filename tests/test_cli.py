@@ -24,7 +24,7 @@ from nlsground.cli import (
 )
 from nlsground.expressions import ExpressionError, compile_expression
 from nlsground.nonlinearity import power
-from nlsground.optimizer import DiagnosticError
+from nlsground.optimizer import DiagnosticError, SolveOptions
 
 
 def _env_with_src(**extra):
@@ -32,6 +32,14 @@ def _env_with_src(**extra):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def _run_ascii(cwd, *args):
+    """Run this interpreter on args in cwd under the C locale, with neither
+    UTF-8 mode nor locale coercion."""
+    env = _env_with_src(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          timeout=120)
 
 
 SOLVE_CFG = "problem.builtin = pure_power\nproblem.param.p = 8\nproblem.dim = 1\nsolve.mass = 1\n"
@@ -268,6 +276,40 @@ class TestConfigRoundtrip:
         assert done.returncode == EXIT_OK
         assert done.stdout.splitlines()[0] == "E_m: \\u2588_"
 
+    def test_non_ascii_out_dir_under_ascii_locale(self, tmp_path):
+        # an --out argument that the C locale cannot decode is created under
+        # its own bytes, and resolved.cfg writes those bytes back; a name
+        # from a UTF-8 config that the file-system encoding cannot encode
+        # is a usage error naming that encoding
+        check = ["-m", "nlsground.cli", "check", "--builtin", "log_supercritical", "--dim", "3"]
+        done = _run_ascii(tmp_path, *check, "--out", "é")
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+        assert "output.dir = é\n".encode() in (tmp_path / "é" / "resolved.cfg").read_bytes()
+        done = _run_ascii(tmp_path, *check[:3], "--config", "é/resolved.cfg", "--out", "b")
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+        (tmp_path / "rés.cfg").write_bytes(
+            "problem.builtin = log_supercritical\nproblem.dim = 3\noutput.dir = rés\n".encode())
+        done = _run_ascii(tmp_path, *check[:3], "--config", "rés.cfg")
+        assert (done.returncode, done.stderr) == (EXIT_USAGE, b"error: output directory "
+                                                  b"'r\\xe9s' has no name in the file-system "
+                                                  b"encoding ascii\n")
+
+    def test_unencodable_diagnostic_dump_dir_is_usage(self, tmp_path):
+        # the diagnostic iterate's directory goes through the same check
+        dump = ("import sys, numpy as np; from nlsground import cli, GridFunction, make_grid; "
+                "from nlsground.optimizer import DiagnosticError\n"
+                "def fail(*a, **k):\n"
+                "    g = make_grid(1, 30.0, 101)\n"
+                "    raise DiagnosticError('non-finite J', GridFunction(g, np.exp(-g.nodes)))\n"
+                "cli.multistart_minimize = fail\n"
+                "sys.exit(cli.main(['solve', '--config', 'solve.cfg']))")
+        (tmp_path / "solve.cfg").write_bytes(f"{SOLVE_CFG}output.dir = rés\n".encode())
+        done = _run_ascii(tmp_path, "-c", dump)
+        assert done.returncode == EXIT_USAGE
+        assert done.stderr.decode().splitlines() == [
+            "diagnostic failure: non-finite J",
+            "error: output directory 'r\\xe9s' has no name in the file-system encoding ascii"]
+
 
 class TestCheckCommand:
     def test_log_supercritical_dim3_passes(self, tmp_path):
@@ -501,6 +543,13 @@ class TestSolveCommand:
         assert (out / "diagnostic_iterate.csv").exists()
         assert not (cwd / "diagnostic_iterate.csv").exists()
 
+    def test_unset_descent_settings_keep_their_defaults(self):
+        assert cli.build_options({}, 2.0) == SolveOptions(mass=2.0)
+        cfg = {"solve.max_iters": "9", "solve.grad_tol": "1e-5", "solve.seed": "3",
+               "solve.force": "true"}
+        assert cli.build_options(cfg, 2.0) == SolveOptions(
+            mass=2.0, max_iters=9, grad_tol=1e-5, seed=3, check_hypotheses=False)
+
     def test_missing_mass_usage(self, tmp_path):
         assert main(["solve", "--builtin", "pure_power", "--param", "p=8",
                      "--dim", "1", "--out", str(tmp_path)]) == EXIT_USAGE
@@ -592,6 +641,17 @@ class TestSweepCommand:
         assert err.rstrip().endswith(
             "pass check_hypotheses=False (--force on the command line) to override")
 
+    def test_too_many_failed_points_exit_nonconformance(self, tmp_path, capsys):
+        # at m = 1e-300 the fiber projection finds no root; one failed point
+        # of two is more than a quarter, and the sweep ends with one line
+        code = main(["sweep", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
+                     "--masses", "1e-300,1", "--points", "301", "--out", str(tmp_path)])
+        assert code == EXIT_NONCONFORMANCE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("nonconformance: sweep failed at 1 of 2 points: m=1e-300: "
+                                 "no Pohozaev sign change")
+
     def test_failed_point_on_stderr(self, tmp_path, monkeypatch, capsys):
         from types import SimpleNamespace
 
@@ -670,11 +730,23 @@ class TestOracleCommand:
         assert table["values"]["mass"] == pytest.approx(2.2258253, rel=1e-6)
 
     def test_gn_table(self, tmp_path):
-        code = main(["oracle", "--case", "gn", "--dim", "1", "--p", "6",
+        code = main(["oracle", "--case", "gn", "--dim", "3", "--p", "3",
                      "--out", str(tmp_path)])
         assert code == EXIT_OK
         table = json.loads((tmp_path / "oracle.json").read_text())
-        assert table["values"]["best_constant_estimate"] > 0
+        # the gaussian's quotient in closed form
+        assert table["values"]["best_constant_estimate"] == 0.17018930415325048
+
+    @pytest.mark.parametrize("argv, given", [
+        (["--case", "bubble", "--dim", "1000"], "--dim 1000"),
+        (["--case", "gn", "--dim", "1", "--p", "1e308"], "--dim 1 --p 1e+308"),
+        (["--case", "gn", "--dim", "400", "--p", "2.001"], "--dim 400 --p 2.001"),
+    ])
+    def test_overflow_is_usage(self, tmp_path, capsys, argv, given):
+        assert main(["oracle", *argv, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: oracle --case {argv[1]}: a value computed from {given} overflows a double\n")
+        assert not (tmp_path / "oracle.json").exists()
 
 
 def test_import_path_loads_only_scipys_flapack():

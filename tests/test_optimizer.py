@@ -208,10 +208,23 @@ class TestMinimize:
 
         shifted = sphere_retract(dilate(0.5, solved.profile), 1.0)
         opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=500,
-                            custom_profile=shifted,
                             check_hypotheses=False)
-        rep = minimize(soliton_grid, p8, opts)
+        rep = minimize(soliton_grid, p8, opts, start=shifted)
         assert rep.energy == pytest.approx(solved.energy, rel=1e-5)
+
+    def test_rejects_a_start_off_the_sphere(self, solved, soliton_grid, p8):
+        # the start is used as given, never retracted: one off S_m or on
+        # another grid is an error
+        opts = SolveOptions(mass=1.0, max_iters=5, check_hypotheses=False)
+        off = GridFunction(soliton_grid, (1.0 + 1e-11) * solved.profile.values)
+        with pytest.raises(ConfigurationError, match="its mass is 1.00000000002"):
+            minimize(soliton_grid, p8, opts, start=off)
+        with pytest.raises(ConfigurationError, match="m = 2.0"):
+            minimize(soliton_grid, p8, SolveOptions(mass=2.0, check_hypotheses=False),
+                     start=solved.profile)
+        other = make_grid(1, 30.0, 2001, stretch=60.0)
+        with pytest.raises(ConfigurationError, match="the solve's grid"):
+            minimize(other, p8, opts, start=solved.profile)
 
     def test_log_n2_positive_multiplier(self):
         nl = builtin("log_supercritical", 2)
@@ -494,9 +507,8 @@ class TestTermination:
         polish = optimizer._newton_polish
         monkeypatch.setattr(optimizer, "_newton_polish",
                             lambda u, *a: starts.append(u) or polish(u, *a))
-        opts = SolveOptions(mass=1.0, grad_tol=1e-300, max_iters=50,
-                            custom_profile=solved.profile, check_hypotheses=False)
-        rep = minimize(soliton_grid, p8, opts)
+        opts = SolveOptions(mass=1.0, grad_tol=1e-300, max_iters=50, check_hypotheses=False)
+        rep = minimize(soliton_grid, p8, opts, start=solved.profile)
         assert rep.termination == "step_collapse"
         assert rep.iterations == 1
         assert rep.line_search_trials == 54

@@ -194,6 +194,12 @@ class TestAscendingChain:
             termination="gradient", iterate=initial_profile(grid, m, width=0.5),
             mass=m)
 
+    @staticmethod
+    def started_from(start, profile, m):
+        """start is profile put on S_m, as the sweep hands it to minimize."""
+        expected = initial_profile(profile.grid, m, custom=profile)
+        return np.array_equal(start.values, expected.values)
+
     def run_chain(self, monkeypatch, cold_restarts, warm=None, cold=None):
         """Sweep with faked solves; warm(grid, m) and cold(grid, m), if
         given, return the warm descent's and the cold multistart's report
@@ -203,8 +209,8 @@ class TestAscendingChain:
         warm = warm or self.fake_report
         cold = cold or self.fake_report
 
-        def fake_minimize(grid, nl, opts):
-            warm_calls.append(opts)
+        def fake_minimize(grid, nl, opts, start):
+            warm_calls.append((opts, start))
             return warm(grid, opts.mass)
 
         def fake_multistart(grid, nl, opts, restarts):
@@ -223,7 +229,7 @@ class TestAscendingChain:
     def test_minimize_calls_per_point(self, monkeypatch, cold_restarts):
         masses = self.MASSES
         res, warm_calls, cold_calls = self.run_chain(monkeypatch, cold_restarts)
-        assert [o.mass for o in warm_calls] == masses[1:]
+        assert [o.mass for o, _ in warm_calls] == masses[1:]
         cold = masses[:1] if cold_restarts == 0 else masses
         assert cold_calls == [m for m in cold for _ in range(max(cold_restarts, 1))]
         assert list(res.converged) == [False, False, True, True]
@@ -234,9 +240,9 @@ class TestAscendingChain:
         # a converged point hands on its descent iterate, an unconverged
         # one its reported profile
         res, warm_calls, _ = self.run_chain(monkeypatch, cold_restarts)
-        for prev, opts in zip(res.reports, warm_calls):
+        for prev, (opts, start) in zip(res.reports, warm_calls):
             expected = prev.iterate if prev.converged else prev.profile
-            assert opts.custom_profile is expected
+            assert self.started_from(start, expected, opts.mass)
         assert res.warm_starts == [None, "profile", "profile", "iterate"]
         # the first point has only the cold chain; elsewhere the warm
         # report wins the tie with the cold replicas' equal energy
@@ -273,7 +279,7 @@ class TestAscendingChain:
         assert res.chains == ["cold", "warm", "cold", "warm"]
         assert list(res.energies) == [2.0 / 0.5, 1.0 / 1.0, 0.5 / 2.0, 1.0 / 4.0]
         # the next warm descent starts from the kept report's iterate
-        assert warm_calls[2].custom_profile is res.reports[2].iterate
+        assert self.started_from(warm_calls[2][1], res.reports[2].iterate, 4.0)
 
     def test_failed_point(self, monkeypatch):
         def warm(grid, m):
@@ -290,8 +296,8 @@ class TestAscendingChain:
         # the failed warm descent was given the unconverged m = 1 profile
         assert res.warm_starts == [None, "profile", "profile", "profile"]
         # the point after it warm-starts from the last good report, m = 1's
-        assert [o.mass for o in warm_calls] == [1.0, 2.0, 4.0]
-        assert warm_calls[2].custom_profile is res.reports[1].profile
+        assert [o.mass for o, _ in warm_calls] == [1.0, 2.0, 4.0]
+        assert self.started_from(warm_calls[2][1], res.reports[1].profile, 4.0)
 
     def test_failed_cold_first_point(self, monkeypatch):
         def cold(grid, m):
@@ -305,7 +311,7 @@ class TestAscendingChain:
         assert res.warm_starts == [None, None, "profile", "iterate"]
         # with no good report yet, the next point starts cold
         assert cold_calls == [0.5, 1.0]
-        assert [o.mass for o in warm_calls] == [2.0, 4.0]
+        assert [o.mass for o, _ in warm_calls] == [2.0, 4.0]
 
     def test_more_than_a_quarter_failed_raises(self, monkeypatch):
         def warm(grid, m):
@@ -313,7 +319,8 @@ class TestAscendingChain:
                 raise RuntimeError("stalled")
             return self.fake_report(grid, m)
 
-        with pytest.raises(RuntimeError, match="2 of 4 points"):
+        message = "^sweep failed at 2 of 4 points: m=2.0: stalled; m=4.0: stalled$"
+        with pytest.raises(NonconformanceError, match=message):
             self.run_chain(monkeypatch, 0, warm=warm)
 
 
