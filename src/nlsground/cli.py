@@ -166,11 +166,25 @@ def _outdir(cfg: dict) -> str:
     except UnicodeEncodeError:
         raise UsageError(f"output directory {out!r} has no name in the file-system "
                          f"encoding {sys.getfilesystemencoding()}") from None
+    except OSError as exc:  # e.g. a regular file on the path
+        raise UsageError(f"cannot create output directory {out!r}: {exc.strerror}") from None
     return out
 
 
+def _strict(obj):
+    """obj with every non-finite float, which JSON cannot hold, as None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a non-finite float is written as null."""
+    return json.dumps(_strict(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_check(args) -> int:
@@ -182,7 +196,7 @@ def cmd_check(args) -> int:
     report = check_conditions(nl, N)
     out = _outdir(cfg)
     with open_artifact(os.path.join(out, "conditions.json")) as fh:
-        fh.write(report.to_json(indent=2) + "\n")
+        fh.write(_json(report.as_dict()))
     with open_artifact(os.path.join(out, "resolved.cfg")) as fh:
         fh.write(dump_config(cfg))
     battery = {h: report.verdict(h) for h in _CHECK_BATTERY}
@@ -296,6 +310,8 @@ def cmd_oracle(args) -> int:
         raise UsageError("oracle --case bubble requires --dim")
     if case == "gn" and (args.dim is None or args.p is None):
         raise UsageError("oracle --case gn requires --dim and --p")
+    given = " ".join(f"--{k} {getattr(args, k)}" for k in reads
+                     if getattr(args, k) is not None)
     try:
         if case == "soliton":
             table = Soliton1D(args.p or 8.0, args.mu or 1.0).table()
@@ -314,10 +330,13 @@ def cmd_oracle(args) -> int:
         # the oracles' own range checks (dimension, exponent, eps, mu)
         raise UsageError(f"oracle --case {case}: {exc}") from None
     except OverflowError:
-        given = " ".join(f"--{k} {getattr(args, k)}" for k in reads
-                         if getattr(args, k) is not None)
         raise UsageError(f"oracle --case {case}: a value computed from {given} "
                          "overflows a double") from None
+    bad = [f"{part}.{key}" for part in ("values", "error_bounds")
+           for key, v in getattr(table, part).items() if not math.isfinite(v)]
+    if bad:
+        raise UsageError(f"oracle --case {case}: {', '.join(bad)} computed from {given} "
+                         "not finite in a double")
     out = _outdir(resolve_config(args))
     with open_artifact(os.path.join(out, "oracle.json")) as fh:
         fh.write(_json(table.as_dict()))

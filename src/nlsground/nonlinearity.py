@@ -417,7 +417,10 @@ def _loglog_slope(ts, qs):
 
 
 def _limit_zero(ts, qs, approach_zero: bool):
-    """Verdict on 'quotient -> 0' as t -> 0 (approach_zero) or t -> inf."""
+    """Verdict on 'quotient -> 0' as t -> 0 (approach_zero) or t -> inf:
+    by the log-log slope over the two decades nearest the limit point, or,
+    where that fit is poor, fail for a quotient that rises at every sample
+    of the last decade and ends above ten times its start there."""
     if not np.all(np.isfinite(qs)):
         return "inconclusive", "non-finite quotient samples"
     scale = float(np.max(np.abs(qs))) if qs.size else 0.0
@@ -430,6 +433,11 @@ def _limit_zero(ts, qs, approach_zero: bool):
     if slope is None:
         return "inconclusive", "too few usable samples"
     if r2 < _FIT_MIN_R2:
+        # exponential growth bends the log-log line, but still rises
+        near = ts <= ts.min() * 10.0 if approach_zero else ts >= ts.max() / 10.0
+        q = qs[near][::-1] if approach_zero else qs[near]
+        if q.size > 1 and np.all(np.diff(q) > 0.0) and q[-1] > 10.0 * q[0]:
+            return "fail", "quotient rises toward the limit point"
         return "inconclusive", f"poor log-log fit (r2={r2:.3f})"
     if want * slope >= _SLOPE_TOL:
         return "pass", f"log-log slope {slope:.3f}"

@@ -1,25 +1,24 @@
-"""Closed-form reference solutions with independent quadrature.
+"""Closed-form reference solutions.
 
-Reference values here are produced from analytic profiles by composite
-Gauss-Legendre quadrature, deliberately distinct from the cell quadrature
-of the grid module, so that agreement between solver output and oracle is
-evidence rather than tautology.  Nothing in this module imports the
-functional or optimizer modules.
+Every reference value here is a product of powers and Beta functions,
+evaluated through math.lgamma and sharing nothing with the cell
+quadrature of the grid module, so that agreement between solver output
+and oracle is evidence rather than tautology.  Nothing in this module
+imports the functional or optimizer modules.
 
-Two families are covered:
+Two families are covered: the 1D sech soliton of the pure power
+f(t) = |t|^{p-2} t (Soliton1D), with the maps mu <-> mass and the
+ground-state energy curve they induce, and the critical Aubin-Talenti
+bubble (Bubble), whose gradient norm is S^{N/2} for the best Sobolev
+constant S (critical_grad_norm_sq).
 
-  * the 1D sech soliton for the pure power f(t) = |t|^{p-2} t, which
-    solves -w'' + mu w = |w|^{p-2} w exactly and gives closed-form maps
-    mu <-> mass and the induced ground-state energy curve, and
-
-  * the critical bubble U(x) = [N(N-2)]^{(N-2)/4} (1+|x|^2)^{-(N-2)/2},
-    which solves -Delta U = U^{(N+2)/(N-2)} with zero multiplier; its
-    gradient norm equals S^{N/2} for the best Sobolev constant S and its
-    action equals S^{N/2}/N.
-
-Every reported value carries an error bound estimated by comparing two
-quadrature resolutions (plus analytic tail remainders for the
-polynomially decaying bubble).
+Each value is exp(l_1 + ... + l_n) for the logs l_i of its factors, so
+it stays finite where a factor alone would overflow.  Its error bound is
+the rounding budget of that evaluation: the value times _ROUNDING
+(1 + |l_i|) summed over the logs, since each log is rounded to a few
+ulps of its size (lgamma and a log near 0 to a few eps) and exp turns
+the sum's absolute error into a relative one.  A difference of such
+values (action, Pohozaev) is bounded by the sum of its terms' bounds.
 """
 
 from __future__ import annotations
@@ -31,11 +30,8 @@ import numpy as np
 
 from .grid import sphere_area
 
-# Gauss-Legendre panels of the bubble quadratures on [0, 1] (a quarter as
-# many on each geometric tail segment, see _quad_algebraic_tail), and the
-# radius where the bubble's analytic tail takes over from the quadrature
-_BUBBLE_PANELS = 160
-_TAIL_CUTOFF = 1e6
+# the rounding budget per log and unit of its size, see the module docstring
+_ROUNDING = 8.0 * float(np.finfo(float).eps)
 
 
 @dataclass
@@ -51,52 +47,41 @@ class OracleTable:
         return asdict(self)
 
 
-def _gauss_panels(a: float, b: float, panels: int):
-    """Composite 12-point Gauss-Legendre nodes/weights on [a, b]."""
-    x0, w0 = np.polynomial.legendre.leggauss(12)
-    edges = np.linspace(a, b, panels + 1)
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    x = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-    w = (half[:, None] * w0[None, :]).ravel()
-    return x, w
+def _log_beta(a: float, b: float) -> tuple:
+    """The logs whose sum is log B(a, b) = log Gamma(a) Gamma(b) / Gamma(a+b)."""
+    return math.lgamma(a), math.lgamma(b), -math.lgamma(a + b)
 
 
-def _quad(fn, a: float, b: float, panels: int) -> float:
-    x, w = _gauss_panels(a, b, panels)
-    return float(np.dot(w, fn(x)))
-
-
-def _with_bound(fn, a, b, panels):
-    coarse = _quad(fn, a, b, max(panels // 2, 2))
-    fine = _quad(fn, a, b, panels)
-    return fine, abs(fine - coarse)
-
-
-def _quad_algebraic_tail(fn, panels):
-    """Integrate fn over [0, _TAIL_CUTOFF): [0,1] finely, then geometric panels."""
-    total, err = _with_bound(fn, 0.0, 1.0, panels)
-    lo = 1.0
-    while lo < _TAIL_CUTOFF:
-        hi = min(lo * 8.0, _TAIL_CUTOFF)
-        v, e = _with_bound(fn, lo, hi, max(panels // 4, 4))
-        total += v
-        err += e
-        lo = hi
-    return total, err
+def _exp_sum(*logs: float) -> tuple[float, float]:
+    """exp(sum of logs), +inf where it overflows, and its rounding bound."""
+    try:
+        value = math.exp(math.fsum(logs))
+    except OverflowError:
+        value = math.inf
+    return value, value * _ROUNDING * sum(1.0 + abs(v) for v in logs)
 
 
 class Soliton1D:
     """Exact sech-profile solution of -w'' + mu w = |w|^{p-2} w on the line.
 
-        w(x) = (p mu / 2)^{1/(p-2)} sech^{2/(p-2)}( (p-2) sqrt(mu) x / 2 )
+        w(x) = A sech^k(B x),  k = 2/(p-2),  A = (p mu / 2)^{k/2},
+        B = sqrt(mu) / k.
+
+    With M(a) = int_R sech^a = B(a/2, 1/2) and M(2k+2) = M(2k) 2k/(2k+1):
+
+        mass        = A^2 M(2k) / B,
+        ||w'||^2    = A^2 B k^2 M(2k) / (2k+1),
+        int |w|^p/p = A^p M(2k+2) / (p B),   since p k = 2k+2.
+
+    The last is evaluated on its own, not from the first two, so the
+    Pohozaev value P = ||w'||^2 - (p-2)/2 int |w|^p/p checks the algebra
+    of A, B and k instead of vanishing by construction.
 
     Mass supercritical for p > 6, so the mass is strictly decreasing in mu
     and the inverse map mu(m) is well defined.
     """
 
-    def __init__(self, p: float, mu: float, panels: int = 120):
+    def __init__(self, p: float, mu: float):
         if not 6.0 < p < math.inf:
             raise ValueError(f"1D mass-supercritical window requires finite p > 6, got {p}")
         if not 0 < mu < math.inf:
@@ -105,42 +90,34 @@ class Soliton1D:
         self.mu = float(mu)
         self.amplitude = (p * mu / 2.0) ** (1.0 / (p - 2.0))
         self.rate = (p - 2.0) * math.sqrt(mu) / 2.0
-        # w^2 decays like exp(-2 sqrt(mu) x); 80/sqrt(mu) puts the tail
-        # below 1e-69 relative
-        self.cutoff = 80.0 / math.sqrt(mu)
-        self._panels = panels
-        self._compute()
+        k = 2.0 / (p - 2.0)
+        # the logs of A^2 = (p mu / 2)^k and A^p = A^2 (p mu / 2) term by
+        # term, and B = sqrt(mu) / k
+        log_pmu2 = (math.log(p), math.log(mu), -math.log(2.0))
+        log_a2 = tuple(k * v for v in log_pmu2)
+        log_ap = tuple((k + 1.0) * v for v in log_pmu2)
+        log_k, log_root_mu = math.log(2.0) - math.log(p - 2.0), 0.5 * math.log(mu)
+        self.mass, e_m = _exp_sum(*log_a2, *_log_beta(k, 0.5), log_k, -log_root_mu)
+        T, e_t = _exp_sum(*log_a2, *_log_beta(k, 0.5), log_root_mu, log_k,
+                          -math.log(2.0 * k + 1.0))
+        V, e_v = _exp_sum(*log_ap, *_log_beta(k + 1.0, 0.5), -math.log(p), log_k,
+                          -log_root_mu)
+        self.grad_norm_sq = T
+        self.action = 0.5 * T - V
+        # P(w) = ||w'||^2 - (1/2) int (f(w) w - 2 F(w)) = T - (p-2) V / 2
+        self.pohozaev = T - 0.5 * (p - 2.0) * V
+        self.error_bounds = {
+            "mass": e_m,
+            "grad_norm_sq": e_t,
+            "action": 0.5 * e_t + e_v,
+            "pohozaev": e_t + 0.5 * (p - 2.0) * e_v,
+        }
 
     def profile(self, x):
         z = self.rate * np.abs(np.asarray(x, dtype=float))
         k = 2.0 / (self.p - 2.0)
         # sech^k via exp to avoid overflow of cosh at large argument
         return self.amplitude * (2.0 * np.exp(-z) / (1.0 + np.exp(-2.0 * z))) ** k
-
-    def _dprofile(self, x):
-        z = self.rate * np.asarray(x, dtype=float)
-        k = 2.0 / (self.p - 2.0)
-        sech_k = (2.0 * np.exp(-np.abs(z)) / (1.0 + np.exp(-2.0 * np.abs(z)))) ** k
-        return -self.amplitude * k * self.rate * sech_k * np.tanh(z)
-
-    def _compute(self):
-        p, X, n = self.p, self.cutoff, self._panels
-        w, dw = self.profile, self._dprofile
-        # factor 2 throughout: even profiles on the half line (omega_0 = 2)
-        m, e_m = _with_bound(lambda x: w(x) ** 2, 0.0, X, n)
-        T, e_t = _with_bound(lambda x: dw(x) ** 2, 0.0, X, n)
-        V, e_v = _with_bound(lambda x: np.abs(w(x)) ** p / p, 0.0, X, n)
-        self.mass = 2.0 * m
-        self.grad_norm_sq = 2.0 * T
-        self.action = T - 2.0 * V
-        # P(w) = ||w'||^2 - (1/2) int (f(w) w - 2 F(w)) = 2T - (p-2) V
-        self.pohozaev = 2.0 * T - (p - 2.0) * V
-        self.error_bounds = {
-            "mass": 2.0 * e_m,
-            "grad_norm_sq": 2.0 * e_t,
-            "action": e_t + 2.0 * e_v,
-            "pohozaev": 2.0 * e_t + (p - 2.0) * e_v,
-        }
 
     def pde_residual(self) -> float:
         """Max residual of -w'' + mu w - |w|^{p-2} w over 1000 sampled points.
@@ -202,33 +179,29 @@ class Soliton1D:
 
 
 def critical_grad_norm_sq(N: int) -> tuple[float, float]:
-    """Gradient norm of the standard bubble, i.e. S^{N/2}, with error bound.
+    """Gradient norm of the standard bubble, i.e. S^{N/2}, with error bound:
 
-    Finite for every N >= 3 (the bubble's mass is finite only for N >= 5,
-    see Bubble).
+        S^{N/2} = omega_{N-1} c2 B((N+2)/2, (N-2)/2) / 2,
+        c2 = [N(N-2)]^{(N-2)/2} (N-2)^2,
+
+    from |U'(r)|^2 r^{N-1} = c2 r^{N+1} (1+r^2)^{-N}.  Finite for every
+    N >= 3 (the bubble's mass is finite only for N >= 5, see Bubble).
     """
     if N < 3:
         raise ValueError("critical bubble requires N >= 3")
-    omega = sphere_area(N)
-    c2 = (N * (N - 2.0)) ** ((N - 2.0) / 2.0) * (N - 2.0) ** 2
-
-    def integrand(r):
-        # |U'(r)|^2 r^{N-1} = c2 r^{N+1} (1+r^2)^{-N}
-        return c2 * r ** (N + 1) * (1.0 + r**2) ** (-N)
-
-    total, err = _quad_algebraic_tail(integrand, _BUBBLE_PANELS)
-    # analytic tail: integrand ~ c2 r^{1-N} (1 - N r^{-2} + ...)
-    tail = c2 * (_TAIL_CUTOFF ** (2.0 - N) / (N - 2.0) - _TAIL_CUTOFF ** (-float(N)))
-    bound = c2 * _TAIL_CUTOFF ** (-float(N) - 2.0) * N * (N + 1) / 2.0
-    return omega * (total + tail), omega * (err + bound)
+    return _exp_sum(math.log(0.5 * sphere_area(N)), 0.5 * (N - 2.0) * math.log(N * (N - 2.0)),
+                    2.0 * math.log(N - 2.0), *_log_beta(0.5 * (N + 2.0), 0.5 * (N - 2.0)))
 
 
 class Bubble:
     """Aubin-Talenti profile U_eps(x) = eps^{(2-N)/4} U(x/sqrt(eps)).
 
     Solves -Delta U_eps = U_eps^{(N+2)/(N-2)} with multiplier zero; its
-    squared L^2 norm is eps ||U||^2 (finite only when N >= 5), its
-    gradient norm is S^{N/2} independently of eps, and its action is
+    squared L^2 norm is eps ||U||^2 (finite only when N >= 5), with
+
+        ||U||^2 = omega_{N-1} [N(N-2)]^{(N-2)/2} B(N/2, (N-4)/2) / 2,
+
+    its gradient norm is S^{N/2} independently of eps, and its action is
     S^{N/2}/N.
     """
 
@@ -239,23 +212,15 @@ class Bubble:
             raise ValueError(f"need finite eps > 0, got {eps}")
         self.N = int(N)
         self.eps = float(eps)
-        omega = sphere_area(N)
-        c2 = (N * (N - 2.0)) ** ((N - 2.0) / 2.0)
-
-        def u2_weighted(r):
-            return c2 * (1.0 + r**2) ** (2.0 - N) * r ** (N - 1)
-
-        v, e = _quad_algebraic_tail(u2_weighted, _BUBBLE_PANELS)
-        # integrand ~ c2 r^{3-N} (1 - (N-2) r^{-2} + ...)
-        tail = c2 * (_TAIL_CUTOFF ** (4.0 - N) / (N - 4.0) - _TAIL_CUTOFF ** (2.0 - N))
-        bound = c2 * _TAIL_CUTOFF ** (-float(N)) * (N - 2.0) * (N - 1.0) / 2.0
-        self.unit_mass = omega * (v + tail)
-        self.mass = eps * self.unit_mass
+        logs = (math.log(0.5 * sphere_area(N)), 0.5 * (N - 2.0) * math.log(N * (N - 2.0)),
+                *_log_beta(0.5 * N, 0.5 * (N - 4.0)))
+        self.unit_mass, _ = _exp_sum(*logs)
+        self.mass, e_m = _exp_sum(*logs, math.log(eps))
         g, ge = critical_grad_norm_sq(N)
         self.grad_norm_sq = g
         self.action = g / N
         self.error_bounds = {
-            "mass": eps * omega * (e + bound),
+            "mass": e_m,
             "grad_norm_sq": ge,
             "action": ge / N,
         }

@@ -218,7 +218,7 @@ class TestCriterion5FiberProperties:
         for name, N, kw, mass_range in self.CASES:
             nl = builtin(name, N, **kw)
             # dilation invariance and the cocycle law at 1e-5 are limited
-            # by the monotone-cubic resampling error of dilate (O(h^2),
+            # by the linear resampling error of dilate (O(h^2),
             # amplified by the cubic T-sensitivity of J) and by the
             # Dirichlet cut of the widened tail, hence the roomy box
             grid = make_grid(N, 24.0, 24001)

@@ -34,6 +34,13 @@ def _env_with_src(**extra):
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
+def _strict_json(path):
+    """The JSON file at path, parsed with NaN and Infinity refused."""
+    def refuse(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def _run_ascii(cwd, *args):
     """Run this interpreter on args in cwd under the C locale, with neither
     UTF-8 mode nor locale coercion."""
@@ -326,6 +333,23 @@ class TestCheckCommand:
         assert code == EXIT_HYPOTHESIS_FAIL
         report = json.loads((tmp_path / "conditions.json").read_text())
         assert report["hypotheses"]["f5"]["verdict"] == "fail"
+
+    def test_infinite_witness_is_null(self, tmp_path):
+        # F = ln|t| is -inf at 0: its witnesses hold a value JSON cannot
+        code = main(["check", "--dim", "3", "--f-expr", "1/t", "--F-expr", "ln(abs(t))",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_HYPOTHESIS_FAIL
+        report = _strict_json(tmp_path / "conditions.json")
+        assert None in [w["value"] for e in report["hypotheses"].values()
+                        for w in e["witnesses"]]
+
+    def test_out_under_a_regular_file_is_usage(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        out = str(tmp_path / "afile" / "x")
+        code = main(["check", "--builtin", "log_supercritical", "--dim", "3", "--out", out])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: cannot create output directory {out!r}: Not a directory\n")
 
     def test_malformed_expression_usage_error(self, tmp_path):
         code = main(["check", "--dim", "1", "--f-expr", "abs(t", "--F-expr", "t",
@@ -652,6 +676,15 @@ class TestSweepCommand:
         assert err[0].startswith("nonconformance: sweep failed at 1 of 2 points: m=1e-300: "
                                  "no Pohozaev sign change")
 
+    def test_failed_point_is_null(self, tmp_path, capsys):
+        # one failed point of five is within the quarter a sweep forgives;
+        # its energy and multiplier are NaN, which JSON cannot hold
+        code = main(["sweep", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
+                     "--masses", "1e-300,1,2,3,4", "--points", "301", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        verdicts = _strict_json(tmp_path / "verdicts.json")
+        assert verdicts["energies"][0] is None
+
     def test_failed_point_on_stderr(self, tmp_path, monkeypatch, capsys):
         from types import SimpleNamespace
 
@@ -747,6 +780,31 @@ class TestOracleCommand:
         assert capsys.readouterr().err == (
             f"error: oracle --case {argv[1]}: a value computed from {given} overflows a double\n")
         assert not (tmp_path / "oracle.json").exists()
+
+
+    def test_non_finite_table_is_usage(self, tmp_path, capsys):
+        assert main(["oracle", "--case", "bubble", "--dim", "5", "--eps", "1e308",
+                     "--out", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: oracle --case bubble: values.mass, error_bounds.mass computed from "
+            "--dim 5 --eps 1e+308 not finite in a double\n")
+        assert not (tmp_path / "oracle.json").exists()
+
+    @pytest.mark.parametrize("p, mu, mass, grad", [
+        # k = 2/(p-2) -> 0: w -> sech(sqrt(mu) x / k)^k, mass 1/sqrt(mu),
+        # ||w'||^2 sqrt(mu)
+        (1e308, 5.0, 5.0**-0.5, 5.0**0.5),
+        # mass mu^{-1/10} m_1, ||w'||^2 mu^{9/10} T_1
+        (7.0, 1e300, 2.4290032218173e-30, 1.3494462343429e270),
+    ])
+    def test_extreme_soliton_table_is_finite(self, tmp_path, p, mu, mass, grad):
+        # A^p and B overflow a double on their own; their logs do not
+        assert main(["oracle", "--case", "soliton", "--p", str(p), "--mu", str(mu),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        table = _strict_json(tmp_path / "oracle.json")
+        assert table["values"]["mass"] == pytest.approx(mass, rel=1e-12)
+        assert table["values"]["grad_norm_sq"] == pytest.approx(grad, rel=1e-12)
+        assert abs(table["values"]["pohozaev"]) <= table["error_bounds"]["pohozaev"]
 
 
 def test_import_path_loads_only_scipys_flapack():

@@ -1,11 +1,11 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import PchipInterpolator
 
 from nlsground import (
     GridFunction,
@@ -148,6 +148,81 @@ class TestDilate:
         outside = math.e * line_grid.nodes > line_grid.radius
         assert np.all(v.values[outside] == 0.0)
         assert np.all(np.isfinite(v.values))
+
+    @staticmethod
+    def ragged(g, seed):
+        gen = np.random.default_rng(seed)
+        vals = np.round(gen.normal(size=g.size), 1)
+        vals[gen.random(g.size) < 0.3] = 0.0
+        vals[g.size // 4: g.size // 3] = 0.7
+        vals[-1] = 0.0
+        return vals
+
+    @pytest.mark.parametrize("N, R, K, stretch", [
+        (2, 400.0, 4001, 150.0),  # log_sweep
+        (1, 30.0, 4001, 60.0),  # criterion 2
+        (3, 600.0, 4001, 30.0),  # criterion 4
+    ])
+    def test_stays_in_scaled_hull(self, N, R, K, stretch):
+        # linear resampling never leaves the range of the samples and of
+        # the zero extension, and keeps a monotone profile monotone
+        g = make_grid(N, R, K, stretch=stretch)
+        falling = np.exp(-((g.nodes / (0.1 * R)) ** 2))
+        profiles = [self.ragged(g, 1), falling,
+                    random_profiles(g, 1, seed=2, widths=(0.05 * R, 0.2 * R))[0].values]
+        for vals in profiles:
+            lo, hi = min(vals.min(), 0.0), max(vals.max(), 0.0)
+            slack = 4.0 * np.finfo(float).eps * max(hi, -lo)
+            for s in np.linspace(-6.0, 6.0, 12):
+                got = dilate(s, GridFunction(g, vals)).values
+                unscaled = got / math.exp(0.5 * N * s)
+                assert np.all((unscaled >= lo - slack) & (unscaled <= hi + slack))
+                assert np.all(got[math.exp(s) * g.nodes > R] == 0.0)
+                if vals is falling:
+                    assert np.all(np.diff(got) <= 0.0)
+
+    def test_on_nodes_at_R_and_beyond(self):
+        # e^{ln 2} = 2 exactly, so on nodes 0, 1, ..., 16 the queries are
+        # the even nodes, R itself, and points beyond R; e^{-ln 2} puts
+        # them on nodes and midpoints, where the dyadic samples interpolate
+        # exactly
+        g = make_grid(1, 16.0, 17)
+        vals = np.array([0.5, 0.5, 1.0, 0.5, -0.0, -1.0, -4.0, -4.0, 0.75,
+                         0.0, 0.0, 2.0, 1.0, -0.0, -1.0, 0.25, 0.0])
+        u = GridFunction(g, vals)
+        assert np.array_equal(g.nodes, np.arange(17.0))
+        wider = dilate(math.log(2.0), u).values
+        scale = math.exp(0.5 * math.log(2.0))
+        assert np.array_equal(wider, scale * np.concatenate((vals[::2], np.zeros(8))))
+        mid = np.empty(17)
+        mid[::2] = vals[:9]
+        mid[1::2] = 0.5 * (vals[:8] + vals[1:9])
+        scale = math.exp(0.5 * math.log(0.5))
+        assert np.array_equal(dilate(math.log(0.5), u).values, scale * mid)
+
+    def test_error_falls_quadratically(self):
+        # against the exact e^{Ns/2} u(e^s r) of a gaussian, the max error
+        # of the O(h^2) resample falls about 4x per doubling of the grid
+        errors = []
+        for K in (201, 401, 801, 1601):
+            g = make_grid(2, 16.0, K, stretch=4.0)
+            u = GridFunction(g, np.exp(-0.5 * g.nodes**2))
+            s = 0.3
+            exact = math.exp(s) * np.exp(-0.5 * (math.exp(s) * g.nodes) ** 2)
+            errors.append(np.max(np.abs(dilate(s, u).values - exact)))
+        assert all(a >= 3.0 * b for a, b in zip(errors, errors[1:])), errors
+
+    def test_huge_dilation_raises_no_warning(self):
+        # e^709 r overflows past node 0: every other node reads 0, and node
+        # 0 keeps u(0) scaled by e^{709/2}
+        g = make_grid(1, 30.0, 4001, stretch=60.0)
+        u = bump(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dilate(709.0, u).values
+        expected = np.zeros(g.size)
+        expected[0] = math.exp(354.5) * u.values[0]
+        assert np.array_equal(got, expected)
 
 
 class TestFiberMap:
@@ -495,55 +570,6 @@ class TestProjectProperties:
         for fr in (cold, warm):
             assert abs(fr.s_star - ref) <= tol + zone
         assert abs(warm.s_star - s) <= 2.0 * (tol + zone)
-
-
-class TestScipyPorts:
-    """The in-house PCHIP resample gives scipy's bits."""
-
-    @staticmethod
-    def reference(g, vals, s):
-        with np.errstate(over="ignore", invalid="ignore"):
-            ref = PchipInterpolator(g.nodes, vals, extrapolate=False)(math.exp(s) * g.nodes)
-        return math.exp(0.5 * g.dimension * s) * np.where(np.isnan(ref), 0.0, ref)
-
-    @staticmethod
-    def ragged(g, seed):
-        gen = np.random.default_rng(seed)
-        vals = np.round(gen.normal(size=g.size), 1)
-        vals[gen.random(g.size) < 0.3] = 0.0
-        vals[g.size // 4: g.size // 3] = 0.7
-        vals[-1] = 0.0
-        return vals
-
-    @pytest.mark.parametrize("N, R, K, stretch", [
-        (2, 400.0, 4001, 150.0),  # log_sweep
-        (1, 30.0, 4001, 60.0),  # criterion 2
-        (3, 600.0, 4001, 30.0),  # criterion 4
-    ])
-    def test_dilate_matches_pchip(self, N, R, K, stretch):
-        g = make_grid(N, R, K, stretch=stretch)
-        profiles = [self.ragged(g, 1), random_profiles(g, 1, seed=2, widths=(0.05 * R, 0.2 * R))[0].values]
-        for vals in profiles:
-            u = GridFunction(g, vals)
-            # s = 0 is a copy, not a resample
-            for s in np.linspace(-6.0, 6.0, 12):
-                assert np.array_equal(dilate(s, u).values, self.reference(g, vals, s))
-
-    def test_dilate_on_nodes_at_R_and_beyond(self):
-        # e^{ln 2} = 2 exactly, so on nodes 0, 1, ..., 16 the queries are
-        # the even nodes, R itself, and points beyond R
-        g = make_grid(1, 16.0, 17)
-        # zeros, plateaus, and a -0.0 on a steepening descent, where every
-        # term of the cubic at that node is -0.0
-        vals = np.array([0.5, 0.5, 1.0, 0.5, -0.0, -1.0, -4.0, -4.0, 0.75,
-                         0.0, 0.0, 2.0, 1.0, -0.0, -1.0, 0.25, 0.0])
-        for s in (math.log(2.0), math.log(0.5), 0.3):
-            got, ref = dilate(s, GridFunction(g, vals)).values, self.reference(g, vals, s)
-            assert np.array_equal(got, ref)
-            assert np.array_equal(np.signbit(got), np.signbit(ref))
-        # a -0.0 sample queried on its own node comes back as +0.0
-        with np.errstate(divide="ignore"):
-            assert not np.signbit(functional._pchip(g.nodes, vals, g.nodes)[4])
 
 
 class TestReducedFunctional:

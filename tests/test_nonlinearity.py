@@ -322,7 +322,26 @@ class TestCheckConditions:
 
         nl = from_callables("growth", compile_expression("exp(abs(t)) - 1"),
                             compile_expression("abs(t)^2"))
-        assert check_conditions(nl, 3).verdict("f2") == "inconclusive"
+        assert check_conditions(nl, 3).verdict("f2") == "fail"
+
+    @pytest.mark.parametrize("N", [3, 5])
+    @pytest.mark.parametrize("f_expr, verdict, method", [
+        # exponential growth bends the log-log fit (r2 0.48-0.75), but its
+        # quotient rises through the last decade below saturation
+        ("exp(abs(t)) - 1", "fail", "quotient rises toward the limit point"),
+        ("t*exp(t^2)", "fail", "quotient rises toward the limit point"),
+        # clean power fits keep their verdict and method
+        ("abs(t)^6*t", "fail", "has the wrong sign"),
+        ("t*ln(1+abs(t))", "pass", "log-log slope"),
+    ])
+    def test_f2_reads_growth_at_n3_and_above(self, N, f_expr, verdict, method):
+        from nlsground.expressions import compile_expression
+
+        nl = from_callables("growth", compile_expression(f_expr),
+                            compile_expression("abs(t)^2"))
+        entry = check_conditions(nl, N).entries["f2"]
+        assert entry["verdict"] == verdict
+        assert method in entry["method"]
 
     def test_f4_violation_detected(self):
         # mass-subcritical power: g is decreasing, f4 must fail

@@ -405,9 +405,10 @@ class TestNewtonPolishExit:
             assert rep.as_dict(with_trace=False)["newton_steps"] == rep.newton_steps
 
     def test_round_off_correction_ends_the_polish(self, monkeypatch):
-        # the log_sweep chain up to its first certified point, the warm
-        # m = 4: a spy logs the polish's f calls ("f") and the residual's
-        # Laplacians ("lap", one per residual evaluation)
+        # the log_sweep chain up to the warm m = 8, its first certified
+        # point whose polish ends on a round-off correction (m = 4's ends
+        # on rejected trials): a spy logs the polish's f calls ("f") and
+        # the residual's Laplacians ("lap", one per residual evaluation)
         from dataclasses import replace
 
         from nlsground import optimizer
@@ -436,7 +437,7 @@ class TestNewtonPolishExit:
         nl = builtin("log_supercritical", 2)
         grid = make_grid(2, 400.0, 4001, stretch=150.0)
         opts = SolveOptions(mass=0.5, grad_tol=1e-8, max_iters=800, check_hypotheses=False)
-        res = sweep(grid, nl, [0.5, 1.0, 2.0, 4.0], opts)
+        res = sweep(grid, nl, [0.5, 1.0, 2.0, 4.0, 8.0], opts)
         rep = res.reports[-1]
         assert res.chains[-1] == "warm"
         log, (_, steps) = polishes[-1]
