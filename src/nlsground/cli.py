@@ -281,7 +281,8 @@ def cmd_sweep(args) -> int:
         else:
             line += (f" converged={rep.converged} iterations={rep.iterations}"
                      f" termination={rep.termination} projections={rep.projections}"
-                     f" brackets={rep.bracket_evaluations} newton={rep.newton_steps}")
+                     f" brackets={rep.bracket_evaluations} newton={rep.newton_steps}"
+                     f" endpoint={rep.endpoint}")
         print(line, file=sys.stderr)
     # block characters that stdout cannot encode (an ASCII locale) print as escapes
     enc = sys.stdout.encoding or "utf-8"

@@ -93,10 +93,14 @@ class SolveOptions:
             raise ConfigurationError("grad_tol must be positive")
         if self.max_iters < 1:
             raise ConfigurationError(f"max_iters must be at least 1, got {self.max_iters}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
 class SolveReport:
+    """One solve; endpoint names profile, see _finish: "polished" (Newton
+    polished), "materialized" (no polish step taken) or "frame"."""
     profile: GridFunction
     energy: float
     multiplier: float
@@ -107,6 +111,7 @@ class SolveReport:
     trace: list
     converged: bool
     termination: str  # the descent's exit, see _Descent.run
+    endpoint: str
     iterate: GridFunction  # the descent's endpoint, as handed to _finish
     seed: int = 0
     mass: float = 0.0
@@ -215,15 +220,16 @@ def _newton_polish(u: GridFunction, nl: NonlinearitySpec, m: float,
     so it stays in the local basin.  f' is taken by centered differences
     since nonlinearities are only assumed continuous.  Each step solves
     the symmetric tridiagonal Jacobian for two right-hand sides with one
-    LAPACK dgtsv call (grid.symmetric_tridiagonal_solve), then tries the
-    correction dv at t = min(1, 0.2 ||v|| / ||dv||) and up to five
-    halvings, accepting the first trial that lowers the residual norm.
+    LAPACK dgtsv call (grid.symmetric_tridiagonal_solve), then makes one
+    trial, the correction dv at t = min(1, 0.2 ||v|| / ||dv||), and keeps
+    it iff it lowers the residual norm: one residual evaluation per step.
 
-    The iteration stops after _POLISH_ITERS steps, when no trial lowers
-    the residual, when the residual is at most 1e-13 (1 + |mu|) ||v||,
-    or, before any trial, when ||dv|| <= _POLISH_RTOL ||v||: a
-    correction that small is round-off and cannot lower the residual
-    (see _POLISH_RTOL).  Returns (profile, accepted steps), or None when
+    The iteration stops after _POLISH_ITERS steps, when the trial does
+    not lower the residual, when the residual is at most
+    1e-13 (1 + |mu|) ||v||, or, before the trial, when
+    ||dv|| <= _POLISH_RTOL ||v||: a correction that small is round-off
+    and cannot lower the residual (see _POLISH_RTOL).  Returns (profile,
+    accepted steps), profile being u itself after no step, or None when
     the Jacobian is singular or its solve is not finite.
     """
     grid = u.grid
@@ -262,57 +268,19 @@ def _newton_polish(u: GridFunction, nl: NonlinearitySpec, m: float,
         if dv_norm <= _POLISH_RTOL * v_norm:
             break
         t = min(1.0, 0.2 * v_norm / max(dv_norm, 1e-300))
-        for _ in range(6):
-            v_new = v.copy()
-            v_new[:n] += t * dv
-            mu_new = mu + t * dmu
-            res_new = (neg_laplacian(GridFunction(grid, v_new)).values
-                       + mu_new * v_new - nl.f(v_new))
-            r_new = grid.norm(res_new)
-            if r_new < best:
-                v, mu, res, best = v_new, mu_new, res_new, r_new
-                break
-            t *= 0.5
-        else:
+        v_new = v.copy()
+        v_new[:n] += t * dv
+        mu_new = mu + t * dmu
+        res_new = (neg_laplacian(GridFunction(grid, v_new)).values
+                   + mu_new * v_new - nl.f(v_new))
+        r_new = grid.norm(res_new)
+        if not r_new < best:
             break
+        v, mu, res, best = v_new, mu_new, res_new, r_new
         steps += 1
         if best <= 1e-13 * (1.0 + abs(mu)) * grid.norm(v):
             break
-    return sphere_retract(GridFunction(grid, v), m), steps
-
-
-def _node_gradient(nodes: np.ndarray):
-    """A function of f that returns np.gradient(f, nodes) bit for bit.
-
-    numpy's difference coefficients for these nodes are computed once:
-    second-order central differences inside (the uniform-spacing form
-    when every node gap is equal, as np.gradient picks it), one-sided
-    first-order differences at the two ends.
-    """
-    dx = np.diff(nodes)
-    dx0, dxn = dx[0], dx[-1]
-    if (dx == dx[0]).all():
-        two_dx = 2.0 * dx[0]
-
-        def interior(f):
-            return (f[2:] - f[:-2]) / two_dx
-    else:
-        dx1, dx2 = dx[:-1], dx[1:]
-        a = -dx2 / (dx1 * (dx1 + dx2))
-        b = (dx2 - dx1) / (dx1 * dx2)
-        c = dx1 / (dx2 * (dx1 + dx2))
-
-        def interior(f):
-            return a * f[:-2] + b * f[1:-1] + c * f[2:]
-
-    def derivative(f):
-        out = np.empty_like(f)
-        out[1:-1] = interior(f)
-        out[0] = (f[1] - f[0]) / dx0
-        out[-1] = (f[-1] - f[-2]) / dxn
-        return out
-
-    return derivative
+    return (sphere_retract(GridFunction(grid, v), m) if steps else u), steps
 
 
 class _Descent:
@@ -337,7 +305,9 @@ class _Descent:
         f6prime_example (N = 3, R = 600, K = 2001, stretch 30, m = 10)
         still ends on a one-node spike with J = 2.83, below the
         mountain-pass floor 4.27.  Only the residual bundle (PDE
-        residual 6.8e11) keeps that point from being certified.
+        residual 6.8e11) keeps that point from being certified.  The
+        generator's r u' is np.gradient's interior stencil for make_grid's
+        unequal node gaps, computed once; no end needs it (r_0 = u_{K-1} = 0).
 
     A small two-loop L-BFGS history absorbs the remaining curvature of
     the nonlinear term; pairs are transported between tangent spaces by
@@ -365,7 +335,9 @@ class _Descent:
         self.projections = 0
         self.bracket_evaluations = 0
         self.trials = 0
-        self._derivative = _node_gradient(grid.nodes)
+        dx1, dx2 = np.diff(grid.nodes[:-1]), np.diff(grid.nodes[1:])
+        self._stencil = (-dx2 / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
+                         dx1 / (dx2 * (dx1 + dx2)))
 
     def _project(self, u):
         self.projections += 1
@@ -374,8 +346,10 @@ class _Descent:
         return fiber
 
     def _dilation_generator(self, u):
-        du = self._derivative(u.values)
-        gen = 0.5 * self.grid.dimension * u.values + self.grid.nodes * du
+        a, b, c = self._stencil
+        v = u.values
+        gen = 0.5 * self.grid.dimension * v
+        gen[1:-1] += self.grid.nodes[1:-1] * (a * v[:-2] + b * v[1:-1] + c * v[2:])
         gen[-1] = 0.0
         gt = tangent_project(GridFunction(self.grid, gen), u, self.opts.mass)
         n = self.grid.norm(gt.values)
@@ -535,39 +509,38 @@ def _finish(nl: NonlinearitySpec, m: float, u: GridFunction,
     u's projection fiber, which the descent hands over, so the finish
     projects nothing.
 
-    Returns (profile, energy, converged, certificate, newton_steps),
-    certificate being profile's and newton_steps the steps the Newton
-    polish accepted when its profile is the one returned, else 0.  A
-    descent that did not end stationary reports its frame: the iterate u
-    itself at its own J, never converged.  That J bounds the minimum of the
-    discrete problem from above, not E_m itself (discretization error
-    moves the discrete level either way); materializing such a profile
-    through interpolation would produce garbage.
+    Returns (profile, energy, converged, certificate, newton_steps,
+    endpoint), certificate being profile's and newton_steps the steps of
+    the polish that gave profile, else 0.  A descent that did not end
+    stationary reports its frame: the iterate u itself at its own J,
+    never converged.  That J bounds the minimum of the discrete problem
+    from above, not E_m itself (discretization error moves the discrete
+    level either way); materializing such a profile through
+    interpolation would produce garbage.
 
     Stationary u is materialized onto the Pohozaev manifold as
     dilate(s(u), u) (P vanishes there to root-solve accuracy), and a
     bordered Newton tail from it and its certificate trades the O(h^2)
     gap between the two discrete stationarity notions into the Pohozaev
-    budget while zeroing the PDE residual.  Each candidate is certified
-    once; the one with the smaller bundle violation is kept if its
-    action agrees with J (a large mismatch means the profile was at grid
-    scale and the interpolation destroyed it); violation <= 1 then
-    decides convergence.  A rejected candidate falls back to the frame.
+    budget while zeroing the PDE residual.  The one candidate, the
+    polish's profile if it took a step (certified again), else the
+    start, is kept if its action is within 5 % of |J| (a larger mismatch
+    means the profile was at grid scale or cut by the box, and the
+    interpolation destroyed it); violation <= 1 then decides
+    convergence.  A rejected candidate falls back to the frame.
     """
     J = fiber.value
     if stationary:
         start = sphere_retract(dilate(fiber.s_star, u), m)
         cert = _certificate(start, nl, m)
-        candidates = [(start, 0, cert)]
-        polished = _newton_polish(start, nl, m, cert)
-        if polished is not None:
-            v, steps = polished
-            candidates.append((v, steps, _certificate(v, nl, m)))
-        v, steps, cert = min(candidates, key=lambda c: c[2].violation)
+        v, steps = _newton_polish(start, nl, m, cert) or (start, 0)
+        if steps:
+            cert = _certificate(v, nl, m)
         E = cert.energy
-        if math.isfinite(E) and E > 0.0 and abs(E - J) <= 0.05 * max(abs(J), 1.0):
-            return v, E, cert.violation <= 1.0, cert, steps
-    return u, J, False, _certificate(u, nl, m), 0
+        if math.isfinite(E) and E > 0.0 and abs(E - J) <= 0.05 * abs(J):
+            endpoint = "polished" if steps else "materialized"
+            return v, E, cert.violation <= 1.0, cert, steps, endpoint
+    return u, J, False, _certificate(u, nl, m), 0, "frame"
 
 
 def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions,
@@ -586,7 +559,7 @@ def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions,
                                  f"m = {m!r}; its mass is {mass(start)!r}")
     engine = _Descent(grid, nl, opts)
     u, fiber = engine.run(start)
-    profile, energy, converged, cert, newton_steps = _finish(
+    profile, energy, converged, cert, newton_steps, endpoint = _finish(
         nl, m, u, fiber, engine.termination != "budget")
     return SolveReport(
         profile=profile,
@@ -599,6 +572,7 @@ def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions,
         trace=engine.trace,
         converged=converged,
         termination=engine.termination,
+        endpoint=endpoint,
         iterate=u,
         seed=opts.seed,
         mass=m,

@@ -436,6 +436,17 @@ class TestCheckCommand:
                      "--mass", mass, "--out", str(tmp_path)]) == EXIT_USAGE
         assert "mass must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--builtin", "pure_power", "--param", "p=8", "--dim", "1", "--mass", "1",
+         "--points", "301", "--seed", "-2"],
+        ["sweep", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
+         "--masses", "1,2", "--points", "301", "--cold-restarts", "2", "--seed", "-5"],
+    ], ids=["solve", "sweep"])
+    def test_negative_seed_is_usage(self, tmp_path, capsys, argv):
+        # replica i seeds its noise with seed + i, which numpy refuses below 0
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: seed must be non-negative, got {argv[-1]}\n"
+
     def test_bad_config_value_names_its_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(BAD_CONFIGS["points.cfg"])
@@ -646,6 +657,8 @@ class TestSweepCommand:
                                              "budget"}
             assert int(fields["projections"]) > int(fields["iterations"])
             assert int(fields["brackets"]) >= int(fields["projections"])
+            assert fields["endpoint"] in {"polished", "materialized", "frame"}
+            assert (fields["endpoint"] == "polished") == (int(fields["newton"]) > 0)
         # a rerun into the populated directory writes the same bytes
         first = {name: (tmp_path / name).read_bytes() for name in ("sweep.csv", "verdicts.json")}
         assert main(self.ARGS + ["--out", str(tmp_path)]) == EXIT_OK
@@ -695,10 +708,11 @@ class TestSweepCommand:
         multipliers = np.array([1.0, 1.0, np.nan])
         converged = np.array([True, False, False])
         reports = [SimpleNamespace(converged=True, iterations=12, termination="gradient",
-                                   projections=25, bracket_evaluations=90, newton_steps=2),
+                                   projections=25, bracket_evaluations=90, newton_steps=2,
+                                   endpoint="polished"),
                    SimpleNamespace(converged=False, iterations=800, termination="budget",
                                    projections=1700, bracket_evaluations=5100,
-                                   newton_steps=0),
+                                   newton_steps=0, endpoint="frame"),
                    None]
 
         def fake_sweep(grid, nl, masses_, opts, cold_restarts=0):
@@ -716,9 +730,9 @@ class TestSweepCommand:
         assert out.splitlines()[0] == "E_m: █_ "
         assert err.splitlines() == [
             "m=1 chain=cold warm_start=None converged=True iterations=12 termination=gradient"
-            " projections=25 brackets=90 newton=2",
+            " projections=25 brackets=90 newton=2 endpoint=polished",
             "m=2 chain=warm warm_start=iterate converged=False iterations=800 termination=budget"
-            " projections=1700 brackets=5100 newton=0",
+            " projections=1700 brackets=5100 newton=0 endpoint=frame",
             "m=4 chain=None warm_start=profile failed",
         ]
 

@@ -25,7 +25,7 @@ from nlsground.functional import action, pohozaev, reduced_value
 from nlsground.grid import ConfigurationError, neg_laplacian
 from nlsground.nonlinearity import from_callables
 from nlsground.optimizer import (
-    _DECREASE, _PDE_TOL, _POHOZAEV_TOL, _certificate, _node_gradient,
+    _DECREASE, _PDE_TOL, _POHOZAEV_TOL, _certificate, _Descent,
 )
 from nlsground.oracles import Bubble, Soliton1D
 
@@ -292,6 +292,9 @@ class TestMinimize:
         for bad in (0, -5):
             with pytest.raises(ConfigurationError, match="max_iters"):
                 SolveOptions(mass=1.0, max_iters=bad)
+        # replica i seeds its noise with seed + i
+        with pytest.raises(ConfigurationError, match="seed must be non-negative, got -1"):
+            SolveOptions(mass=1.0, seed=-1)
 
 
 class TestFinishEndpoints:
@@ -318,25 +321,75 @@ class TestFinishEndpoints:
         assert rep.energy == pytest.approx(J, rel=1e-10, abs=0)
         assert rep.pde_residual > 1e-3
 
+    @staticmethod
+    def spy_certificates(monkeypatch):
+        """The list of profiles the finish certifies, in order."""
+        from nlsground import optimizer
+
+        certified = []
+        real = optimizer._certificate
+        monkeypatch.setattr(optimizer, "_certificate",
+                            lambda u, *a: certified.append(u) or real(u, *a))
+        return certified
+
     def test_budget_exit_skips_newton_polish(self, grid, p8, monkeypatch):
-        # the frame is reported as is: no Newton tail from the raw iterate
+        # the frame is reported as is: no Newton tail from the raw iterate,
+        # and one certificate, the frame's
         from nlsground import optimizer
 
         calls = []
         polish = optimizer._newton_polish
         monkeypatch.setattr(optimizer, "_newton_polish",
                             lambda *a, **kw: calls.append("polish") or polish(*a, **kw))
+        certified = self.spy_certificates(monkeypatch)
         _, rep = self.solve(grid, p8, 3)
         assert rep.termination == "budget" and not rep.converged
         assert calls == []
+        assert certified == [rep.iterate]
         assert rep.newton_steps == 0
+        assert rep.endpoint == "frame"
         assert rep.as_dict(with_trace=False)["newton_steps"] == 0
 
-    def test_action_mismatch_reports_frame(self):
-        # log_sweep's cold m = 0.5 ends stationary, but the polished
-        # candidate's action (about 5931) is more than 5 % below J (about
-        # 8184): the finish reports the descent's frame, and the polish
-        # steps it threw away are not counted
+    def test_polished_endpoint_is_certified_twice(self, grid, p8, monkeypatch):
+        # the materialized start, then the profile the polish stepped to
+        certified = self.spy_certificates(monkeypatch)
+        _, rep = self.solve(grid, p8, 2000)
+        assert rep.termination != "budget" and rep.newton_steps >= 1
+        assert rep.endpoint == "polished"
+        assert len(certified) == 2 and certified[1] is rep.profile
+        assert certified[0] is not rep.iterate
+
+    def test_materialized_endpoint_is_certified_once(self, grid, p8, monkeypatch):
+        # a polish that gives up leaves the materialized start, whose one
+        # certificate the report carries
+        from nlsground import optimizer
+
+        monkeypatch.setattr(optimizer, "_newton_polish", lambda *a: None)
+        certified = self.spy_certificates(monkeypatch)
+        _, rep = self.solve(grid, p8, 2000)
+        assert rep.termination != "budget" and rep.newton_steps == 0
+        assert rep.endpoint == "materialized"
+        assert rep.as_dict(with_trace=False)["endpoint"] == "materialized"
+        assert certified == [rep.profile] and rep.profile is not rep.iterate
+        assert rep.pde_residual == _certificate(rep.profile, p8, 1.0).pde
+
+    def test_action_mismatch_reports_frame(self, monkeypatch):
+        # log_sweep's cold m = 0.5 ends stationary, but the polish takes
+        # no step from its materialized start, whose action (about 4387)
+        # is more than 5 % below J (about 8184): the finish reports the
+        # descent's frame, with one certificate more, the frame's
+        from nlsground import optimizer
+
+        steps = []
+        polish = optimizer._newton_polish
+
+        def spy(*args):
+            out = polish(*args)
+            steps.append(out[1])
+            return out
+
+        monkeypatch.setattr(optimizer, "_newton_polish", spy)
+        certified = self.spy_certificates(monkeypatch)
         nl = builtin("log_supercritical", 2)
         grid = make_grid(2, 400.0, 4001, stretch=150.0)
         opts = SolveOptions(mass=0.5, grad_tol=1e-8, max_iters=800,
@@ -347,6 +400,26 @@ class TestFinishEndpoints:
         J = reduced_value(rep.profile, nl)
         assert rep.energy == pytest.approx(J, rel=1e-10, abs=0)
         assert rep.newton_steps == 0
+        assert rep.endpoint == "frame"
+        assert steps == [0] and len(certified) == 2 and certified[-1] is rep.iterate
+
+    def test_box_truncated_point_reports_frame(self):
+        # log_sweep's chain: at m = 64 the box cuts the materialized
+        # profile, whose action (about 1.04e-3, and 7.46e-4 after four
+        # damped Newton steps) is far above J (about 6.31e-4); the 5 %
+        # rule is relative at every level of J, so the frame is reported
+        from nlsground.sweep import sweep
+
+        nl = builtin("log_supercritical", 2)
+        grid = make_grid(2, 400.0, 4001, stretch=150.0)
+        opts = SolveOptions(mass=0.5, grad_tol=1e-8, max_iters=800, check_hypotheses=False)
+        res = sweep(grid, nl, [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0], opts)
+        assert [rep.endpoint for rep in res.reports] == ["frame"] + ["polished"] * 6 + ["frame"]
+        assert list(res.converged) == [False] * 3 + [True] * 4 + [False]
+        rep = res.reports[-1]
+        assert rep.termination == "gradient"
+        assert rep.profile is rep.iterate and rep.newton_steps == 0
+        assert rep.energy == rep.trace[-1][0]
 
 
 class TestNewtonPolishFailures:
@@ -401,8 +474,27 @@ class TestNewtonPolishExit:
         _, reports = criterion2
         for rep in reports:
             assert rep.converged
-            assert rep.newton_steps >= 1
+            assert rep.newton_steps >= 1 and rep.endpoint == "polished"
             assert rep.as_dict(with_trace=False)["newton_steps"] == rep.newton_steps
+
+    def test_rejected_first_trial_ends_the_polish(self, soliton_grid, p8, monkeypatch):
+        # a trial that does not lower the residual ends the polish: with a
+        # Laplacian that spoils every trial's residual, the first trial is
+        # the only residual evaluation, and the start comes back unstepped
+        from nlsground import optimizer
+
+        u = initial_profile(soliton_grid, 1.0)
+        cert = _certificate(u, p8, 1.0)
+        laps = []
+
+        def spoiled(gf):
+            laps.append(gf)
+            return GridFunction(gf.grid, neg_laplacian(gf).values + 1e6)
+
+        monkeypatch.setattr(optimizer, "neg_laplacian", spoiled)
+        v, steps = optimizer._newton_polish(u, p8, 1.0, cert)
+        assert steps == 0 and v is u
+        assert len(laps) == 1
 
     def test_round_off_correction_ends_the_polish(self, monkeypatch):
         # the log_sweep chain up to the warm m = 8, its first certified
@@ -442,14 +534,11 @@ class TestNewtonPolishExit:
         assert res.chains[-1] == "warm"
         log, (_, steps) = polishes[-1]
         assert steps == rep.newton_steps >= 1
-        # the start's mu and residual come from its certificate, so the
-        # polish opens with an f' pair; then one residual per trial and an
-        # f' pair per iteration; the last f' pair gave a round-off
-        # correction, and no trial followed it
-        assert log[:3] == ["f", "f", "lap"]
-        assert log[-4:] == ["lap", "f", "f", "f"]
-        trials = log.count("lap")
-        assert log.count("f") == 2 * (steps + 1) + trials
+        # the start's mu and residual come from its certificate, so each
+        # step is an f' pair and one trial, a Laplacian and an f call;
+        # the last f' pair gave a round-off correction, and no trial
+        # followed it
+        assert log == ["f", "f", "lap", "f"] * steps + ["f", "f"]
         # the certified report still meets the residual bundle
         assert rep.converged
         assert rep.pde_residual <= optimizer._PDE_TOL
@@ -695,15 +784,27 @@ class TestFinishArithmetic:
         assert (cert.mu, cert.pde, cert.poh, cert.energy, cert.violation) == (
             mu, pde, poh, action(u, nl), violation)
 
-    @pytest.mark.parametrize("nodes", [
-        0.25 * np.arange(401.0),
-        make_grid(2, 400.0, 4001, stretch=150.0).nodes,
+    @pytest.mark.parametrize("grid", [
+        make_grid(1, 30.0, 2001),
+        make_grid(2, 400.0, 4001, stretch=150.0),
     ], ids=["uniform", "stretched"])
-    def test_node_gradient_is_numpy_gradient(self, nodes):
+    def test_dilation_generator_is_numpy_gradient(self, grid, p8):
+        # make_grid's spacings differ in their last bits, uniform or not,
+        # so np.gradient takes its non-uniform branch, whose interior the
+        # stencil is; the generator equals (N/2) u + r np.gradient(u, r)
+        # with node K-1 zeroed, ends included
+        nodes = grid.nodes
+        assert not np.all(np.diff(nodes) == nodes[1])
+        engine = _Descent(grid, p8, SolveOptions(mass=1.7, check_hypotheses=False))
+        a, b, c = engine._stencil
         f = np.random.default_rng(11).standard_normal(nodes.size)
-        d = _node_gradient(nodes)
-        assert np.array_equal(d(f), np.gradient(f, nodes))
-        assert np.array_equal(d(np.exp(-nodes)), np.gradient(np.exp(-nodes), nodes))
+        assert np.array_equal(a * f[:-2] + b * f[1:-1] + c * f[2:],
+                              np.gradient(f, nodes)[1:-1])
+        u = initial_profile(grid, 1.7, seed=3, noise=0.2, width=1.3)
+        gen = 0.5 * grid.dimension * u.values + nodes * np.gradient(u.values, nodes)
+        gen[-1] = 0.0
+        gen = tangent_project(GridFunction(grid, gen), u, 1.7).values
+        assert np.array_equal(engine._dilation_generator(u), gen / grid.norm(gen))
 
 
 class TestMultistart:

@@ -191,7 +191,8 @@ class TestAscendingChain:
             pde_residual=0.0, pohozaev_residual=0.0, boundary_tail=0.0,
             iterations=1, trace=[],
             converged=m >= 2.0 if converged is None else converged,
-            termination="gradient", iterate=initial_profile(grid, m, width=0.5),
+            termination="gradient", endpoint="polished",
+            iterate=initial_profile(grid, m, width=0.5),
             mass=m)
 
     @staticmethod
