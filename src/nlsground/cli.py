@@ -38,6 +38,9 @@ EXIT_USAGE = 64
 # exit-code battery for `check`: the standing hypotheses of the theory;
 # f6/f6'/f7/odd are reported but do not drive the exit code
 _CHECK_BATTERY = ("f0", "f1", "f2", "f3", "f4", "f5")
+# the gate of `solve` and `sweep`: the hypotheses the fiber-map reduction
+# rests on ((f4) makes the Pohozaev projection unique); --force skips it
+_GATE = ("f0", "f1", "f2", "f3", "f4")
 
 
 class UsageError(ValueError):
@@ -105,23 +108,18 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-def _number(cfg: dict, key: str, kind, default=None):
+def _number(cfg: dict, key: str, kind, default=None, least=None):
     """cfg[key] (default when absent) as kind, int or float; a value that
-    is not one is a usage error naming the key."""
+    is not one, or is below least, is a usage error naming the key."""
     value = cfg.get(key, default)
     try:
-        return kind(value)
+        number = kind(value)
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise UsageError(f"{key} = {value!r} is not {what}") from None
-
-
-def _dimension(cfg: dict) -> int:
-    """problem.dim, checked before anything is built in that dimension."""
-    N = _number(cfg, "problem.dim", int)
-    if N < 1:
-        raise UsageError(f"problem.dim = {N}: the dimension must be at least 1")
-    return N
+    if least is not None and number < least:
+        raise UsageError(f"{key} = {number}: must be at least {least}")
+    return number
 
 
 def build_nonlinearity(cfg: dict, N: int):
@@ -155,8 +153,19 @@ def build_options(cfg: dict, mass: float) -> SolveOptions:
     given = {name: _number(cfg, f"solve.{name}", kind)
              for name, kind in (("max_iters", int), ("grad_tol", float), ("seed", int))
              if f"solve.{name}" in cfg}
-    return SolveOptions(mass=mass, **given,
-                        check_hypotheses=cfg.get("solve.force", "false").lower() != "true")
+    return SolveOptions(mass=mass, **given)
+
+
+def _gate(cfg: dict, nl, N: int) -> None:
+    """Check nl against _GATE in dimension N, unless solve.force is true;
+    a failed hypothesis ends the command in NonconformanceError."""
+    if cfg.get("solve.force", "false").lower() == "true":
+        return
+    report = check_conditions(nl, N)
+    bad = [h for h in _GATE if report.verdict(h) == "fail"]
+    if bad:
+        raise NonconformanceError(f"nonlinearity {nl.name!r} fails {', '.join(bad)}; "
+                                  "pass --force to override")
 
 
 def _outdir(cfg: dict) -> str:
@@ -191,7 +200,7 @@ def cmd_check(args) -> int:
     cfg = resolve_config(args)
     if "problem.dim" not in cfg:
         raise UsageError("check requires --dim")
-    N = _dimension(cfg)
+    N = _number(cfg, "problem.dim", int, least=1)
     nl = build_nonlinearity(cfg, N)
     report = check_conditions(nl, N)
     out = _outdir(cfg)
@@ -214,12 +223,13 @@ def cmd_solve(args) -> int:
     cfg = resolve_config(args)
     if "problem.dim" not in cfg or "solve.mass" not in cfg:
         raise UsageError("solve requires --dim and --mass")
-    N = _dimension(cfg)
+    N = _number(cfg, "problem.dim", int, least=1)
     mass = _number(cfg, "solve.mass", float)
     nl = build_nonlinearity(cfg, N)
     grid = build_grid(cfg, N)
     opts = build_options(cfg, mass)
-    restarts = _number(cfg, "solve.restarts", int, 5)
+    restarts = _number(cfg, "solve.restarts", int, 5, least=1)
+    _gate(cfg, nl, N)
     best, reports = multistart_minimize(grid, nl, opts, restarts=restarts)
     out = _outdir(cfg)
     with open_artifact(os.path.join(out, "resolved.cfg")) as fh:
@@ -255,12 +265,13 @@ def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     if "problem.dim" not in cfg or "solve.masses" not in cfg:
         raise UsageError("sweep requires --dim and --masses")
-    N = _dimension(cfg)
+    N = _number(cfg, "problem.dim", int, least=1)
     masses = _parse_masses(cfg["solve.masses"])
     nl = build_nonlinearity(cfg, N)
     grid = build_grid(cfg, N)
     opts = build_options(cfg, masses[0])
-    cold = _number(cfg, "solve.cold_restarts", int, 0)
+    cold = _number(cfg, "solve.cold_restarts", int, 0, least=0)
+    _gate(cfg, nl, N)
     result = sweep(grid, nl, masses, opts, cold_restarts=cold)
     out = _outdir(cfg)
     with open_artifact(os.path.join(out, "resolved.cfg")) as fh:
@@ -315,7 +326,8 @@ def cmd_oracle(args) -> int:
                      if getattr(args, k) is not None)
     try:
         if case == "soliton":
-            table = Soliton1D(args.p or 8.0, args.mu or 1.0).table()
+            table = Soliton1D(8.0 if args.p is None else args.p,
+                              1.0 if args.mu is None else args.mu).table()
         elif case == "bubble":
             eps = args.eps if args.eps is not None else Bubble.minimal_mass(args.dim) \
                 / Bubble(args.dim, 1.0).unit_mass

@@ -295,7 +295,7 @@ def _log_supercritical(N: int) -> NonlinearitySpec:
 
     return _builtin_spec(
         "log_supercritical", common, f_of, F_of,
-        claimed={"f0", "f1", "f2", "f3", "f4", "f5", "f6", "odd"},
+        claimed={"f0", "f1", "f2", "f3", "f4", "f5", "odd"},
         params={"N": N, "alpha_N": alpha},
     )
 
@@ -343,8 +343,8 @@ def _f6prime_example(N: int, beta: float = 1.0, beta_N: float | None = None) -> 
     cap = 4.0 / (N * (N - 2.0))
     if beta_N is None:
         beta_N = cap
-    if not beta > 0:
-        raise ValueError(f"need beta > 0, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"need finite beta > 0, got {beta}")
     if not (0.0 < beta_N <= cap):
         raise ValueError(f"need beta_N in (0, {cap}], got {beta_N}")
     two_star = 2.0 * N / (N - 2.0)

@@ -44,16 +44,14 @@ from .grid import (
     solve_shifted,
     symmetric_tridiagonal_solve,
 )
-from .nonlinearity import NonlinearitySpec, check_conditions
+from .nonlinearity import NonlinearitySpec
 from .functional import (
     FiberResult,
-    NonconformanceError,
     dilate,
     project,
     reduced_gradient,
 )
 
-_GATE = ("f0", "f1", "f2", "f3", "f4")
 # Armijo backtracking factor and sufficient-decrease constant
 _BACKTRACK = 0.5
 _DECREASE = 1e-4
@@ -84,13 +82,12 @@ class SolveOptions:
     max_iters: int = 4000
     grad_tol: float = 1e-8
     seed: int = 0
-    check_hypotheses: bool = True
 
     def __post_init__(self):
         if not 0 < self.mass < math.inf:
             raise ConfigurationError(f"mass must be positive and finite, got {self.mass}")
-        if not self.grad_tol > 0:
-            raise ConfigurationError("grad_tol must be positive")
+        if not 0 < self.grad_tol < math.inf:
+            raise ConfigurationError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if self.max_iters < 1:
             raise ConfigurationError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.seed < 0:
@@ -173,16 +170,6 @@ def multiplier(u: GridFunction, nl: NonlinearitySpec, m: float) -> float:
     """Lagrange multiplier mu = ( int f(u) u - ||grad u||^2 ) / m."""
     fu = u.grid.integrate(nl.f(u.values) * u.values)
     return (fu - grad_norm_sq(u)) / m
-
-
-def _gate(nl: NonlinearitySpec, N: int):
-    report = check_conditions(nl, N)
-    bad = [h for h in _GATE if report.verdict(h) == "fail"]
-    if bad:
-        raise NonconformanceError(
-            f"nonlinearity {nl.name!r} fails {', '.join(bad)}; "
-            "pass check_hypotheses=False (--force on the command line) to override"
-        )
 
 
 class _Certificate(NamedTuple):
@@ -548,9 +535,9 @@ def minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptions,
     """Single descent run from start (initial_profile(grid, m) if None), used
     as given: a profile on grid with |mass(start) / m - 1| <= 1e-12.  See
     module docstring for the scheme and _finish for the endpoint the
-    report certifies."""
-    if opts.check_hypotheses:
-        _gate(nl, grid.dimension)
+    report certifies.  f's hypotheses are not checked here (call
+    check_conditions first); for an f whose Pohozaev fiber has no root
+    the projection raises NonconformanceError."""
     m = opts.mass
     if start is None:
         start = initial_profile(grid, m)
@@ -591,14 +578,11 @@ def multistart_minimize(grid: RadialGrid, nl: NonlinearitySpec, opts: SolveOptio
     """Run seeded descent replicas and keep the lowest converged energy.
 
     Replicas differ in initial width and noise seed.  Returns
-    (best_report, all_reports); best prefers converged runs.  The
-    hypothesis gate runs once, before the first replica.
+    (best_report, all_reports); best prefers converged runs.  As in
+    minimize, f's hypotheses are not checked.
     """
     if restarts < 1:
         raise ConfigurationError(f"restarts must be at least 1, got {restarts}")
-    if opts.check_hypotheses:
-        _gate(nl, grid.dimension)
-        opts = replace(opts, check_hypotheses=False)
     reports = []
     for i in range(restarts):
         seed = opts.seed + i

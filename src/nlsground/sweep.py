@@ -30,7 +30,7 @@ import numpy as np
 from .grid import ConfigurationError, RadialGrid, open_artifact
 from .nonlinearity import NonlinearitySpec, check_conditions
 from .functional import NonconformanceError
-from .optimizer import SolveOptions, _gate, initial_profile, minimize, multistart_minimize
+from .optimizer import SolveOptions, initial_profile, minimize, multistart_minimize
 from .oracles import critical_grad_norm_sq
 
 _NONINC_TOL = 1e-4
@@ -143,11 +143,11 @@ def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
     points, six of its seven descents end on the 1500-iteration budget:
     10222 iterations in all, against 3218).  A point whose minimizer
     sits below grid resolution stays non-converged and reports its
-    descent frame's J.  The hypothesis gate runs once, before the first
-    point, and raises NonconformanceError for the whole sweep.  A
-    failing point (solver exception) is recorded and skipped; the sweep
-    itself fails only when more than a quarter of the points fail, with
-    a NonconformanceError naming each failed mass and its error.
+    descent frame's J.  f's hypotheses are not checked here (call
+    check_conditions first).  A failing point (solver exception) is
+    recorded and skipped; the sweep itself fails only when more than a
+    quarter of the points fail, with a NonconformanceError naming each
+    failed mass and its error.
     """
     masses = np.asarray(list(masses), dtype=float)
     if masses.size < 2 or not np.all(np.diff(masses) > 0):
@@ -156,9 +156,6 @@ def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
         raise ValueError("masses must be positive")
     if cold_restarts < 0:
         raise ConfigurationError(f"cold_restarts must be at least 0, got {cold_restarts}")
-    if opts.check_hypotheses:
-        _gate(nl, grid.dimension)
-        opts = replace(opts, check_hypotheses=False)
     n = masses.size
     reports: list = [None] * n
     chains: list = [None] * n

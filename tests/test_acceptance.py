@@ -147,8 +147,7 @@ def log_sweep():
     nl = builtin("log_supercritical", 2)
     grid = make_grid(2, 400.0, 4001, stretch=150.0)
     masses = [2.0**k for k in range(-4, 7)]
-    opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=800,
-                        check_hypotheses=False)
+    opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=800)
     t0 = time.time()
     result = sweep(grid, nl, masses, opts, cold_restarts=0)
     return result, time.time() - t0
@@ -187,8 +186,7 @@ class TestCriterion4MountainPassFloor:
         nl = builtin("f6prime_example", 3, beta=1.0, beta_N=1.0 / 3.0)
         grid = make_grid(3, 600.0, 4001, stretch=30.0)
         masses = list(np.geomspace(1.0, 1000.0, 7))
-        opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=1500,
-                            check_hypotheses=False)
+        opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=1500)
         result = sweep(grid, nl, masses, opts, cold_restarts=0)
         floor = mountain_pass_floor(grid, nl)
         e = result.energies
@@ -323,16 +321,13 @@ class TestCriterion8MultiplierPositivity:
         grid = make_grid(1, 30.0, 4001, stretch=60.0)
         from nlsground import minimize
 
-        opts = SolveOptions(mass=2.0, grad_tol=1e-8, max_iters=2000,
-                            check_hypotheses=False)
+        opts = SolveOptions(mass=2.0, grad_tol=1e-8, max_iters=2000)
         rep = minimize(grid, nl, opts)
         if rep.converged:
             converged_reports.append(rep.as_dict(with_trace=False))
         nl2 = builtin("log_supercritical", 2)
         grid2 = make_grid(2, 60.0, 2001, stretch=30.0)
-        rep2 = minimize(grid2, nl2, SolveOptions(mass=4.0, grad_tol=1e-8,
-                                                 max_iters=1500,
-                                                 check_hypotheses=False))
+        rep2 = minimize(grid2, nl2, SolveOptions(mass=4.0, grad_tol=1e-8, max_iters=1500))
         if rep2.converged:
             converged_reports.append(rep2.as_dict(with_trace=False))
         mus = [r["multiplier"] for r in converged_reports]
@@ -362,8 +357,7 @@ class TestCriterion9GridConvergence:
         errs_soliton = []
         for K in (2001, 4001):
             grid = make_grid(1, 30.0, K, stretch=60.0)
-            opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=2000,
-                                check_hypotheses=False)
+            opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=2000)
             rep = minimize(grid, nl1, opts)
             errs_soliton.append(abs(rep.energy / E_oracle - 1.0))
         ratio_soliton = errs_soliton[0] / errs_soliton[1]

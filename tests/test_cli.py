@@ -421,6 +421,24 @@ class TestCheckCommand:
         ["oracle", "--case", "soliton", "--mu", "inf"],
         ["oracle", "--case", "soliton", "--p", "inf"],
         ["oracle", "--case", "bubble", "--dim", "5", "--eps", "inf"],
+        # a replica count is a usage error before a failing f is gated
+        ["solve", "--dim", "1", "--f-expr", "abs(t)^2 * t", "--F-expr", "abs(t)^4 / 4",
+         "--mass", "1", "--restarts", "0"],
+        ["sweep", "--dim", "1", "--f-expr", "abs(t)^2 * t", "--F-expr", "abs(t)^4 / 4",
+         "--masses", "1,2", "--cold-restarts", "-1"],
+        # 0 is a value, not an unset flag
+        ["oracle", "--case", "soliton", "--p", "0"],
+        ["oracle", "--case", "soliton", "--mu", "0"],
+        ["oracle", "--case", "soliton", "--mu", "-0.0"],
+        ["check", "--builtin", "f6prime_example", "--dim", "3", "--param", "beta=inf"],
+        ["check", "--builtin", "f6prime_example", "--dim", "3", "--param", "beta=1e400"],
+        ["solve", "--builtin", "f6prime_example", "--dim", "3", "--param", "beta=inf",
+         "--mass", "1"],
+        # an infinite tolerance would pass every gradient gate at the start
+        ["sweep", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
+         "--masses", "1,2,3", "--points", "301", "--grad-tol", "inf"],
+        ["sweep", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
+         "--masses", "1,2,3", "--points", "301", "--grad-tol", "1e400"],
     ])
     def test_bad_problem_is_usage(self, tmp_path, capsys, monkeypatch, argv):
         # rejected at the command-line boundary, with a message, not a traceback
@@ -429,6 +447,7 @@ class TestCheckCommand:
             (tmp_path / name).write_text(text)
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(BAD_CONFIGS)
 
     @pytest.mark.parametrize("mass", ["inf", "nan", "0"])
     def test_mass_must_be_positive_and_finite(self, tmp_path, capsys, mass):
@@ -583,7 +602,7 @@ class TestSolveCommand:
         cfg = {"solve.max_iters": "9", "solve.grad_tol": "1e-5", "solve.seed": "3",
                "solve.force": "true"}
         assert cli.build_options(cfg, 2.0) == SolveOptions(
-            mass=2.0, max_iters=9, grad_tol=1e-5, seed=3, check_hypotheses=False)
+            mass=2.0, max_iters=9, grad_tol=1e-5, seed=3)
 
     def test_missing_mass_usage(self, tmp_path):
         assert main(["solve", "--builtin", "pure_power", "--param", "p=8",
@@ -672,11 +691,10 @@ class TestSweepCommand:
                      "--F-expr", "abs(t)^4 / 4", "--masses", "1,2", "--points", "401",
                      "--radius", "20", "--out", str(tmp_path)])
         assert code == EXIT_NONCONFORMANCE
-        err = capsys.readouterr().err
-        assert err.startswith("nonconformance: ")
-        # the message names the override of both the API and the CLI
-        assert err.rstrip().endswith(
-            "pass check_hypotheses=False (--force on the command line) to override")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("nonconformance: ")
+        assert err[0].endswith("pass --force to override")
 
     def test_too_many_failed_points_exit_nonconformance(self, tmp_path, capsys):
         # at m = 1e-300 the fiber projection finds no root; one failed point

@@ -161,6 +161,9 @@ class TestBuiltinConstruction:
             builtin("f6prime_example", 3, beta_N=2.0)
         with pytest.raises(ValueError):
             builtin("f6prime_example", 3, beta=-1.0)
+        for beta in (math.inf, float("1e400"), math.nan):
+            with pytest.raises(ValueError, match=f"need finite beta > 0, got {beta}"):
+                builtin("f6prime_example", 3, beta=beta)
         with pytest.raises(ValueError):
             builtin("f6prime_example", 2)
 
@@ -169,7 +172,11 @@ class TestBuiltinConstruction:
             builtin("cubic_quintic", 3)
 
     def test_claimed_sets(self):
-        assert "f6" in builtin("log_supercritical", 3).claimed
+        # at N >= 3, alpha_N = 8/(N(N-2)) makes f(t)t/|t|^{2*} tend to 2*,
+        # a finite limit where f6 asks for +inf
+        log3 = builtin("log_supercritical", 3)
+        assert "f6" not in log3.claimed
+        assert check_conditions(log3, 3).verdict("f6") == "fail"
         cp = builtin("critical_piecewise", 5).claimed
         assert "f5" not in cp and "f4" in cp and "odd" in cp
         f6p = builtin("f6prime_example", 3).claimed

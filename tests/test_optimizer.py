@@ -42,8 +42,7 @@ def soliton_grid():
 
 @pytest.fixture(scope="module")
 def solved(p8, soliton_grid):
-    opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=2000,
-                        check_hypotheses=False)
+    opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=2000)
     return minimize(soliton_grid, p8, opts)
 
 
@@ -53,7 +52,7 @@ def criterion2_run(p8, soliton_grid):
     brackets[i] counts the _fiber_bracket calls replica i made."""
     from nlsground import functional, optimizer
 
-    opts = SolveOptions(mass=1.0, grad_tol=1e-8, check_hypotheses=False)
+    opts = SolveOptions(mass=1.0, grad_tol=1e-8)
     brackets = []
     solve = optimizer.minimize
     with mock.patch.object(functional, "_fiber_bracket",
@@ -207,21 +206,19 @@ class TestMinimize:
         from nlsground import dilate
 
         shifted = sphere_retract(dilate(0.5, solved.profile), 1.0)
-        opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=500,
-                            check_hypotheses=False)
+        opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=500)
         rep = minimize(soliton_grid, p8, opts, start=shifted)
         assert rep.energy == pytest.approx(solved.energy, rel=1e-5)
 
     def test_rejects_a_start_off_the_sphere(self, solved, soliton_grid, p8):
         # the start is used as given, never retracted: one off S_m or on
         # another grid is an error
-        opts = SolveOptions(mass=1.0, max_iters=5, check_hypotheses=False)
+        opts = SolveOptions(mass=1.0, max_iters=5)
         off = GridFunction(soliton_grid, (1.0 + 1e-11) * solved.profile.values)
         with pytest.raises(ConfigurationError, match="its mass is 1.00000000002"):
             minimize(soliton_grid, p8, opts, start=off)
         with pytest.raises(ConfigurationError, match="m = 2.0"):
-            minimize(soliton_grid, p8, SolveOptions(mass=2.0, check_hypotheses=False),
-                     start=solved.profile)
+            minimize(soliton_grid, p8, SolveOptions(mass=2.0), start=solved.profile)
         other = make_grid(1, 30.0, 2001, stretch=60.0)
         with pytest.raises(ConfigurationError, match="the solve's grid"):
             minimize(other, p8, opts, start=solved.profile)
@@ -229,8 +226,7 @@ class TestMinimize:
     def test_log_n2_positive_multiplier(self):
         nl = builtin("log_supercritical", 2)
         g = make_grid(2, 40.0, 1501, stretch=20.0)
-        opts = SolveOptions(mass=4.0, grad_tol=1e-8, max_iters=1500,
-                            check_hypotheses=False)
+        opts = SolveOptions(mass=4.0, grad_tol=1e-8, max_iters=1500)
         rep = minimize(g, nl, opts)
         assert rep.converged
         assert rep.multiplier > 0
@@ -238,8 +234,7 @@ class TestMinimize:
     def test_log_n3_positive_multiplier(self):
         nl = builtin("log_supercritical", 3)
         g = make_grid(3, 60.0, 3001, stretch=150.0)
-        opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=1500,
-                            check_hypotheses=False)
+        opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=1500)
         rep = minimize(g, nl, opts)
         assert rep.converged
         assert rep.multiplier > 0
@@ -253,37 +248,12 @@ class TestMinimize:
             t = np.asarray(t, dtype=float)
             return np.abs(t) ** 3.5 / 3.5
 
+        # minimize checks no hypothesis (the command line gates f); for
+        # this mass-subcritical f the projection itself reports the failure
         sub = from_callables("subcritical", f, F)
         g = make_grid(1, 10.0, 301)
-        opts = SolveOptions(mass=1.0)
         with pytest.raises(NonconformanceError):
-            minimize(g, sub, opts)
-        # the override flag skips the gate; the projection itself then
-        # reports the failure
-        opts2 = SolveOptions(mass=1.0, check_hypotheses=False, max_iters=5)
-        with pytest.raises(NonconformanceError):
-            minimize(g, sub, opts2)
-
-    def test_gate_keeps_no_state(self):
-        # two specs with the same name and params but different f: the
-        # second gate call must check its own spec, not reuse the first
-        # verdict
-        from nlsground import optimizer
-
-        def spec(power):
-            def f(t):
-                t = np.asarray(t, dtype=float)
-                return np.abs(t) ** power * t
-
-            def F(t):
-                t = np.asarray(t, dtype=float)
-                return np.abs(t) ** (power + 2.0) / (power + 2.0)
-
-            return from_callables("gate_probe", f, F)
-
-        optimizer._gate(spec(6.0), 1)
-        with pytest.raises(NonconformanceError):
-            optimizer._gate(spec(1.5), 1)
+            minimize(g, sub, SolveOptions(mass=1.0, max_iters=5))
 
     def test_option_validation(self):
         with pytest.raises(ConfigurationError):
@@ -295,6 +265,11 @@ class TestMinimize:
         # replica i seeds its noise with seed + i
         with pytest.raises(ConfigurationError, match="seed must be non-negative, got -1"):
             SolveOptions(mass=1.0, seed=-1)
+        # an infinite tolerance would pass every gradient gate at the start
+        for bad in (0.0, -1e-8, math.inf, math.nan):
+            with pytest.raises(ConfigurationError,
+                               match=f"grad_tol must be positive and finite, got {bad}"):
+                SolveOptions(mass=1.0, grad_tol=bad)
 
 
 class TestFinishEndpoints:
@@ -305,8 +280,7 @@ class TestFinishEndpoints:
         return make_grid(1, 30.0, 2001, stretch=60.0)
 
     def solve(self, grid, p8, max_iters):
-        opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=max_iters,
-                            check_hypotheses=False)
+        opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=max_iters)
         return opts, minimize(grid, p8, opts)
 
     @pytest.mark.parametrize("max_iters", [3, 9])
@@ -392,8 +366,7 @@ class TestFinishEndpoints:
         certified = self.spy_certificates(monkeypatch)
         nl = builtin("log_supercritical", 2)
         grid = make_grid(2, 400.0, 4001, stretch=150.0)
-        opts = SolveOptions(mass=0.5, grad_tol=1e-8, max_iters=800,
-                            check_hypotheses=False)
+        opts = SolveOptions(mass=0.5, grad_tol=1e-8, max_iters=800)
         rep = minimize(grid, nl, opts)
         assert rep.termination == "gradient" and not rep.converged
         assert rep.profile is rep.iterate
@@ -412,7 +385,7 @@ class TestFinishEndpoints:
 
         nl = builtin("log_supercritical", 2)
         grid = make_grid(2, 400.0, 4001, stretch=150.0)
-        opts = SolveOptions(mass=0.5, grad_tol=1e-8, max_iters=800, check_hypotheses=False)
+        opts = SolveOptions(mass=0.5, grad_tol=1e-8, max_iters=800)
         res = sweep(grid, nl, [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0], opts)
         assert [rep.endpoint for rep in res.reports] == ["frame"] + ["polished"] * 6 + ["frame"]
         assert list(res.converged) == [False] * 3 + [True] * 4 + [False]
@@ -528,7 +501,7 @@ class TestNewtonPolishExit:
         monkeypatch.setattr(optimizer, "_newton_polish", spy)
         nl = builtin("log_supercritical", 2)
         grid = make_grid(2, 400.0, 4001, stretch=150.0)
-        opts = SolveOptions(mass=0.5, grad_tol=1e-8, max_iters=800, check_hypotheses=False)
+        opts = SolveOptions(mass=0.5, grad_tol=1e-8, max_iters=800)
         res = sweep(grid, nl, [0.5, 1.0, 2.0, 4.0, 8.0], opts)
         rep = res.reports[-1]
         assert res.chains[-1] == "warm"
@@ -564,8 +537,7 @@ class TestTermination:
                                           max_iters, max_projections):
         nl = builtin(name, N, **params)
         g = make_grid(N, R, 2001, stretch=stretch)
-        opts = SolveOptions(mass=m, grad_tol=1e-8, max_iters=800,
-                            check_hypotheses=False)
+        opts = SolveOptions(mass=m, grad_tol=1e-8, max_iters=800)
         rep = minimize(g, nl, opts)
         assert rep.termination == "gradient"
         assert rep.iterations <= max_iters
@@ -597,7 +569,7 @@ class TestTermination:
         polish = optimizer._newton_polish
         monkeypatch.setattr(optimizer, "_newton_polish",
                             lambda u, *a: starts.append(u) or polish(u, *a))
-        opts = SolveOptions(mass=1.0, grad_tol=1e-300, max_iters=50, check_hypotheses=False)
+        opts = SolveOptions(mass=1.0, grad_tol=1e-300, max_iters=50)
         rep = minimize(soliton_grid, p8, opts, start=solved.profile)
         assert rep.termination == "step_collapse"
         assert rep.iterations == 1
@@ -617,7 +589,7 @@ class TestRoundoffRegime:
         from nlsground import optimizer
 
         grid = make_grid(1, 30.0, 2001, stretch=60.0)
-        opts = SolveOptions(mass=1.0, grad_tol=1e-8, check_hypotheses=False)
+        opts = SolveOptions(mass=1.0, grad_tol=1e-8)
         engine = optimizer._Descent(grid, p8, opts)
         u = initial_profile(grid, 1.0, seed=2, noise=0.1)
         fiber, g, gshape, gn, gen = engine.gradient_state(u)
@@ -687,8 +659,7 @@ class TestRoundoffRegime:
         monkeypatch.setattr(optimizer._Descent, "step", spy)
         nl = builtin("log_supercritical", 2)
         g = make_grid(2, 400.0, 4001, stretch=150.0)
-        opts = SolveOptions(mass=0.5, grad_tol=1e-8, max_iters=800,
-                            check_hypotheses=False)
+        opts = SolveOptions(mass=0.5, grad_tol=1e-8, max_iters=800)
         rep = minimize(g, nl, opts)
         assert rep.termination == "gradient"
         assert rep.iterations <= 16
@@ -743,8 +714,7 @@ class TestProjectionReuse:
         monkeypatch.setattr(optimizer, "project",
                             lambda *a, **kw: calls.append(1) or project(*a, **kw))
         grid = make_grid(1, 30.0, 2001, stretch=60.0)
-        opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=max_iters,
-                            check_hypotheses=False)
+        opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=max_iters)
         with mock.patch.object(functional, "_fiber_bracket",
                                wraps=functional._fiber_bracket) as bracket:
             rep = minimize(grid, p8, opts)
@@ -795,7 +765,7 @@ class TestFinishArithmetic:
         # with node K-1 zeroed, ends included
         nodes = grid.nodes
         assert not np.all(np.diff(nodes) == nodes[1])
-        engine = _Descent(grid, p8, SolveOptions(mass=1.7, check_hypotheses=False))
+        engine = _Descent(grid, p8, SolveOptions(mass=1.7))
         a, b, c = engine._stencil
         f = np.random.default_rng(11).standard_normal(nodes.size)
         assert np.array_equal(a * f[:-2] + b * f[1:-1] + c * f[2:],
@@ -809,8 +779,7 @@ class TestFinishArithmetic:
 
 class TestMultistart:
     def test_returns_min_energy(self, p8, soliton_grid):
-        opts = SolveOptions(mass=1.0, grad_tol=1e-7, max_iters=800,
-                            check_hypotheses=False)
+        opts = SolveOptions(mass=1.0, grad_tol=1e-7, max_iters=800)
         best, reports = multistart_minimize(soliton_grid, p8, opts, restarts=3)
         assert len(reports) == 3
         converged = [r for r in reports if r.converged]

@@ -1,5 +1,7 @@
 import importlib
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -113,8 +115,7 @@ def line_sweep():
     nl = builtin("pure_power", 1, p=8.0)
     grid = make_grid(1, 60.0, 3001, stretch=150.0)
     masses = list(np.geomspace(0.3, 3.0, 6))
-    opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=900,
-                        check_hypotheses=False)
+    opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=900)
     return sweep(grid, nl, masses, opts, cold_restarts=0), masses
 
 
@@ -144,8 +145,7 @@ class TestSweepSolver:
         nl = builtin("pure_power", 1, p=8.0)
         grid = make_grid(1, 40.0, 2001, stretch=60.0)
         masses = [0.8, 1.0, 1.3]
-        opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=900,
-                            check_hypotheses=False)
+        opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=900)
         warm = sweep(grid, nl, masses, opts, cold_restarts=0)
         cold = sweep(grid, nl, masses, opts, cold_restarts=3)
         for a, b in zip(warm.energies, cold.energies):
@@ -165,7 +165,7 @@ class TestSweepSolver:
     def test_rejects_bad_mass_grids(self):
         nl = builtin("pure_power", 1, p=8.0)
         grid = make_grid(1, 20.0, 301)
-        opts = SolveOptions(mass=1.0, check_hypotheses=False)
+        opts = SolveOptions(mass=1.0)
         with pytest.raises(ValueError):
             sweep(grid, nl, [2.0, 1.0], opts)
         with pytest.raises(ValueError):
@@ -221,7 +221,7 @@ class TestAscendingChain:
         module = importlib.import_module("nlsground.sweep")
         monkeypatch.setattr(module, "minimize", fake_minimize)
         monkeypatch.setattr(module, "multistart_minimize", fake_multistart)
-        opts = SolveOptions(mass=1.0, check_hypotheses=False)
+        opts = SolveOptions(mass=1.0)
         res = sweep(grid, builtin("pure_power", 1, p=8.0), self.MASSES, opts,
                     cold_restarts=cold_restarts)
         return res, warm_calls, cold_calls
@@ -326,14 +326,15 @@ class TestAscendingChain:
 
 
 class TestHypothesisGate:
-    """The hypothesis gate runs once per sweep and per multistart, not
-    once per descent."""
+    """The command line checks f once per solve and once per sweep, not
+    once per descent; the library layers check nothing."""
 
     @staticmethod
     def count_checks(monkeypatch):
+        # every module of the package that binds the checker
         calls = []
-        for name in ("nlsground.optimizer", "nlsground.sweep"):
-            module = importlib.import_module(name)
+        for module in [mod for name, mod in sys.modules.items()
+                       if name.split(".")[0] == "nlsground" and hasattr(mod, "check_conditions")]:
             real = module.check_conditions
 
             def counted(nl, N, real=real):
@@ -343,23 +344,32 @@ class TestHypothesisGate:
             monkeypatch.setattr(module, "check_conditions", counted)
         return calls
 
-    GRID = dict(N=1, R=20.0, K=301)
+    PROBLEM = ["--builtin", "pure_power", "--param", "p=8", "--dim", "1"]
+    GRID = ["--radius", "20", "--points", "301", "--max-iters", "10"]
 
-    def test_one_check_per_sweep(self, monkeypatch):
+    def test_one_check_per_sweep(self, monkeypatch, tmp_path):
         calls = self.count_checks(monkeypatch)
-        grid = make_grid(**self.GRID)
+        code = cli.main(["sweep", *self.PROBLEM, *self.GRID, "--masses", "1,1.5,2",
+                         "--cold-restarts", "2", "--out", str(tmp_path)])
+        assert code in (cli.EXIT_OK, cli.EXIT_VERDICT_FAIL)
+        assert calls == ["pure_power"]
+
+    def test_one_check_per_multistart(self, monkeypatch, tmp_path):
+        calls = self.count_checks(monkeypatch)
+        code = cli.main(["solve", *self.PROBLEM, *self.GRID, "--mass", "1",
+                         "--restarts", "3", "--out", str(tmp_path)])
+        assert code in (cli.EXIT_OK, cli.EXIT_NOT_CONVERGED)
+        assert len(json.loads((tmp_path / "report.json").read_text())["replicas"]) == 3
+        assert calls == ["pure_power"]
+
+    def test_library_makes_no_check(self, monkeypatch):
+        calls = self.count_checks(monkeypatch)
+        grid = make_grid(1, 20.0, 301)
+        p8 = builtin("pure_power", 1, p=8.0)
         opts = SolveOptions(mass=1.0, max_iters=10)
-        sweep(grid, builtin("pure_power", 1, p=8.0), [1.0, 1.5, 2.0], opts,
-              cold_restarts=2)
-        assert calls == ["pure_power"]
-
-    def test_one_check_per_multistart(self, monkeypatch):
-        calls = self.count_checks(monkeypatch)
-        grid = make_grid(**self.GRID)
-        _, reports = multistart_minimize(grid, builtin("pure_power", 1, p=8.0),
-                                         SolveOptions(mass=1.0, max_iters=10), restarts=3)
-        assert len(reports) == 3
-        assert calls == ["pure_power"]
+        sweep(grid, p8, [1.0, 1.5], opts, cold_restarts=1)
+        multistart_minimize(grid, p8, opts, restarts=2)
+        assert calls == []
 
     def test_forced_sweep_makes_no_check(self, monkeypatch, tmp_path):
         calls = self.count_checks(monkeypatch)
@@ -370,16 +380,59 @@ class TestHypothesisGate:
         assert code in (cli.EXIT_OK, cli.EXIT_VERDICT_FAIL)
         assert calls == []
 
-    def test_nonconforming_sweep_raises_once(self, monkeypatch):
-        # the mass-critical cubic in 1D fails the gate: the sweep stops
-        # before its first point instead of recording a failure per point
+    def test_forced_solve_makes_no_check(self, monkeypatch, tmp_path):
+        # the config key reads as --force does, in any case
         calls = self.count_checks(monkeypatch)
-        grid = make_grid(**self.GRID)
-        cubic = from_callables("cubic", compile_expression("abs(t)^2 * t"),
-                               compile_expression("abs(t)^4 / 4"))
-        with pytest.raises(NonconformanceError):
-            sweep(grid, cubic, [1.0, 2.0], SolveOptions(mass=1.0))
-        assert calls == ["cubic"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("solve.force = TRUE\n")
+        code = cli.main(["solve", *self.PROBLEM, *self.GRID, "--mass", "1",
+                         "--restarts", "2", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")])
+        assert code in (cli.EXIT_OK, cli.EXIT_NOT_CONVERGED)
+        assert calls == []
+
+    CUBIC = ["--dim", "1", "--f-expr", "abs(t)^2 * t", "--F-expr", "abs(t)^4 / 4",
+             "--radius", "20", "--points", "301"]
+
+    def assert_stops_at_the_gate(self, calls, code, capsys, out):
+        # the mass-critical cubic in 1D fails f1, f3 and f4: the command
+        # stops before its first descent, with one line, instead of
+        # recording a failure per point or per replica
+        assert code == cli.EXIT_NONCONFORMANCE
+        assert capsys.readouterr().err == ("nonconformance: nonlinearity 'user' fails "
+                                           "f1, f3, f4; pass --force to override\n")
+        assert calls == ["user"]
+        assert list(out.iterdir()) == []
+
+    def test_nonconforming_sweep_raises_once(self, monkeypatch, tmp_path, capsys):
+        calls = self.count_checks(monkeypatch)
+        code = cli.main(["sweep", *self.CUBIC, "--masses", "1,2", "--out", str(tmp_path)])
+        self.assert_stops_at_the_gate(calls, code, capsys, tmp_path)
+
+    def test_nonconforming_solve_raises_once(self, monkeypatch, tmp_path, capsys):
+        calls = self.count_checks(monkeypatch)
+        code = cli.main(["solve", *self.CUBIC, "--mass", "1", "--restarts", "3",
+                         "--out", str(tmp_path)])
+        self.assert_stops_at_the_gate(calls, code, capsys, tmp_path)
+
+    def test_gate_keeps_no_state(self):
+        # two specs with the same name and params but different f: the
+        # second gate call must check its own spec, not reuse the first
+        # verdict
+        def spec(power):
+            def f(t):
+                t = np.asarray(t, dtype=float)
+                return np.abs(t) ** power * t
+
+            def F(t):
+                t = np.asarray(t, dtype=float)
+                return np.abs(t) ** (power + 2.0) / (power + 2.0)
+
+            return from_callables("gate_probe", f, F)
+
+        cli._gate({}, spec(6.0), 1)
+        with pytest.raises(NonconformanceError, match="'gate_probe' fails"):
+            cli._gate({}, spec(1.5), 1)
 
 
 class TestSerialization:
