@@ -156,16 +156,18 @@ def build_options(cfg: dict, mass: float) -> SolveOptions:
     return SolveOptions(mass=mass, **given)
 
 
-def _gate(cfg: dict, nl, N: int) -> None:
-    """Check nl against _GATE in dimension N, unless solve.force is true;
-    a failed hypothesis ends the command in NonconformanceError."""
+def _gate(cfg: dict, nl, N: int):
+    """Check nl against _GATE in dimension N and return the report, unless
+    solve.force is true (then None, with no check); a failed hypothesis
+    ends the command in NonconformanceError."""
     if cfg.get("solve.force", "false").lower() == "true":
-        return
+        return None
     report = check_conditions(nl, N)
     bad = [h for h in _GATE if report.verdict(h) == "fail"]
     if bad:
         raise NonconformanceError(f"nonlinearity {nl.name!r} fails {', '.join(bad)}; "
                                   "pass --force to override")
+    return report
 
 
 def _outdir(cfg: dict) -> str:
@@ -271,7 +273,7 @@ def cmd_sweep(args) -> int:
     grid = build_grid(cfg, N)
     opts = build_options(cfg, masses[0])
     cold = _number(cfg, "solve.cold_restarts", int, 0, least=0)
-    _gate(cfg, nl, N)
+    report = _gate(cfg, nl, N)
     result = sweep(grid, nl, masses, opts, cold_restarts=cold)
     out = _outdir(cfg)
     with open_artifact(os.path.join(out, "resolved.cfg")) as fh:
@@ -279,7 +281,7 @@ def cmd_sweep(args) -> int:
     result.to_csv(os.path.join(out, "sweep.csv"))
     payload = result.as_dict()
     try:
-        payload["mountain_pass_floor"] = mountain_pass_floor(grid, nl)
+        payload["mountain_pass_floor"] = mountain_pass_floor(grid, nl, report)
     except NonconformanceError:
         pass
     with open_artifact(os.path.join(out, "verdicts.json")) as fh:

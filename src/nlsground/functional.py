@@ -41,17 +41,19 @@ numerically.
 A bracket evaluation forms f, F and F_tilde only on the live prefix of
 the grid: the lanes before the first block of _LIVE_BLOCK lanes past
 which e^{min(Ns/2, _SCALE_LOG_MAX)} |u| stays below the spec's dead
-floor (NonlinearitySpec.dead_floor), where |f| and |F| are below
-2^-1022 and move no integral.  The cut comes from the blocks' maxima of
-|u|, built once per projection when the lane 1/16 of the grid before
-its end is dead, and one bisection per bracket; the cut lanes take
-f = +0, power's flush rule.  The brackets, integrals, projections and
-reduced gradients keep their bits.  On fiber_batch's 24001-node profiles a bracket at
-s(u) then takes about 170 us for pure_power (53 % of the lanes live, 255
-us before), 280 us for log_supercritical (76 %, 370 us), 370 us for
-critical_piecewise (92 %, 400 us) and 320 us for f6prime_example (67 %,
-485 us) on a shared 2-vCPU host; specs without a floor (user
-expressions, from_callables) evaluate every lane.
+floor (NonlinearitySpec.dead_floor), where the integrands |f t| and |F|
+are below 2^-1022 and move no integral.  The cut comes from the blocks'
+maxima of |u|, built once per projection when the lane 1/16 of the grid
+before its end is dead, and one bisection per bracket.  f itself may
+still be normal on the cut lanes, so at s(u) the projection evaluates f
+there once more for the reduced gradient.  The brackets, integrals,
+projections and reduced gradients keep their bits.  On fiber_batch's
+24001-node profiles (seed 0) a bracket at s(u) then takes about 150-210
+us for pure_power (50 % of the lanes live, 400-620 us on every lane),
+430-650 us for log_supercritical (68 %, 690-840 us), 420-440 us for
+critical_piecewise (81 %, 520-530 us) and 500 us for f6prime_example
+(61 %, 820 us) on a busy shared 2-vCPU host; specs without a floor
+(user expressions, from_callables) evaluate every lane.
 """
 
 from __future__ import annotations
@@ -99,10 +101,10 @@ class FiberResult:
     """Outcome of the Pohozaev projection of one profile.
 
     _f_star holds (u.values, nl, f(e^{N s*/2} u)) from the bracket
-    evaluation at s*, +0 on the lanes that bracket cut, which
-    reduced_gradient reuses for that profile and spec; it takes no part
-    in repr or comparison, and neither does evaluations, the bracket
-    calls the projection made.
+    evaluation at s* and, on the lanes that bracket cut, one more call of
+    f, which reduced_gradient reuses for that profile and spec; it takes
+    no part in repr or comparison, and neither does evaluations, the
+    bracket calls the projection made.
     """
 
     s_star: float
@@ -158,9 +160,9 @@ def fiber_action(u: GridFunction, nl: NonlinearitySpec, s: float) -> float:
 def _live_lanes(u: GridFunction, floor: float, scale: float, tail: list) -> int:
     """The number n of leading lanes on which the bracket at the scale
     factor `scale` evaluates the pair: every lane i >= n has
-    scale * |u_i| < floor, the spec's dead floor, so its f and F lie below
-    2^-1022.  n is the node count, with no further work, unless the lane
-    1/_CUT_SHARE of the grid before its end scales below the floor: a
+    scale * |u_i| < floor, the spec's dead floor, so its f t and F lie
+    below 2^-1022.  n is the node count, with no further work, unless the
+    lane 1/_CUT_SHARE of the grid before its end scales below the floor: a
     shorter dead tail saves less than the cut costs.  Then n ends the last
     block of _LIVE_BLOCK lanes whose scaled maximum of |u| reaches the
     floor, found by one bisection in the running maximum of the blocks'
@@ -204,8 +206,9 @@ def _fiber_bracket(u: GridFunction, nl: NonlinearitySpec, s: float,
     F_tilde is formed from one evaluation of the pair (f, F)
     (NonlinearitySpec.f_and_F), on the live prefix of the grid only
     (_live_lanes): past it every scaled lane lies below the spec's dead
-    floor, where f, F and F_tilde are below 2^-1022 and move no integral
-    over a profile with normal values on it.  When F_integrals is given,
+    floor, where f t and F are below 2^-1022 and F_tilde below
+    3 * 2^-1022, which move no integral over a profile with normal values
+    on it; f itself may still be normal there.  When F_integrals is given,
     int F(e^{Ns/2} u) is stored in it under s, so the caller can form
     I(s * u) without evaluating F again; when f_values is given, the
     array f(e^{Ns/2} u) on the live prefix is stored in it under s.  tail
@@ -295,9 +298,10 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0) -> Fiber
     log_supercritical.  Each evaluation forms f and F on the profile's
     live prefix only (_fiber_bracket), from the blocks' maxima of |u|
     that the loop builds at most once.  The loop keeps the f array of the
-    current ends only, and hands the one at s(u), with +0 past its
-    prefix, to reduced_gradient through the FiberResult, with the number
-    of bracket evaluations it made as FiberResult.evaluations.
+    current ends only, and hands the one at s(u), completed past its
+    prefix by one more call of f, to reduced_gradient through the
+    FiberResult, with the number of bracket evaluations it made as
+    FiberResult.evaluations.
 
     Raises ValueError for the zero profile and NonconformanceError when no
     sign change of the monotone bracket exists within |s| <= _BRACKET_CAP.
@@ -390,11 +394,14 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0) -> Fiber
         raise RuntimeError(f"projection failed to converge after {_ROOT_ITERS} evaluations")
     s_star, (b, F_integral, f_star) = ((lo, at_lo) if abs(at_lo[0]) <= abs(at_hi[0])
                                        else (hi, at_hi))
-    if len(f_star) < u.values.size:
-        # +0 on the cut lanes; a grid-sized array outlives the projection
-        # (a prefix-sized one left holes in the heap that raised fiber_batch's
+    n = len(f_star)
+    if n < u.values.size:
+        # f itself on the cut lanes, at the bracket's scale, where it may
+        # still be normal; a grid-sized array outlives the projection (a
+        # prefix-sized one left holes in the heap that raised fiber_batch's
         # peak resident memory by 1.5 MB over ten passes)
-        f_star = np.concatenate((f_star, np.zeros(u.values.size - len(f_star))))
+        scale = math.exp(min(0.5 * N * s_star, _SCALE_LOG_MAX))
+        f_star = np.concatenate((f_star, nl.f(scale * u.values[n:])))
     return FiberResult(
         s_star=float(s_star),
         value=_fiber_value(T, F_integral, s_star, N),
@@ -419,9 +426,8 @@ def reduced_gradient(u: GridFunction, nl: NonlinearitySpec,
     fiber, if given, is project(u, nl).  Its f array at s(u) stands in for
     f(e^{Ns/2} u) when it was computed for this u and nl and the bracket's
     scale e^{min(Ns/2, _SCALE_LOG_MAX)} is e^{Ns/2}; otherwise f is
-    evaluated here.  On the lanes the bracket cut that array holds +0
-    where f lies below 2^-1022, which can move a gradient value only where
-    its Laplacian term lies within a factor 2^53 of e^{-Ns/2} 2^-1022.
+    evaluated here.  That array holds f's own value on every lane, the
+    lanes the bracket cut included.
     """
     if fiber is None:
         fiber = project(u, nl)

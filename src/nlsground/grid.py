@@ -39,6 +39,7 @@ results are the same bits.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -242,6 +243,26 @@ class GridFunction:
         return GridFunction(grid, u)
 
 
+@functools.lru_cache(maxsize=None)
+def _max_radius(N: int) -> float:
+    """The largest double R whose power R^max(N, 2) is a finite double:
+    the cell measures need R^N, the gradient energy of a profile R^2."""
+    k = max(N, 2)
+
+    def finite(r):
+        try:
+            return math.isfinite(r**k)
+        except OverflowError:
+            return False
+
+    r = sys.float_info.max ** (1.0 / k)
+    while finite(math.nextafter(r, math.inf)):
+        r = math.nextafter(r, math.inf)
+    while not finite(r):
+        r = math.nextafter(r, 0.0)
+    return r
+
+
 def make_grid(N: int, R: float, K: int, stretch: float | None = None) -> RadialGrid:
     """Build a radial grid with K nodes on [0, R] in dimension N.
 
@@ -257,6 +278,10 @@ def make_grid(N: int, R: float, K: int, stretch: float | None = None) -> RadialG
         raise ConfigurationError(f"dimension must be a positive integer, got {N}")
     if not (R > 0 and math.isfinite(R)):
         raise ConfigurationError(f"radius must be positive, got {R}")
+    largest = _max_radius(int(N))
+    if R > largest:
+        raise ConfigurationError(f"radius must be at most {largest!r} in dimension {int(N)}, "
+                                 f"where R^{max(int(N), 2)} is finite; got {R}")
     if K < 16:
         raise ConfigurationError(f"need at least 16 nodes, got {K}")
     xi = np.linspace(0.0, 1.0, K)

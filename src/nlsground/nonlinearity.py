@@ -65,12 +65,14 @@ class NonlinearitySpec:
     ``dataclasses.replace``) must replace or clear ``fused`` as well, or
     the fiber layer keeps evaluating the old pair.
 
-    ``dead_floor`` is a t0 >= 0 such that the fused pair's |f(t)| and
-    |F(t)| lie below 2^-1022, the smallest normal double, for every
-    |t| < t0; 0.0, the default, claims nothing.  The fiber bracket
+    ``dead_floor`` is a t0 >= 0 such that the bracket's integrands,
+    |f(t) t| and |F(t)| from the fused pair, lie below 2^-1022, the
+    smallest normal double, for every |t| < t0; 0.0, the default, claims
+    nothing.  |f(t)| itself may still be normal there.  The fiber bracket
     evaluates the pair only on the lanes before the point past which every
-    scaled lane lies below t0, and takes f = +0 beyond it (power's flush
-    rule).  ``dataclasses.replace`` keeps the floor: a copy that swaps f
+    scaled lane lies below t0, and the projection evaluates f once more on
+    the lanes past it at s(u) for the reduced gradient.
+    ``dataclasses.replace`` keeps the floor: a copy that swaps f
     or F for a function with other values must clear it
     (``dead_floor=0.0``) or set one that holds for the new pair, while
     one whose wrappers compute the same values, like perfbench's tracer,
@@ -213,19 +215,20 @@ _FLOOR_SCAN = np.ldexp(1.0, np.arange(-1074, 1))
 
 def _dead_floor(fused) -> float:
     """A dead floor for the pair (NonlinearitySpec.dead_floor): the largest
-    power of two t0 <= 1 such that fused gives |f| and |F| below 2^-1022 at
-    +-t for t0 and every smaller power of two, from one evaluation on
-    +-2^-1074 ... +-1; 0.0 where 2^-1074 already fails, and a NaN fails.
-    For t0 < 1 the next power of two, 2 t0, fails, so where |f| and |F|
-    grow with |t| near 0, as the builtins' power laws do, the floor holds
-    between the samples too and lies within a factor 2 below the first |t|
-    with a normal value.  One scan costs 40-90 us.
+    power of two t0 <= 1 such that fused gives |f(t) t| and |F(t)|, the
+    bracket's integrands, below 2^-1022 at +-t for t0 and every smaller
+    power of two, from one evaluation on +-2^-1074 ... +-1; 0.0 where
+    2^-1074 already fails, and a NaN fails.  For t0 < 1 the next power of
+    two, 2 t0, fails, so where |f t| and |F| grow with |t| near 0, as the
+    builtins' power laws do, the floor holds between the samples too and
+    lies within a factor 2 below the first |t| with a normal integrand.
+    One scan costs 40-90 us.
     """
     t = np.concatenate([_FLOOR_SCAN, -_FLOOR_SCAN])
     tiny = np.finfo(float).tiny
     with np.errstate(all="ignore"):
         fv, F = fused(t)
-        dead = (np.abs(fv) < tiny) & (np.abs(F) < tiny)
+        dead = (np.abs(fv * t) < tiny) & (np.abs(F) < tiny)
     dead = dead[:_FLOOR_SCAN.size] & dead[_FLOOR_SCAN.size:]
     live = dead.size if dead.all() else int(np.argmin(dead))
     return float(_FLOOR_SCAN[live - 1]) if live else 0.0
@@ -282,13 +285,16 @@ def _log_supercritical(N: int) -> NonlinearitySpec:
     alpha = 1.0 if N <= 2 else 8.0 / (N * (N - 2.0))
     q = 2.0 + 4.0 / N
 
+    # at alpha = 1 (N <= 2) |t|^alpha and alpha |t|^alpha are copies of |t|
+    unit = alpha == 1.0
+
     def common(t):
         t, abs_t = _signed_abs(t)
-        a = power(abs_t, alpha)
+        a = abs_t if unit else power(abs_t, alpha)
         return t, abs_t, a, np.log1p(a)
 
     def f_of(t, abs_t, a, log_a):
-        return (q * log_a + alpha * a / (1.0 + a)) * power(abs_t, 4.0 / N) * t
+        return (q * log_a + (a if unit else alpha * a) / (1.0 + a)) * power(abs_t, 4.0 / N) * t
 
     def F_of(t, abs_t, a, log_a):
         return power(abs_t, q) * log_a
@@ -317,8 +323,11 @@ def _critical_piecewise(N: int, p: float | None = None) -> NonlinearitySpec:
         return t, a, a <= 1.0
 
     def f_of(t, a, lo):
-        return np.where(lo, power(a, two_star - 2.0, where=lo),
-                        power(a, p - 2.0, where=~lo)) * t
+        # the outer branch goes into the inner branch's array: its lanes
+        # exceed 1 (or are NaN), so power's floor would mask none of them
+        out = power(a, two_star - 2.0, where=lo)
+        np.power(a, p - 2.0, out=out, where=~lo)
+        return out * t
 
     def F_of(t, a, lo):
         out = power(a, two_star, where=lo)
@@ -348,18 +357,26 @@ def _f6prime_example(N: int, beta: float = 1.0, beta_N: float | None = None) -> 
     if not (0.0 < beta_N <= cap):
         raise ValueError(f"need beta_N in (0, {cap}], got {beta_N}")
     two_star = 2.0 * N / (N - 2.0)
+    # a product with a coefficient of 1.0 copies its input's bits, so it
+    # is skipped
+    damp_coef = beta_N * (N - 2.0)
+    F_coef = beta * (N - 2.0)
 
     def common(t):
         t, abs_t = _signed_abs(t)
         a = power(abs_t, beta_N)
-        return t, abs_t, a, 1.0 + a
+        one_a = 1.0 + a
+        return t, abs_t, a, one_a, 2.0 * N * one_a
 
-    def f_of(t, abs_t, a, one_a):
-        damp = 1.0 - beta_N * (N - 2.0) * a / (2.0 * N * one_a)
-        return beta * damp * power(abs_t, 4.0 / (N - 2.0)) * t / one_a
+    def f_of(t, abs_t, a, one_a, two_n_one_a):
+        damp = 1.0 - (a if damp_coef == 1.0 else damp_coef * a) / two_n_one_a
+        if beta != 1.0:
+            damp = beta * damp
+        return damp * power(abs_t, 4.0 / (N - 2.0)) * t / one_a
 
-    def F_of(t, abs_t, a, one_a):
-        return beta * (N - 2.0) * power(abs_t, two_star) / (2.0 * N * one_a)
+    def F_of(t, abs_t, a, one_a, two_n_one_a):
+        pw = power(abs_t, two_star)
+        return (pw if F_coef == 1.0 else F_coef * pw) / two_n_one_a
 
     return _builtin_spec(
         "f6prime_example", common, f_of, F_of,

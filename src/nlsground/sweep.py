@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import ConfigurationError, RadialGrid, open_artifact
-from .nonlinearity import NonlinearitySpec, check_conditions
+from .nonlinearity import ConditionReport, NonlinearitySpec, check_conditions
 from .functional import NonconformanceError
 from .optimizer import SolveOptions, initial_profile, minimize, multistart_minimize
 from .oracles import critical_grad_norm_sq
@@ -198,17 +198,22 @@ def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
     )
 
 
-def mountain_pass_floor(grid: RadialGrid, nl: NonlinearitySpec) -> float:
+def mountain_pass_floor(grid: RadialGrid, nl: NonlinearitySpec,
+                        report: ConditionReport | None = None) -> float:
     """Lower bound for E_m when f satisfies f6' and F <= (beta/2*)|t|^{2*}.
 
     Reduces to the critical-power comparison level
     (1/N) S^{N/2} beta^{-(N-2)/2}, with S^{N/2} from the bubble oracle.
+    A spec that does not claim f6' needs check_conditions' f6' verdict in
+    the grid's dimension: report, if given, is that check of nl, else the
+    check runs here.
     """
     N = grid.dimension
     if N < 3:
         raise NonconformanceError("the mountain-pass floor needs N >= 3")
     if "f6p" not in nl.claimed:
-        report = check_conditions(nl, N)
+        if report is None:
+            report = check_conditions(nl, N)
         if report.verdict("f6p") != "pass":
             raise NonconformanceError(
                 f"{nl.name!r} does not satisfy (f6'): no critical comparison floor"

@@ -3,6 +3,7 @@ import operator
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -465,6 +466,24 @@ class TestCheckCommand:
         # replica i seeds its noise with seed + i, which numpy refuses below 0
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: seed must be non-negative, got {argv[-1]}\n"
+
+    @pytest.mark.parametrize("argv, largest", [
+        (["--dim", "1", "--param", "p=8", "--radius", "1e308"], "1.3407807929942596e+154"),
+        (["--dim", "3", "--param", "p=4.5", "--radius", "1e200"], "5.643803094122361e+102"),
+        (["--dim", "1", "--param", "p=8", "--radius", "9e307"], "1.3407807929942596e+154"),
+    ], ids=["1e308", "N3-1e200", "9e307"])
+    def test_overflowing_radius_is_usage(self, tmp_path, capsys, argv, largest):
+        # a radius whose R^max(N, 2) overflows is refused before any grid
+        # arithmetic, with no floating-point warning, and the message
+        # names the largest radius for that dimension
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["solve", "--builtin", "pure_power", *argv, "--mass", "1",
+                         "--points", "16", "--out", str(tmp_path)])
+        assert code == EXIT_USAGE and caught == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: radius must be at most {largest} in dimension")
+        assert err.count("\n") == 1
 
     def test_bad_config_value_names_its_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -20,6 +21,7 @@ from nlsground import (
 from nlsground import grid as grid_module
 from nlsground.grid import (
     _CSV_CHUNK,
+    _max_radius,
     solve_shifted,
     spd_tridiagonal_solve,
     sphere_area,
@@ -71,6 +73,17 @@ class TestMakeGrid:
             make_grid(0, 1.0, 100)
         with pytest.raises(ConfigurationError):
             make_grid(3, 1.0, 100, stretch=-2.0)
+
+    def test_largest_radius(self):
+        # the largest radius whose R^max(N, 2) is finite: one ulp more
+        # overflows and is refused
+        for N in (1, 2, 3, 5):
+            R = _max_radius(N)
+            assert math.isfinite(R ** max(N, 2))
+            with pytest.raises(OverflowError):
+                math.nextafter(R, math.inf) ** max(N, 2)
+            with pytest.raises(ConfigurationError, match=re.escape(f"at most {R!r} in dimension {N},")):
+                make_grid(N, math.nextafter(R, math.inf), 100)
 
     def test_grid_immutable(self):
         g = make_grid(2, 1.0, 64)

@@ -187,29 +187,29 @@ TINY = np.finfo(float).tiny
 
 
 class TestDeadFloor:
-    """Each builtin's dead floor t0: below it the fused pair's |f| and |F|
-    lie below 2^-1022, and the first |t| where either is normal lies
-    within a factor 2 above it."""
+    """Each builtin's dead floor t0: below it the bracket's integrands,
+    the fused pair's |f t| and |F|, lie below 2^-1022, and the first |t|
+    where either is normal lies within a factor 2 above it."""
 
-    # the battery's and the benchmark's settings, the first |t| where f
+    # the battery's and the benchmark's settings, the first |t| where f t
     # or F is normal (a dense scan), and two more dimensions
     CASES = [
-        ("pure_power", 1, {"p": 8.0}, 1.12e-44),
-        ("log_supercritical", 2, {}, 8.17e-78),
-        ("critical_piecewise", 5, {}, 1.41e-132),
-        ("f6prime_example", 3, {"beta": 1.0, "beta_N": 1.0 / 3.0}, 2.95e-62),
+        ("pure_power", 1, {"p": 8.0}, 3.49e-39),
+        ("log_supercritical", 2, {}, 2.14e-62),
+        ("critical_piecewise", 5, {}, 5.06e-93),
+        ("f6prime_example", 3, {"beta": 1.0, "beta_N": 1.0 / 3.0}, 5.30e-52),
         ("log_supercritical", 3, {}, None),
         ("pure_power", 3, {"p": 4.5}, None),
     ]
 
     @staticmethod
     def dead(nl, t):
-        """Per |t|: |f| and |F| below 2^-1022 at +t and at -t."""
+        """Per |t|: |f t| and |F| below 2^-1022 at +t and at -t."""
         out = np.ones(t.shape, dtype=bool)
         for sign in (1.0, -1.0):
             with np.errstate(all="ignore"):
                 fv, F = nl.f_and_F(sign * t)
-            out &= (np.abs(fv) < TINY) & (np.abs(F) < TINY)
+            out &= (np.abs(fv * t) < TINY) & (np.abs(F) < TINY)
         return out
 
     @pytest.mark.parametrize("name, N, params, first", CASES,
@@ -232,9 +232,11 @@ class TestDeadFloor:
         assert cubic.dead_floor == 0.0 and user.dead_floor == 0.0
 
     def test_scan_edges(self):
-        # a pair live at 2^-1074 gets no floor, NaN counts as live, and a
-        # pair dead up to 1 gets the scan's top
-        assert _dead_floor(lambda t: (np.sign(t), 0.0 * t)) == 0.0
+        # a pair whose f t is live at 2^-1074 gets no floor, a normal f
+        # whose f t is not does get one, NaN counts as live, and a pair
+        # dead up to 1 gets the scan's top
+        assert _dead_floor(lambda t: (np.full_like(t, 2.0**1000), 0.0 * t)) == 0.0
+        assert _dead_floor(lambda t: (np.sign(t), 0.0 * t)) == 2.0**-1023
         assert _dead_floor(lambda t: (np.full_like(t, np.nan), 0.0 * t)) == 0.0
         assert _dead_floor(lambda t: (0.0 * t, 0.0 * t)) == 1.0
 

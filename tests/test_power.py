@@ -723,19 +723,44 @@ class TestLivePrefix:
 
     def test_every_lane_cut(self):
         # below the scale where max|u| reaches the floor nothing is
-        # evaluated: an F integral of 0 and a bracket of exactly T
+        # evaluated: an F integral of 0 and a bracket of exactly T.  The
+        # full-array reference gives that bracket too, and an F integral
+        # that lies in the subnormal range (2.4e-311 for
+        # log_supercritical): the one case where a dead lane moves an
+        # integral is an integral that is itself below 2^-1022
+        tiny = np.finfo(float).tiny
         for name, nl, profiles in fiber_specs(1):
             if name == "user":
                 continue
             u = profiles[0]
             N = u.grid.dimension
-            s = 2.0 / N * (math.log(nl.dead_floor) - math.log(np.max(np.abs(u.values)))) - 1.0
-            assert live_count(u, nl, s) == 0, name
-            F_integrals = {}
             T = functional.grad_norm_sq(u)
-            assert functional._fiber_bracket(u, nl, s, T, F_integrals) == T, name
-            assert F_integrals[s] == 0.0, name
-            self.assert_matches_full(u, nl, [s, s - 10.0], [])
+            top = 2.0 / N * (math.log(nl.dead_floor) - math.log(np.max(np.abs(u.values)))) - 1.0
+            for s in (top, top - 10.0):
+                assert live_count(u, nl, s) == 0, name
+                got_F, ref_F = {}, {}
+                assert functional._fiber_bracket(u, nl, s, T, got_F) == T, name
+                assert full_bracket(u, nl, s, T, ref_F) == T, name
+                assert got_F[s] == 0.0 and abs(ref_F[s]) < tiny, name
+
+    def test_f_star_past_the_cut(self):
+        # the floor bounds the integrands f t and F, not f: at s(u) the
+        # bracket stops before the last lane whose f is normal, and project
+        # fills f itself on the lanes past its prefix
+        nl = builtin("log_supercritical", 2)
+        for u in fiber_profiles(2, (1.5, 4.0), 3, seed=1):
+            fr = functional.project(u, nl)
+            s = fr.s_star
+            f_values = {}
+            functional._fiber_bracket(u, nl, s, f_values=f_values)
+            ref_f = nl.f(math.exp(s) * u.values)
+            normal = np.abs(ref_f) >= np.finfo(float).tiny
+            assert len(f_values[s]) < np.flatnonzero(normal)[-1] + 1
+            assert np.array_equal(bits(fr._f_star[2]), bits(ref_f))
+            with mock.patch.object(functional, "_fiber_bracket", full_bracket):
+                ref = functional.project(u, nl)
+            got = functional.reduced_gradient(u, nl, fr).values
+            assert np.array_equal(bits(got), bits(full_gradient(u, nl, ref)))
 
     def test_no_lane_cut(self):
         # a profile live 1/16 of the grid before its end keeps every lane

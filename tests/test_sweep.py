@@ -380,6 +380,25 @@ class TestHypothesisGate:
         assert code in (cli.EXIT_OK, cli.EXIT_VERDICT_FAIL)
         assert calls == []
 
+    FLOOR = ["sweep", "--builtin", "pure_power", "--param", "p=4.5", "--dim", "3",
+             "--masses", "1,2", "--points", "801", "--radius", "30", "--max-iters", "200"]
+
+    def test_one_check_per_sweep_with_floor(self, monkeypatch, tmp_path):
+        # at N >= 3 a spec that does not claim f6' needs its f6' verdict
+        # for the mountain-pass floor: the floor reads the gate's report,
+        # and under --force, where the gate checks nothing, makes its own
+        calls = self.count_checks(monkeypatch)
+        verdicts = []
+        for extra in ([], ["--force"]):
+            out = tmp_path / ("forced" if extra else "gated")
+            code = cli.main([*self.FLOOR, *extra, "--out", str(out)])
+            assert code in (cli.EXIT_OK, cli.EXIT_VERDICT_FAIL)
+            assert calls == ["pure_power"]
+            calls.clear()
+            verdicts.append((out / "verdicts.json").read_bytes())
+        assert b"mountain_pass_floor" not in verdicts[0]
+        assert verdicts[0] == verdicts[1]
+
     def test_forced_solve_makes_no_check(self, monkeypatch, tmp_path):
         # the config key reads as --force does, in any case
         calls = self.count_checks(monkeypatch)
