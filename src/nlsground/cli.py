@@ -331,8 +331,8 @@ def cmd_oracle(args) -> int:
             table = Soliton1D(8.0 if args.p is None else args.p,
                               1.0 if args.mu is None else args.mu).table()
         elif case == "bubble":
-            eps = args.eps if args.eps is not None else Bubble.minimal_mass(args.dim) \
-                / Bubble(args.dim, 1.0).unit_mass
+            eps = args.eps if args.eps is not None else \
+                Bubble.eps_for_mass(args.dim, Bubble.minimal_mass(args.dim))
             table = Bubble(args.dim, eps).table()
         else:  # "gn"; argparse admits no other case
             table = OracleTable(

@@ -36,29 +36,31 @@ convergent.  Cold projections of smooth 24001-node profiles take 2.6
 bracket evaluations for pure powers, 5.0 for critical_piecewise, 4.95
 for f6prime_example and 5.95 for log_supercritical.  Failure to bracket
 within the cap signals that the supplied nonlinearity violates f1/f3/f4
-numerically.
+numerically, or that the profile's root lies beyond the cap, as for a
+profile a node or two wide on a coarse grid.
 
 A bracket evaluation forms f, F and F_tilde only on the live prefix of
-the grid: the lanes before the first block of _LIVE_BLOCK lanes past
-which e^{min(Ns/2, _SCALE_LOG_MAX)} |u| stays below the spec's dead
-floor (NonlinearitySpec.dead_floor), where the integrands |f t| and |F|
-are below 2^-1022 and move no integral.  The cut comes from the blocks'
-maxima of |u|, built once per projection when the lane 1/16 of the grid
-before its end is dead, and one bisection per bracket.  f itself may
-still be normal on the cut lanes, so at s(u) the projection evaluates f
-there once more for the reduced gradient.  The brackets, integrals,
+the grid, for every spec with a dead floor (NonlinearitySpec.dead_floor):
+the lanes up to the end of the last block of _LIVE_BLOCK lanes whose
+maximum of e^{min(Ns/2, _SCALE_LOG_MAX)} |u| reaches the floor.  Past
+it every scaled lane lies below the floor, where the integrands |f t|
+and |F| are below 2^-1022 and F_tilde below 3 * 2^-1022, which move no
+integral over a profile with normal values on it.  The blocks' maxima
+of |u| are built once per projection; each bracket scales them and
+takes the last block that reaches the floor.  f itself may still be
+normal on the cut lanes, so at s(u) the projection evaluates f there
+once more for the reduced gradient.  The brackets, integrals,
 projections and reduced gradients keep their bits.  On fiber_batch's
-24001-node profiles (seed 0) a bracket at s(u) then takes about 150-210
-us for pure_power (50 % of the lanes live, 400-620 us on every lane),
-430-650 us for log_supercritical (68 %, 690-840 us), 420-440 us for
-critical_piecewise (81 %, 520-530 us) and 500 us for f6prime_example
-(61 %, 820 us) on a busy shared 2-vCPU host; specs without a floor
-(user expressions, from_callables) evaluate every lane.
+24001-node profiles (seed 0) a bracket at s(u) takes about 130-190 us
+for pure_power (50 % of the lanes live, 460-570 us on every lane),
+170-240 us for log_supercritical (68 %, 590-680 us), 260-380 us for
+critical_piecewise (80 %, 520-590 us) and 230-380 us for
+f6prime_example (61 %, 680-790 us) on a shared 2-vCPU host; specs
+without a floor (user expressions, from_callables) evaluate every lane.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -84,12 +86,8 @@ _CLOSE_RTOL = 1e-6
 _LOG_MAX = 709.0
 # the bracket scales u by exp(min(N s/2, _SCALE_LOG_MAX))
 _SCALE_LOG_MAX = 700.0
-# the bracket cuts the grid's dead tail in blocks of this many lanes, and
-# only a tail whose last 1/_CUT_SHARE is dead: log_sweep's 4001-node
-# iterates keep 94-95 % of their lanes live, and cutting those tails made
-# its fiber layer about 1 % slower
+# the bracket cuts the grid's dead tail in blocks of this many lanes
 _LIVE_BLOCK = 64
-_CUT_SHARE = 16
 
 
 class NonconformanceError(RuntimeError):
@@ -157,39 +155,27 @@ def fiber_action(u: GridFunction, nl: NonlinearitySpec, s: float) -> float:
     return _fiber_value(grad_norm_sq(u), fval, s, N)
 
 
-def _live_lanes(u: GridFunction, floor: float, scale: float, tail: list) -> int:
-    """The number n of leading lanes on which the bracket at the scale
-    factor `scale` evaluates the pair: every lane i >= n has
-    scale * |u_i| < floor, the spec's dead floor, so its f t and F lie
-    below 2^-1022.  n is the node count, with no further work, unless the
-    lane 1/_CUT_SHARE of the grid before its end scales below the floor: a
-    shorter dead tail saves less than the cut costs.  Then n ends the last
-    block of _LIVE_BLOCK lanes whose scaled maximum of |u| reaches the
-    floor, found by one bisection in the running maximum of the blocks'
-    maxima taken from the last block back; that list is built on first
-    use and kept in tail.  A cut at block ends keeps at most
-    _LIVE_BLOCK - 1 dead lanes, and needs no running maximum over every
-    lane.
+def _block_maxima(u: GridFunction) -> np.ndarray:
+    """The maxima of |u| over the grid's blocks of _LIVE_BLOCK lanes."""
+    v = np.abs(u.values)
+    return np.maximum.reduceat(v, np.arange(0, v.size, _LIVE_BLOCK))
+
+
+def _live_lanes(u: GridFunction, floor: float, scale: float, blocks: np.ndarray) -> int:
+    """The number of leading lanes on which the bracket at the scale
+    factor `scale` evaluates the pair: the lanes up to the end of the
+    last block whose scaled maximum of |u| (blocks, _block_maxima(u))
+    reaches floor, the spec's dead floor.  See the module docstring.
     """
-    v = u.values
-    if not scale * abs(v[v.size - 1 - v.size // _CUT_SHARE]) < floor:
-        return v.size
-    if not tail:
-        blocks = np.maximum.reduceat(np.abs(v), np.arange(0, v.size, _LIVE_BLOCK))
-        tail.append(np.maximum.accumulate(blocks[::-1]).tolist())
-    back = tail[0]
-    dead = bisect.bisect_left(back, floor / scale)
-    # floor / scale rounds: count only blocks whose scaled maximum is below
-    while dead and not scale * back[dead - 1] < floor:
-        dead -= 1
-    return min(v.size, (len(back) - dead) * _LIVE_BLOCK)
+    live = np.flatnonzero(~(scale * blocks < floor))
+    return min(u.values.size, (int(live[-1]) + 1) * _LIVE_BLOCK) if live.size else 0
 
 
 def _fiber_bracket(u: GridFunction, nl: NonlinearitySpec, s: float,
                    T: float | None = None,
                    F_integrals: dict | None = None,
                    f_values: dict | None = None,
-                   tail: list | None = None) -> float:
+                   blocks: np.ndarray | None = None) -> float:
     """The strictly decreasing bracket of d/ds I(s * u):
 
         ||grad u||^2 - (N/2) e^{-(N+2)s} int F_tilde(e^{Ns/2} u).
@@ -204,26 +190,26 @@ def _fiber_bracket(u: GridFunction, nl: NonlinearitySpec, s: float,
     runs only when the integral is not finite.
 
     F_tilde is formed from one evaluation of the pair (f, F)
-    (NonlinearitySpec.f_and_F), on the live prefix of the grid only
-    (_live_lanes): past it every scaled lane lies below the spec's dead
-    floor, where f t and F are below 2^-1022 and F_tilde below
-    3 * 2^-1022, which move no integral over a profile with normal values
-    on it; f itself may still be normal there.  When F_integrals is given,
-    int F(e^{Ns/2} u) is stored in it under s, so the caller can form
-    I(s * u) without evaluating F again; when f_values is given, the
-    array f(e^{Ns/2} u) on the live prefix is stored in it under s.  tail
-    is _live_lanes' cache, which project keeps for one profile; a call
-    without it builds its own and gives the same bits.  The scale
-    is capped at e^{_SCALE_LOG_MAX}.
+    (NonlinearitySpec.f_and_F), on the live prefix of the grid only (see
+    the module docstring).  When F_integrals is given, int F(e^{Ns/2} u)
+    is stored in it under s, so the caller can form I(s * u) without
+    evaluating F again; when f_values is given, the array f(e^{Ns/2} u)
+    on the live prefix is stored in it under s.  blocks is
+    _block_maxima(u), which project builds once per profile; a call
+    without it builds its own and gives the same bits.  The scale is
+    capped at e^{_SCALE_LOG_MAX}.
     """
     g = u.grid
     N = g.dimension
     if T is None:
         T = grad_norm_sq(u)
     scale = math.exp(min(0.5 * N * s, _SCALE_LOG_MAX))
-    n = _live_lanes(u, nl.dead_floor, scale, [] if tail is None else tail)
-    w = g.weights[:n]
+    n = u.values.size
     with np.errstate(over="ignore", invalid="ignore"):
+        if nl.dead_floor > 0.0:
+            n = _live_lanes(u, nl.dead_floor, scale,
+                            _block_maxima(u) if blocks is None else blocks)
+        w = g.weights[:n]
         scaled = scale * u.values[:n]
         fv, F = nl.f_and_F(scaled)
         # the arithmetic of f_tilde, so the bracket keeps its bits; ft is
@@ -296,15 +282,17 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0) -> Fiber
     take 2.6 bracket evaluations for pure powers, 5.0 for
     critical_piecewise, 4.95 for f6prime_example and 5.95 for
     log_supercritical.  Each evaluation forms f and F on the profile's
-    live prefix only (_fiber_bracket), from the blocks' maxima of |u|
-    that the loop builds at most once.  The loop keeps the f array of the
+    live prefix only (see the module docstring), from the blocks' maxima
+    of |u| that project builds once.  The loop keeps the f array of the
     current ends only, and hands the one at s(u), completed past its
     prefix by one more call of f, to reduced_gradient through the
     FiberResult, with the number of bracket evaluations it made as
     FiberResult.evaluations.
 
     Raises ValueError for the zero profile and NonconformanceError when no
-    sign change of the monotone bracket exists within |s| <= _BRACKET_CAP.
+    sign change of the monotone bracket exists within |s| <= _BRACKET_CAP:
+    f violates its hypotheses numerically, or the root lies beyond the
+    cap, as for a profile only a node or two wide.
     """
     if mass(u) <= 0.0:
         raise ValueError("cannot project the zero profile")
@@ -314,14 +302,15 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0) -> Fiber
             "profile carries no gradient energy; projection undefined"
         )
     N = u.grid.dimension
-    F_integrals, f_values, tail = {}, {}, []
+    F_integrals, f_values = {}, {}
+    blocks = _block_maxima(u) if nl.dead_floor > 0.0 else None
     anchor = float(np.clip(s_hint, -_BRACKET_CAP, _BRACKET_CAP))
     # the sign-change interval: bracket(lo) >= 0 >= bracket(hi)
     lo, hi = -math.inf, math.inf
     s, s_prev, y_prev, k_prev = anchor, math.nan, math.nan, math.nan
     older = last = math.inf  # the step before the last one, and the last
     for evaluations in range(1, _ROOT_ITERS + 1):
-        b = _fiber_bracket(u, nl, s, T, F_integrals, f_values, tail)
+        b = _fiber_bracket(u, nl, s, T, F_integrals, f_values, blocks)
         at_s = (b, F_integrals.pop(s), f_values.pop(s))
         if b >= 0.0:
             lo, at_lo = s, at_s
@@ -385,7 +374,9 @@ def project(u: GridFunction, nl: NonlinearitySpec, s_hint: float = 0.0) -> Fiber
                 raise NonconformanceError(
                     f"no Pohozaev sign change {way} to s = {d * _BRACKET_CAP:g}: the "
                     f"nonlinearity numerically violates ({hyp}) or (f4) "
-                    f"(bracket never turns {turn})"
+                    f"(bracket never turns {turn}), or the profile's dilation root "
+                    f"lies beyond |s| = {_BRACKET_CAP:g}, e.g. on a grid too coarse "
+                    f"for the profile"
                 )
             t = d * _BRACKET_CAP
         older, last = last, t - s

@@ -32,7 +32,6 @@ clean power behavior.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -117,9 +116,6 @@ class ConditionReport:
             "sampling": self.sampling,
             "hypotheses": self.entries,
         }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, **kw)
 
 
 @functools.lru_cache(maxsize=256)

@@ -199,7 +199,7 @@ def _certificate(u: GridFunction, nl: NonlinearitySpec, m: float) -> _Certificat
 
 
 def _newton_polish(u: GridFunction, nl: NonlinearitySpec, m: float,
-                   cert: _Certificate) -> tuple[GridFunction, int] | None:
+                   cert: _Certificate) -> tuple[GridFunction, int]:
     """Bordered Newton on { -Delta u + mu u = f(u), mass(u) = m }, started
     from mu and the residual of u's certificate cert.
 
@@ -213,11 +213,11 @@ def _newton_polish(u: GridFunction, nl: NonlinearitySpec, m: float,
 
     The iteration stops after _POLISH_ITERS steps, when the trial does
     not lower the residual, when the residual is at most
-    1e-13 (1 + |mu|) ||v||, or, before the trial, when
-    ||dv|| <= _POLISH_RTOL ||v||: a correction that small is round-off
-    and cannot lower the residual (see _POLISH_RTOL).  Returns (profile,
-    accepted steps), profile being u itself after no step, or None when
-    the Jacobian is singular or its solve is not finite.
+    1e-13 (1 + |mu|) ||v||, or, before the trial, when the Jacobian is
+    singular, its solve is not finite, or ||dv|| <= _POLISH_RTOL ||v||:
+    a correction that small is round-off and cannot lower the residual
+    (see _POLISH_RTOL).  Returns (profile, accepted steps), profile being
+    u itself after no step.
     """
     grid = u.grid
     v = u.values.copy()
@@ -243,12 +243,12 @@ def _newton_polish(u: GridFunction, nl: NonlinearitySpec, m: float,
         try:
             x1, x2 = symmetric_tridiagonal_solve(diag, off, rhs).T
         except (np.linalg.LinAlgError, ValueError):
-            return None
+            break
         if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
-            return None
+            break
         ux2 = 2.0 * float(np.dot(w[:n], v[:n] * x2))
         if ux2 == 0.0:
-            return None
+            break
         dmu = (2.0 * float(np.dot(w[:n], v[:n] * x1)) - c0) / ux2
         dv = x1 - dmu * x2
         v_norm, dv_norm = grid.norm(v), grid.norm(np.concatenate([dv, [0.0]]))
@@ -520,7 +520,7 @@ def _finish(nl: NonlinearitySpec, m: float, u: GridFunction,
     if stationary:
         start = sphere_retract(dilate(fiber.s_star, u), m)
         cert = _certificate(start, nl, m)
-        v, steps = _newton_polish(start, nl, m, cert) or (start, 0)
+        v, steps = _newton_polish(start, nl, m, cert)
         if steps:
             cert = _certificate(v, nl, m)
         E = cert.energy

@@ -567,10 +567,13 @@ class TestSolveCommand:
             # every projection makes at least one bracket evaluation
             assert rep["bracket_evaluations"] >= rep["projections"]
             assert isinstance(rep["newton_steps"], int) and rep["newton_steps"] >= 0
-        if report["converged"]:
-            assert code == EXIT_OK
-        else:
-            assert code == EXIT_NOT_CONVERGED
+        # the polished profile solves the PDE, but the O(h^2) gap between
+        # the two stationarity notions on this 2001-node grid exceeds the
+        # Pohozaev budget, so it is not certified
+        assert code == EXIT_NOT_CONVERGED and not report["converged"]
+        assert report["endpoint"] == "polished"
+        assert report["pde_residual"] <= 1e-5
+        assert report["pohozaev_residual"] >= 1e-4
         assert report["energy"] == pytest.approx(12.16, rel=1e-2)
 
     def test_descent_stops_at_roundoff(self, tmp_path):
@@ -615,6 +618,17 @@ class TestSolveCommand:
         assert main(self.ARGS + ["--out", str(out)]) == EXIT_NONCONFORMANCE
         assert (out / "diagnostic_iterate.csv").exists()
         assert not (cwd / "diagnostic_iterate.csv").exists()
+
+    def test_profile_too_narrow_for_the_grid(self, tmp_path, capsys):
+        # on 16 nodes over a radius of 2^512 the gaussian start is one node
+        # wide, and its dilation root lies far past the bracket's cap
+        code = main(["solve", "--builtin", "pure_power", "--dim", "1", "--param", "p=8",
+                     "--mass", "1", "--points", "16", "--radius", "1.3407807929942596e154",
+                     "--max-iters", "20", "--out", str(tmp_path)])
+        assert code == EXIT_NONCONFORMANCE
+        err = capsys.readouterr().err
+        assert err.startswith("nonconformance: no Pohozaev sign change")
+        assert "grid too coarse" in err
 
     def test_unset_descent_settings_keep_their_defaults(self):
         assert cli.build_options({}, 2.0) == SolveOptions(mass=2.0)

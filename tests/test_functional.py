@@ -379,7 +379,8 @@ class TestProject:
         # positive
         with pytest.raises(NonconformanceError) as exc:
             project(bump(line_grid), subcritical_quartic(), s_hint=s_hint)
-        assert str(exc.value) == text
+        assert str(exc.value) == text + (", or the profile's dilation root lies beyond "
+                                         "|s| = 200, e.g. on a grid too coarse for the profile")
 
     @pytest.mark.parametrize("s_hint", [5.0, -5.0])
     def test_unusable_slope_takes_the_doubling_path(self, line_grid, s_hint):

@@ -334,11 +334,11 @@ class TestFinishEndpoints:
         assert certified[0] is not rep.iterate
 
     def test_materialized_endpoint_is_certified_once(self, grid, p8, monkeypatch):
-        # a polish that gives up leaves the materialized start, whose one
-        # certificate the report carries
+        # a polish that takes no step leaves the materialized start, whose
+        # one certificate the report carries
         from nlsground import optimizer
 
-        monkeypatch.setattr(optimizer, "_newton_polish", lambda *a: None)
+        monkeypatch.setattr(optimizer, "_newton_polish", lambda u, nl, m, cert: (u, 0))
         certified = self.spy_certificates(monkeypatch)
         _, rep = self.solve(grid, p8, 2000)
         assert rep.termination != "budget" and rep.newton_steps == 0
@@ -396,7 +396,8 @@ class TestFinishEndpoints:
 
 
 class TestNewtonPolishFailures:
-    """The polish gives up (None) when its linear solve fails, and only then."""
+    """A failed linear solve ends the polish like a rejected trial: it
+    returns the profile of its accepted steps, u itself after none."""
 
     @pytest.fixture
     def frozen(self):
@@ -407,15 +408,16 @@ class TestNewtonPolishFailures:
         u = GridFunction(g, np.exp(-g.nodes**2))
         return g, u
 
-    def test_singular_jacobian_returns_none(self, frozen):
+    def test_singular_jacobian_returns_start(self, frozen):
         from nlsground import optimizer
 
         g, u = frozen
         zero = from_callables("zero", lambda t: 0.0 * t, lambda t: 0.0 * t)
         m = mass(u)
-        assert optimizer._newton_polish(u, zero, m, _certificate(u, zero, m)) is None
+        v, steps = optimizer._newton_polish(u, zero, m, _certificate(u, zero, m))
+        assert steps == 0 and v is u
 
-    def test_nonfinite_jacobian_returns_none(self, soliton_grid, p8):
+    def test_nonfinite_jacobian_returns_start(self, soliton_grid, p8):
         from nlsground import optimizer
 
         u = initial_profile(soliton_grid, 1.0)
@@ -423,7 +425,31 @@ class TestNewtonPolishFailures:
                                    lambda t: 0.0 * t)
         with np.errstate(invalid="ignore"):
             cert = _certificate(u, inf_slope, 1.0)
-            assert optimizer._newton_polish(u, inf_slope, 1.0, cert) is None
+            v, steps = optimizer._newton_polish(u, inf_slope, 1.0, cert)
+        assert steps == 0 and v is u
+
+    def test_failed_solve_keeps_accepted_steps(self, soliton_grid, p8, monkeypatch):
+        # the exact soliton, sampled: its polish takes two steps; a second
+        # solve that raises keeps the first, and the finish reports it
+        from nlsground import optimizer
+        from nlsground.functional import project
+
+        u = GridFunction(soliton_grid, Soliton1D(8.0, 1.0).profile(soliton_grid.nodes))
+        m = mass(u)
+        solve, calls = optimizer.symmetric_tridiagonal_solve, []
+
+        def second_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("singular")
+            return solve(*args)
+
+        monkeypatch.setattr(optimizer, "symmetric_tridiagonal_solve", second_fails)
+        profile, E, converged, cert, steps, endpoint = optimizer._finish(
+            p8, m, u, project(u, p8), True)
+        assert len(calls) == 2
+        assert steps == 1 and endpoint == "polished"
+        assert cert.pde == _certificate(profile, p8, m).pde
 
     def test_other_errors_propagate(self, frozen, monkeypatch):
         from nlsground import optimizer

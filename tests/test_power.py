@@ -605,9 +605,9 @@ class TestLazyRepair:
         assert repaired["moderate"] > 0 and repaired["huge"] > 0, repaired
 
 
-def full_bracket(u, nl, s, T=None, F_integrals=None, f_values=None, tail=None):
+def full_bracket(u, nl, s, T=None, F_integrals=None, f_values=None, blocks=None):
     """_fiber_bracket as it stood before the live-prefix cut: the pair on
-    every lane of the grid.  tail is taken and ignored, so that project
+    every lane of the grid.  blocks is taken and ignored, so that project
     can run on this function."""
     g = u.grid
     N = g.dimension
@@ -763,8 +763,7 @@ class TestLivePrefix:
             assert np.array_equal(bits(got), bits(full_gradient(u, nl, ref)))
 
     def test_no_lane_cut(self):
-        # a profile live 1/16 of the grid before its end keeps every lane
-        # and never builds the block maxima
+        # a profile live in its last block keeps every lane
         for name, N, params, _ in FIBER_CASES:
             nl = builtin(name, N, **params)
             g = make_grid(N, 16.0, 801)
@@ -772,12 +771,27 @@ class TestLivePrefix:
             vals[-1] = 0.0
             u = GridFunction(g, vals)
             s = functional.project(u, nl).s_star
+            blocks = functional._block_maxima(u)
             for t in (s - 3.0, s, s + 3.0):
-                tail = []
                 scale = math.exp(0.5 * N * t)
-                assert functional._live_lanes(u, nl.dead_floor, scale, tail) == g.size, name
-                assert tail == [], name
+                assert functional._live_lanes(u, nl.dead_floor, scale, blocks) == g.size, name
+                assert live_count(u, nl, t) == g.size, name
             self.assert_matches_full(u, nl, [s - 3.0, s, s + 3.0], [0.0])
+
+    def test_short_dead_tail(self):
+        # a dead tail of 41 lanes, under 1/16 of the 801-lane grid, that
+        # covers the last block (lanes 768-800): every bracket stops at 768
+        for name, N, params, _ in FIBER_CASES:
+            nl = builtin(name, N, **params)
+            g = make_grid(N, 16.0, 801)
+            vals = np.clip(1.0 - (g.nodes / g.nodes[760]) ** 2, 0.0, None) ** 2
+            u = GridFunction(g, vals)
+            assert vals[759] > 0.0 and not vals[760:].any()
+            assert g.size - 768 < g.size // 16
+            s = functional.project(u, nl).s_star
+            for t in (s - 3.0, s, s + 3.0):
+                assert live_count(u, nl, t) == 768, name
+            self.assert_matches_full(u, nl, [s - 3.0, s, s + 3.0], [0.0, s + 1.0])
 
     def test_bump_beyond_a_dead_stretch(self):
         # a narrow bump far out in the tail, behind a stretch where every
