@@ -1,7 +1,8 @@
 """Command-line surface: check / solve / sweep / oracle.
 
 Configuration comes from an optional dotted-key text file plus flags
-(flags win); a command takes only the flags and keys it reads.  Every
+(flags win).  Each flag's argparse dest is its key, so a command takes
+only the flags and keys it reads, and --help names them.  Every
 run writes the fully resolved configuration next to its outputs so
 results are reproducible from their own artifacts.
 
@@ -73,33 +74,21 @@ def dump_config(cfg: dict) -> str:
     return "".join(f"{k} = {cfg[k]}\n" for k in sorted(cfg))
 
 
-# argparse dest -> the dotted key its flag sets; a command reads its flags' keys
-_FLAG_KEYS = {
-    "dim": "problem.dim", "builtin": "problem.builtin",
-    "f_expr": "problem.f_expr", "F_expr": "problem.F_expr",
-    "radius": "grid.radius", "points": "grid.points", "stretch": "grid.stretch",
-    "mass": "solve.mass", "masses": "solve.masses", "seed": "solve.seed",
-    "restarts": "solve.restarts", "cold_restarts": "solve.cold_restarts",
-    "max_iters": "solve.max_iters", "grad_tol": "solve.grad_tol",
-    "force": "solve.force", "out": "output.dir",
-}
-
-
 def resolve_config(args) -> dict:
+    """The command's dotted-key settings: its --config file, then its
+    flags (the dests with a dot, also the keys a file may set), then
+    --param."""
+    flags = {key: value for key, value in vars(args).items() if "." in key}
     cfg = {}
     if getattr(args, "config", None):
         cfg.update(parse_config_file(args.config))
-        keys = sorted(key for dest, key in _FLAG_KEYS.items() if dest in vars(args))
-        unknown = sorted(k for k in cfg if k not in keys
+        unknown = sorted(k for k in cfg if k not in flags
                          and not k.startswith("problem.param."))
         if unknown:
             raise UsageError(f"{args.config}: unknown config keys: {', '.join(unknown)} "
-                             f"({args.command} reads {', '.join(keys)} "
+                             f"({args.command} reads {', '.join(sorted(flags))} "
                              "and problem.param.<name>)")
-    for dest, key in _FLAG_KEYS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            cfg[key] = str(value)
+    cfg.update((key, str(value)) for key, value in flags.items() if value is not None)
     for kv in getattr(args, "param", None) or []:
         if "=" not in kv:
             raise UsageError(f"--param expects name=value, got {kv!r}")
@@ -198,12 +187,21 @@ def _json(obj) -> str:
     return json.dumps(_strict(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def cmd_check(args) -> int:
+def _problem(args, *keys):
+    """The set-up of check, solve and sweep: (cfg, N, f) from the resolved
+    config, which must set problem.dim and keys; a missing one is a usage
+    error naming its flag, "--" and the key's last part."""
     cfg = resolve_config(args)
-    if "problem.dim" not in cfg:
-        raise UsageError("check requires --dim")
+    required = ("problem.dim", *keys)
+    if not all(key in cfg for key in required):
+        raise UsageError(f"{args.command} requires "
+                         + " and ".join("--" + key.split(".")[1] for key in required))
     N = _number(cfg, "problem.dim", int, least=1)
-    nl = build_nonlinearity(cfg, N)
+    return cfg, N, build_nonlinearity(cfg, N)
+
+
+def cmd_check(args) -> int:
+    cfg, N, nl = _problem(args)
     report = check_conditions(nl, N)
     out = _outdir(cfg)
     with open_artifact(os.path.join(out, "conditions.json")) as fh:
@@ -222,12 +220,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = resolve_config(args)
-    if "problem.dim" not in cfg or "solve.mass" not in cfg:
-        raise UsageError("solve requires --dim and --mass")
-    N = _number(cfg, "problem.dim", int, least=1)
+    cfg, N, nl = _problem(args, "solve.mass")
     mass = _number(cfg, "solve.mass", float)
-    nl = build_nonlinearity(cfg, N)
     grid = build_grid(cfg, N)
     opts = build_options(cfg, mass)
     restarts = _number(cfg, "solve.restarts", int, 5, least=1)
@@ -264,12 +258,8 @@ def _parse_masses(text: str):
 
 
 def cmd_sweep(args) -> int:
-    cfg = resolve_config(args)
-    if "problem.dim" not in cfg or "solve.masses" not in cfg:
-        raise UsageError("sweep requires --dim and --masses")
-    N = _number(cfg, "problem.dim", int, least=1)
+    cfg, N, nl = _problem(args, "solve.masses")
     masses = _parse_masses(cfg["solve.masses"])
-    nl = build_nonlinearity(cfg, N)
     grid = build_grid(cfg, N)
     opts = build_options(cfg, masses[0])
     cold = _number(cfg, "solve.cold_restarts", int, 0, least=0)
@@ -362,13 +352,13 @@ def cmd_oracle(args) -> int:
 def _add_problem(p: argparse.ArgumentParser):
     """The flags of the commands that build a nonlinearity."""
     p.add_argument("--config", help="dotted-key config file")
-    p.add_argument("--dim", type=int, help="spatial dimension N")
-    p.add_argument("--builtin", help="builtin nonlinearity name")
+    p.add_argument("--dim", dest="problem.dim", type=int, help="spatial dimension N")
+    p.add_argument("--builtin", dest="problem.builtin", help="builtin nonlinearity name")
     p.add_argument("--param", action="append",
                    help="nonlinearity parameter name=value (repeatable)")
-    p.add_argument("--f-expr", dest="f_expr", help="expression for f(t)")
-    p.add_argument("--F-expr", dest="F_expr", help="expression for F(t)")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--f-expr", dest="problem.f_expr", help="expression for f(t)")
+    p.add_argument("--F-expr", dest="problem.F_expr", help="expression for F(t)")
+    p.add_argument("--out", dest="output.dir", help="output directory")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -386,30 +376,30 @@ def make_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", allow_abbrev=False,
                        help="compute the ground state at one mass")
     _add_problem(s)
-    s.add_argument("--mass", type=float)
-    s.add_argument("--restarts", type=int)
+    s.add_argument("--mass", dest="solve.mass", type=float)
+    s.add_argument("--restarts", dest="solve.restarts", type=int)
 
     w = sub.add_parser("sweep", allow_abbrev=False,
                        help="sweep E_m over a mass grid")
     _add_problem(w)
-    w.add_argument("--masses", help="lo:hi:n (log-spaced) or comma list")
-    w.add_argument("--cold-restarts", dest="cold_restarts", type=int)
+    w.add_argument("--masses", dest="solve.masses", help="lo:hi:n (log-spaced) or comma list")
+    w.add_argument("--cold-restarts", dest="solve.cold_restarts", type=int)
 
     for p in (s, w):
-        p.add_argument("--seed", type=int, help="base random seed")
-        p.add_argument("--radius", type=float)
-        p.add_argument("--points", type=int)
-        p.add_argument("--stretch", type=float)
-        p.add_argument("--max-iters", dest="max_iters", type=int)
-        p.add_argument("--grad-tol", dest="grad_tol", type=float)
-        p.add_argument("--force", action="store_const", const="true",
-                       help="skip the hypothesis gate")
+        p.add_argument("--seed", dest="solve.seed", type=int, help="base random seed")
+        p.add_argument("--radius", dest="grid.radius", type=float)
+        p.add_argument("--points", dest="grid.points", type=int)
+        p.add_argument("--stretch", dest="grid.stretch", type=float)
+        p.add_argument("--max-iters", dest="solve.max_iters", type=int)
+        p.add_argument("--grad-tol", dest="solve.grad_tol", type=float)
+        p.add_argument("--force", dest="solve.force", action="store_const", const="true",
+                       help="skip the hypothesis gate (key solve.force = true)")
 
     o = sub.add_parser("oracle", allow_abbrev=False,
                        help="emit closed-form reference tables")
     o.add_argument("--case", required=True, choices=["soliton", "bubble", "gn"])
     o.add_argument("--dim", type=int, help="spatial dimension N")
-    o.add_argument("--out", help="output directory")
+    o.add_argument("--out", dest="output.dir", help="output directory")
     o.add_argument("--p", type=float)
     o.add_argument("--mu", type=float)
     o.add_argument("--eps", type=float)

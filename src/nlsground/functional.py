@@ -130,11 +130,10 @@ def dilate(s: float, u: GridFunction) -> GridFunction:
     Resamples by linear interpolation, which is monotone between nodes
     and never leaves the range of u's values, and extends by zero beyond
     the truncation radius; mass is preserved up to the O(h^2)
-    interpolation error.
+    interpolation error.  At s = 0 every node samples itself, and the
+    result has u's values bit for bit.
     """
     g = u.grid
-    if s == 0.0:
-        return u.copy()
     # e^s r overflows to +inf past the largest double, which reads 0
     with np.errstate(over="ignore"):
         vals = np.interp(math.exp(s) * g.nodes, g.nodes, u.values, right=0.0)

@@ -132,7 +132,8 @@ def initial_profile(grid: RadialGrid, m: float, seed: int = 0,
     """Build a mass-m starting profile.
 
     The custom profile if one is given, else exp(-(r/width)^2), rescaled
-    to mass m; optional smooth multiplicative noise keyed by seed.
+    to mass m; optional smooth multiplicative noise keyed by seed.  A
+    start that is zero at every node past the origin is refused.
     """
     if custom is not None:
         vals = custom.values.copy()
@@ -148,6 +149,10 @@ def initial_profile(grid: RadialGrid, m: float, seed: int = 0,
         ) / math.sqrt(6.0)
         vals = vals * (1.0 + noise * pert)
         vals[-1] = 0.0
+    if not np.any(vals[1:]):
+        r1 = float(grid.nodes[1])
+        raise ConfigurationError("the start vanishes at every node past the origin "
+                                 f"(r_1 = {r1!r}): the grid is too coarse for the profile")
     u = GridFunction(grid, vals)
     return sphere_retract(u, m)
 

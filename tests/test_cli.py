@@ -1,3 +1,4 @@
+import argparse
 import json
 import operator
 import os
@@ -14,6 +15,7 @@ from nlsground import GridFunction, make_grid
 from nlsground import cli
 from nlsground.cli import (
     EXIT_HYPOTHESIS_FAIL,
+    EXIT_INCONCLUSIVE,
     EXIT_NONCONFORMANCE,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
@@ -385,6 +387,23 @@ class TestCheckCommand:
     def test_missing_subcommand_is_usage(self):
         assert main([]) == EXIT_USAGE
 
+    def test_inconclusive_without_fail_exits_inconclusive(self, tmp_path, capsys,
+                                                          monkeypatch):
+        class OneInconclusive:
+            def as_dict(self):
+                return {"stub": True}
+
+            def verdict(self, h):
+                return "inconclusive" if h == "f3" else "pass"
+
+        monkeypatch.setattr(cli, "check_conditions", lambda nl, N: OneInconclusive())
+        code = main(["check", "--builtin", "log_supercritical", "--dim", "3",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_INCONCLUSIVE
+        assert capsys.readouterr().out.startswith(
+            "log_supercritical N=3: f0=pass f1=pass f2=pass f3=inconclusive f4=pass f5=pass\n")
+        assert json.loads((tmp_path / "conditions.json").read_text()) == {"stub": True}
+
     def test_missing_dim_is_usage(self, tmp_path):
         assert main(["check", "--builtin", "pure_power",
                      "--out", str(tmp_path)]) == EXIT_USAGE
@@ -549,6 +568,98 @@ class TestCommandKnobs:
         assert not out.exists()
 
 
+def _subparsers():
+    ap = cli.make_parser()
+    [choices] = [a.choices for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: choices[name] for name in ("check", "solve", "sweep")}
+
+
+class _ReadLog(dict):
+    """A config dict that logs the keys read from it."""
+
+    log = set()
+
+    def get(self, key, default=None):
+        self.log.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.log.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.log.add(key)
+        return super().__contains__(key)
+
+
+class TestFlagKeys:
+    """Each flag of check, solve and sweep declares its config key as its
+    dest, and the keys a command reads are exactly its flags' dests."""
+
+    USER = ["--dim", "1", "--f-expr", "abs(t)^6 * t", "--F-expr", "abs(t)^8 / 8"]
+    QUICK = {"check": [],
+             "solve": ["--mass", "1", "--points", "101", "--max-iters", "2",
+                       "--restarts", "1"],
+             "sweep": ["--masses", "1,2", "--points", "101", "--max-iters", "2"]}
+
+    @pytest.mark.parametrize("command", ["check", "solve", "sweep"])
+    def test_every_flag_declares_its_key(self, command):
+        for action in _subparsers()[command]._actions:
+            if action.option_strings[0] not in ("-h", "--config", "--param"):
+                assert "." in action.dest, action.option_strings
+
+    @pytest.mark.parametrize("command, key", [
+        (command, action.dest) for command, sub in _subparsers().items()
+        for action in sub._actions if "." in action.dest])
+    def test_flag_and_config_key_agree(self, tmp_path, command, key):
+        sub = _subparsers()[command]
+        [action] = [a for a in sub._actions if a.dest == key]
+        if action.nargs == 0:  # --force
+            flag, text = [action.option_strings[0]], action.const
+        else:
+            text = {int: "7", float: "2.5", None: "x"}[action.type]
+            flag = [action.option_strings[0], text]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        by_flag = cli.resolve_config(sub.parse_args(flag))
+        by_file = cli.resolve_config(sub.parse_args(["--config", str(cfg)]))
+        assert by_flag == by_file == {key: text}
+
+    @pytest.mark.parametrize("command", ["check", "solve", "sweep"])
+    def test_keys_read_are_the_flags_dests(self, tmp_path, monkeypatch, command):
+        # a run on a user spec reads every key of its command, given or
+        # left at its default; --param's problem.param.<name> is apart
+        resolve = cli.resolve_config
+        monkeypatch.setattr(cli, "resolve_config", lambda args: _ReadLog(resolve(args)))
+        monkeypatch.setattr(_ReadLog, "log", set())
+        code = main([command, *self.USER, *self.QUICK[command],
+                     "--out", str(tmp_path)])
+        assert code in (EXIT_OK, EXIT_NOT_CONVERGED, EXIT_VERDICT_FAIL)
+        dests = {a.dest for a in _subparsers()[command]._actions if "." in a.dest}
+        assert _ReadLog.log == dests
+
+    @pytest.mark.parametrize("command, keys", [
+        ("check", "output.dir, problem.F_expr, problem.builtin, problem.dim, "
+                  "problem.f_expr"),
+        ("solve", "grid.points, grid.radius, grid.stretch, output.dir, problem.F_expr, "
+                  "problem.builtin, problem.dim, problem.f_expr, solve.force, "
+                  "solve.grad_tol, solve.mass, solve.max_iters, solve.restarts, "
+                  "solve.seed"),
+        ("sweep", "grid.points, grid.radius, grid.stretch, output.dir, problem.F_expr, "
+                  "problem.builtin, problem.dim, problem.f_expr, solve.cold_restarts, "
+                  "solve.force, solve.grad_tol, solve.masses, solve.max_iters, "
+                  "solve.seed"),
+    ])
+    def test_unknown_key_message_lists_the_flags_keys(self, tmp_path, capsys,
+                                                       command, keys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bogus.key = 1\n")
+        assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: unknown config keys: bogus.key ({command} reads {keys} "
+            "and problem.param.<name>)\n")
+
+
 class TestSolveCommand:
     ARGS = [
         "solve", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
@@ -620,15 +731,18 @@ class TestSolveCommand:
         assert not (cwd / "diagnostic_iterate.csv").exists()
 
     def test_profile_too_narrow_for_the_grid(self, tmp_path, capsys):
-        # on 16 nodes over a radius of 2^512 the gaussian start is one node
-        # wide, and its dilation root lies far past the bracket's cap
-        code = main(["solve", "--builtin", "pure_power", "--dim", "1", "--param", "p=8",
-                     "--mass", "1", "--points", "16", "--radius", "1.3407807929942596e154",
-                     "--max-iters", "20", "--out", str(tmp_path)])
-        assert code == EXIT_NONCONFORMANCE
-        err = capsys.readouterr().err
-        assert err.startswith("nonconformance: no Pohozaev sign change")
-        assert "grid too coarse" in err
+        # the gaussian start exp(-r^2) underflows to 0 at every node past
+        # the origin, so it is refused before any descent or artifact
+        for points, radius, r1 in (("16", "1.3407807929942596e154", "8.93853861996173e+152"),
+                                   ("401", "1e30", "2.5e+27")):
+            code = main(["solve", "--builtin", "pure_power", "--dim", "1", "--param", "p=8",
+                         "--mass", "1", "--points", points, "--radius", radius,
+                         "--max-iters", "20", "--out", str(tmp_path / "out")])
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                f"error: the start vanishes at every node past the origin (r_1 = {r1}): "
+                "the grid is too coarse for the profile\n")
+            assert not (tmp_path / "out").exists()
 
     def test_unset_descent_settings_keep_their_defaults(self):
         assert cli.build_options({}, 2.0) == SolveOptions(mass=2.0)

@@ -125,9 +125,22 @@ class TestActionPohozaev:
 
 class TestDilate:
     def test_identity_at_zero(self, line_grid):
-        u = bump(line_grid)
-        v = dilate(0.0, u)
-        assert np.array_equal(u.values, v.values)
+        # every node samples itself and the factor e^0 is 1.0, so signed
+        # zeros, subnormals and values near the largest double keep their
+        # bits, in a new array
+        gen = np.random.default_rng(0)
+        profiles = [bump(line_grid)]
+        for N in (1, 2, 3, 5):
+            g = make_grid(N, 20.0, 301, stretch=10.0)
+            for _ in range(50):
+                vals = np.sign(gen.normal(size=g.size)) * 10.0 ** gen.uniform(-300, 300, g.size)
+                for value in (0.0, -0.0, 5e-324 * gen.integers(1, 2 ** 40)):
+                    vals[gen.random(g.size) < 0.1] = value
+                profiles.append(GridFunction(g, vals))
+        for u in profiles:
+            v = dilate(0.0, u)
+            assert not np.shares_memory(v.values, u.values)
+            assert np.array_equal(v.values.view(np.uint64), u.values.view(np.uint64))
 
     def test_mass_preserved(self, fine_line_grid):
         u = bump(fine_line_grid)

@@ -606,6 +606,55 @@ class TestTermination:
         assert rep.newton_steps >= 1
 
 
+class TestDirectionFallbacks:
+    """direction falls back to the base metric when the L-BFGS direction
+    has a non-positive or non-finite slope, and then to the raw shape
+    gradient."""
+
+    @staticmethod
+    def state(p8):
+        grid = make_grid(1, 30.0, 2001, stretch=60.0)
+        engine = _Descent(grid, p8, SolveOptions(mass=1.0))
+        u = initial_profile(grid, 1.0, seed=2, noise=0.1)
+        fiber, g, gshape, gn, gen = engine.gradient_state(u)
+        engine.s_hint = fiber.s_star
+        return engine, (u, g, gshape, gen)
+
+    @pytest.mark.parametrize("hook, spoil", [
+        ("_base_metric", lambda vec, gs: -vec),
+        # infinite along the gradient, so the slope is +inf, not nan
+        ("_strip", lambda vec, gs: np.where(gs != 0.0, np.copysign(np.inf, gs), 0.0)),
+    ], ids=["uphill", "nonfinite"])
+    def test_failed_lbfgs_direction_takes_the_base_metric(self, p8, monkeypatch,
+                                                          hook, spoil):
+        engine, args = self.state(p8)
+        want, want_slope = engine.direction(*args)  # no pairs: the base metric
+        assert want_slope > 0
+        real = getattr(engine, hook)
+        calls = []
+
+        def spoil_first(*a):
+            calls.append(a)
+            out = real(*a)
+            return spoil(out, args[2].values) if len(calls) == 1 else out
+
+        monkeypatch.setattr(engine, hook, spoil_first)
+        # a pair that leaves the two-loop's direction as it is
+        engine.pairs = [(np.zeros_like(want), args[2].values, 1.0)]
+        r, slope = engine.direction(*args)
+        assert len(calls) == 2 and engine.pairs == []
+        assert np.array_equal(r, want) and slope == want_slope
+
+    def test_uphill_base_metric_takes_the_shape_gradient(self, p8, monkeypatch):
+        engine, args = self.state(p8)
+        base = engine._base_metric
+        monkeypatch.setattr(engine, "_base_metric", lambda u, g, q: -base(u, g, q))
+        gshape = args[2]
+        r, slope = engine.direction(*args)
+        assert r is gshape.values
+        assert slope == engine.grid.inner(gshape.values, gshape.values) > 0
+
+
 class TestRoundoffRegime:
     """Once the unit step's Armijo margin is at most one ulp of J, step
     makes one trial, the capped unit step, judged by the shape gradient."""
