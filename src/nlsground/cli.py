@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -138,9 +139,10 @@ def build_grid(cfg: dict, N: int):
 
 
 def build_options(cfg: dict, mass: float) -> SolveOptions:
-    """SolveOptions at mass; a setting cfg leaves out keeps its default."""
+    """SolveOptions at mass with the descent settings solve and sweep
+    share; a setting cfg leaves out keeps its default."""
     given = {name: _number(cfg, f"solve.{name}", kind)
-             for name, kind in (("max_iters", int), ("grad_tol", float), ("seed", int))
+             for name, kind in (("max_iters", int), ("grad_tol", float))
              if f"solve.{name}" in cfg}
     return SolveOptions(mass=mass, **given)
 
@@ -223,7 +225,8 @@ def cmd_solve(args) -> int:
     cfg, N, nl = _problem(args, "solve.mass")
     mass = _number(cfg, "solve.mass", float)
     grid = build_grid(cfg, N)
-    opts = build_options(cfg, mass)
+    # the seed is solve's alone: it keys the replicas' noise
+    opts = replace(build_options(cfg, mass), seed=_number(cfg, "solve.seed", int, 0))
     restarts = _number(cfg, "solve.restarts", int, 5, least=1)
     _gate(cfg, nl, N)
     best, reports = multistart_minimize(grid, nl, opts, restarts=restarts)
@@ -262,9 +265,8 @@ def cmd_sweep(args) -> int:
     masses = _parse_masses(cfg["solve.masses"])
     grid = build_grid(cfg, N)
     opts = build_options(cfg, masses[0])
-    cold = _number(cfg, "solve.cold_restarts", int, 0, least=0)
     report = _gate(cfg, nl, N)
-    result = sweep(grid, nl, masses, opts, cold_restarts=cold)
+    result = sweep(grid, nl, masses, opts)
     out = _outdir(cfg)
     with open_artifact(os.path.join(out, "resolved.cfg")) as fh:
         fh.write(dump_config(cfg))
@@ -276,9 +278,8 @@ def cmd_sweep(args) -> int:
         pass
     with open_artifact(os.path.join(out, "verdicts.json")) as fh:
         fh.write(_json(payload))
-    for m, rep, chain, start in zip(result.masses, result.reports,
-                                    result.chains, result.warm_starts):
-        line = f"m={m:.6g} chain={chain} warm_start={start}"
+    for m, rep, start in zip(result.masses, result.reports, result.warm_starts):
+        line = f"m={m:.6g} warm_start={start}"
         if rep is None:
             line += " failed"
         else:
@@ -378,15 +379,14 @@ def make_parser() -> argparse.ArgumentParser:
     _add_problem(s)
     s.add_argument("--mass", dest="solve.mass", type=float)
     s.add_argument("--restarts", dest="solve.restarts", type=int)
+    s.add_argument("--seed", dest="solve.seed", type=int, help="base random seed")
 
     w = sub.add_parser("sweep", allow_abbrev=False,
                        help="sweep E_m over a mass grid")
     _add_problem(w)
     w.add_argument("--masses", dest="solve.masses", help="lo:hi:n (log-spaced) or comma list")
-    w.add_argument("--cold-restarts", dest="solve.cold_restarts", type=int)
 
     for p in (s, w):
-        p.add_argument("--seed", dest="solve.seed", type=int, help="base random seed")
         p.add_argument("--radius", dest="grid.radius", type=float)
         p.add_argument("--points", dest="grid.points", type=int)
         p.add_argument("--stretch", dest="grid.stretch", type=float)

@@ -215,9 +215,6 @@ class GridFunction:
             raise ConfigurationError("profile values must be finite")
         self.values = v
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
     def to_csv(self, path) -> None:
         """Write the profile as CSV with header "r,u", 17 significant digits.
 

@@ -371,6 +371,8 @@ class _Descent:
 
     def direction(self, u, g, gshape, gen):
         def post(vec):
+            if not np.all(np.isfinite(vec)):
+                return vec  # the slope check below rejects it
             t = tangent_project(GridFunction(self.grid, vec), u, self.opts.mass).values
             return self._strip(t, gen)
 

@@ -12,13 +12,13 @@ with S^{N/2} the gradient norm of the Aubin-Talenti bubble (computed by
 the independent oracle quadrature) and beta the coefficient bounding
 F(t) <= (beta/2*) |t|^{2*}.
 
-Each mass point is solved by a descent warm-started from the previous
-point, with optional cold multistart checks.  J is dilation-invariant,
-so the start is taken in the previous descent's own dilation class: its
-final iterate when that point converged, else its reported profile (see
-sweep).  The verdict block tolerates monotonicity violations up to
-1e-4 E_m as discretization noise and requires gaps of at least 1e-6 E_m
-for the strict-decrease verdict.
+Each mass point is solved by one descent warm-started from the previous
+point.  J is dilation-invariant, so the start is taken in the previous
+descent's own dilation class: its final iterate when that point
+converged, else its reported profile (see sweep).  The verdict block
+tolerates monotonicity violations up to 1e-4 E_m as discretization
+noise and requires gaps of at least 1e-6 E_m for the strict-decrease
+verdict.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import ConfigurationError, RadialGrid, open_artifact
+from .grid import RadialGrid, open_artifact
 from .nonlinearity import ConditionReport, NonlinearitySpec, check_conditions
 from .functional import NonconformanceError
-from .optimizer import SolveOptions, initial_profile, minimize, multistart_minimize
+from .optimizer import SolveOptions, initial_profile, minimize
 from .oracles import critical_grad_norm_sq
 
 _NONINC_TOL = 1e-4
@@ -47,10 +47,8 @@ class SweepResult:
     verdicts: dict
     reports: list = field(default_factory=list, repr=False)
     failures: list = field(default_factory=list)
-    # per point: the chain that supplied the report ("warm" or "cold"),
-    # None where the point failed, and the start the warm descent was
-    # given ("iterate" or "profile"), None where none ran
-    chains: list = field(default_factory=list)
+    # per point: the start the descent was given ("iterate" or
+    # "profile"), None where it started cold
     warm_starts: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
@@ -61,7 +59,6 @@ class SweepResult:
             "converged": [bool(x) for x in self.converged],
             "verdicts": self.verdicts,
             "failures": self.failures,
-            "chains": self.chains,
             "warm_starts": self.warm_starts,
         }
 
@@ -124,19 +121,17 @@ def _verdicts(masses, energies, multipliers, converged):
     }
 
 
-def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
-          cold_restarts: int = 0) -> SweepResult:
+def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions) -> SweepResult:
     """Compute E_m over an increasing mass grid.
 
-    Runs one ascending warm-started chain (the first point starts cold)
-    with optional cold multistart replicas at every point.  A point
-    keeps the converged report with the lower energy (the warm one on a
-    tie), else the warm report, else the cold one.  When the previous
-    point's report converged, the warm descent starts from that report's
-    descent iterate, retracted to the new mass: it keeps the dilation
-    class the descent chose, where the materialized profile would reset
-    it to the fixed-grid Pohozaev manifold, whose tail at large mass
-    presses against the box and slows the next descent several-fold.  An
+    Runs one ascending chain of descents, one per point.  The first
+    point, and one that only failed points precede, starts from
+    minimize's default start.  When the previous point's report
+    converged, the descent starts from that report's descent iterate,
+    retracted to the new mass: it keeps the dilation class the descent
+    chose, where the materialized profile would reset it to the
+    fixed-grid Pohozaev manifold, whose tail at large mass presses
+    against the box and slows the next descent several-fold.  An
     unconverged point hands on its reported profile instead: its iterate
     is uncertified, and a chain started from one can stall (when
     criterion 4's f6' sweep hands on the iterates of its unconverged
@@ -147,40 +142,32 @@ def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
     check_conditions first).  A failing point (solver exception) is
     recorded and skipped; the sweep itself fails only when more than a
     quarter of the points fail, with a NonconformanceError naming each
-    failed mass and its error.
+    failed mass and its error.  A grid on which minimize's default start
+    vanishes is refused with a ConfigurationError before any descent.
     """
     masses = np.asarray(list(masses), dtype=float)
     if masses.size < 2 or not np.all(np.diff(masses) > 0):
         raise ValueError("sweep needs an increasing grid of at least two masses")
     if not np.all(masses > 0):
         raise ValueError("masses must be positive")
-    if cold_restarts < 0:
-        raise ConfigurationError(f"cold_restarts must be at least 0, got {cold_restarts}")
+    # the default start vanishes on a grid at every mass or at none
+    initial_profile(grid, float(masses[0]))
     n = masses.size
     reports: list = [None] * n
-    chains: list = [None] * n
     warm_starts: list = [None] * n
     failures = []
     prev = None
     for k, m in enumerate(masses):
         point = replace(opts, mass=float(m))
-        candidates = []
+        start = None
         try:
             if prev is not None:
                 warm_starts[k] = "iterate" if prev.converged else "profile"
                 start = initial_profile(grid, point.mass, custom=prev.iterate
                                         if prev.converged else prev.profile)
-                candidates.append(("warm", minimize(grid, nl, point, start)))
-            if cold_restarts > 0 or prev is None:
-                cold, _ = multistart_minimize(
-                    grid, nl, point, restarts=max(cold_restarts, 1))
-                candidates.append(("cold", cold))
+            reports[k] = prev = minimize(grid, nl, point, start)
         except (NonconformanceError, ValueError, RuntimeError) as exc:
             failures.append({"mass": float(m), "error": str(exc)})
-            continue
-        pool = [c for c in candidates if c[1].converged] or candidates[:1]
-        chains[k], reports[k] = min(pool, key=lambda c: c[1].energy)
-        prev = reports[k]
 
     energies = np.array([np.nan if r is None else r.energy for r in reports])
     multipliers = np.array([np.nan if r is None else r.multiplier for r in reports])
@@ -194,7 +181,7 @@ def sweep(grid: RadialGrid, nl: NonlinearitySpec, masses, opts: SolveOptions,
     return SweepResult(
         masses=masses, energies=energies, multipliers=multipliers,
         converged=converged, verdicts=verdicts, reports=reports,
-        failures=failures, chains=chains, warm_starts=warm_starts,
+        failures=failures, warm_starts=warm_starts,
     )
 
 

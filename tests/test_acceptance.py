@@ -149,7 +149,7 @@ def log_sweep():
     masses = [2.0**k for k in range(-4, 7)]
     opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=800)
     t0 = time.time()
-    result = sweep(grid, nl, masses, opts, cold_restarts=0)
+    result = sweep(grid, nl, masses, opts)
     return result, time.time() - t0
 
 
@@ -187,7 +187,7 @@ class TestCriterion4MountainPassFloor:
         grid = make_grid(3, 600.0, 4001, stretch=30.0)
         masses = list(np.geomspace(1.0, 1000.0, 7))
         opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=1500)
-        result = sweep(grid, nl, masses, opts, cold_restarts=0)
+        result = sweep(grid, nl, masses, opts)
         floor = mountain_pass_floor(grid, nl)
         e = result.energies
         e_inf = result.verdicts["large_mass_limit"]["estimate"]

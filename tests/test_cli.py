@@ -2,6 +2,7 @@ import argparse
 import json
 import operator
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -437,15 +438,16 @@ class TestCheckCommand:
         ["solve", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
          "--mass", "1", "--restarts", "-3"],
         ["sweep", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
-         "--masses", "1,2", "--cold-restarts", "-1"],
+         "--masses", "1,inf"],
         ["oracle", "--case", "soliton", "--mu", "inf"],
         ["oracle", "--case", "soliton", "--p", "inf"],
         ["oracle", "--case", "bubble", "--dim", "5", "--eps", "inf"],
-        # a replica count is a usage error before a failing f is gated
+        # a replica count or an iteration budget is a usage error before a
+        # failing f is gated
         ["solve", "--dim", "1", "--f-expr", "abs(t)^2 * t", "--F-expr", "abs(t)^4 / 4",
          "--mass", "1", "--restarts", "0"],
         ["sweep", "--dim", "1", "--f-expr", "abs(t)^2 * t", "--F-expr", "abs(t)^4 / 4",
-         "--masses", "1,2", "--cold-restarts", "-1"],
+         "--masses", "1,2", "--max-iters", "0"],
         # 0 is a value, not an unset flag
         ["oracle", "--case", "soliton", "--p", "0"],
         ["oracle", "--case", "soliton", "--mu", "0"],
@@ -478,9 +480,7 @@ class TestCheckCommand:
     @pytest.mark.parametrize("argv", [
         ["solve", "--builtin", "pure_power", "--param", "p=8", "--dim", "1", "--mass", "1",
          "--points", "301", "--seed", "-2"],
-        ["sweep", "--builtin", "pure_power", "--param", "p=8", "--dim", "1",
-         "--masses", "1,2", "--points", "301", "--cold-restarts", "2", "--seed", "-5"],
-    ], ids=["solve", "sweep"])
+    ], ids=["solve"])
     def test_negative_seed_is_usage(self, tmp_path, capsys, argv):
         # replica i seeds its noise with seed + i, which numpy refuses below 0
         assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE
@@ -536,7 +536,7 @@ class TestCommandKnobs:
         ["oracle", "--case", "bubble", "--dim", "5", "--p", "8", "--mu", "2"],
         ["oracle", "--case", "gn", "--dim", "1", "--p", "6", "--eps", "0.5"],
         ["solve", *PROBLEM, "--mass", "1", "--masses", "1,2"],
-        ["solve", *PROBLEM, "--mass", "1", "--cold-restarts", "1"],
+        ["sweep", *PROBLEM, "--masses", "1,2", "--seed", "1"],
         ["sweep", *PROBLEM, "--masses", "1,2", "--restarts", "2"],
         # no abbreviations: --mass is not sweep's --masses
         ["sweep", *PROBLEM, "--mass", "1,2"],
@@ -552,7 +552,7 @@ class TestCommandKnobs:
         ("check", "solve.seed = 5"),
         ("check", "solve.force = true"),
         ("solve", "solve.masses = 1,2"),
-        ("solve", "solve.cold_restarts = 1"),
+        ("sweep", "solve.seed = 5"),
         ("sweep", "solve.mass = 1"),
         ("sweep", "solve.restarts = 2"),
     ])
@@ -646,9 +646,8 @@ class TestFlagKeys:
                   "solve.grad_tol, solve.mass, solve.max_iters, solve.restarts, "
                   "solve.seed"),
         ("sweep", "grid.points, grid.radius, grid.stretch, output.dir, problem.F_expr, "
-                  "problem.builtin, problem.dim, problem.f_expr, solve.cold_restarts, "
-                  "solve.force, solve.grad_tol, solve.masses, solve.max_iters, "
-                  "solve.seed"),
+                  "problem.builtin, problem.dim, problem.f_expr, solve.force, "
+                  "solve.grad_tol, solve.masses, solve.max_iters"),
     ])
     def test_unknown_key_message_lists_the_flags_keys(self, tmp_path, capsys,
                                                        command, keys):
@@ -658,6 +657,20 @@ class TestFlagKeys:
         assert capsys.readouterr().err == (
             f"error: {cfg}: unknown config keys: bogus.key ({command} reads {keys} "
             "and problem.param.<name>)\n")
+
+
+class TestReadme:
+    def test_named_flags_exist(self):
+        # every --flag README names, --help included, is an option of the
+        # parser or of one of its commands
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(path, encoding="utf-8") as fh:
+            named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", fh.read()))
+        ap = cli.make_parser()
+        [choices] = [a.choices for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {option for parser in (ap, *choices.values())
+                   for action in parser._actions for option in action.option_strings}
+        assert "--dim" in named and named - options == set()
 
 
 class TestSolveCommand:
@@ -673,6 +686,7 @@ class TestSolveCommand:
         assert (tmp_path / "profile.csv").exists()
         assert (tmp_path / "resolved.cfg").exists()
         assert report["mass"] == 1.0
+        assert report["seed"] == 7
         for rep in [report] + report["replicas"]:
             assert rep["projections"] == 1 + rep["line_search_trials"]
             # every projection makes at least one bracket evaluation
@@ -732,24 +746,27 @@ class TestSolveCommand:
 
     def test_profile_too_narrow_for_the_grid(self, tmp_path, capsys):
         # the gaussian start exp(-r^2) underflows to 0 at every node past
-        # the origin, so it is refused before any descent or artifact
+        # the origin, so it is refused before any descent or artifact; a
+        # sweep refuses it once, not with each point recorded as failed
         for points, radius, r1 in (("16", "1.3407807929942596e154", "8.93853861996173e+152"),
                                    ("401", "1e30", "2.5e+27")):
-            code = main(["solve", "--builtin", "pure_power", "--dim", "1", "--param", "p=8",
-                         "--mass", "1", "--points", points, "--radius", radius,
-                         "--max-iters", "20", "--out", str(tmp_path / "out")])
-            assert code == EXIT_USAGE
-            assert capsys.readouterr().err == (
-                f"error: the start vanishes at every node past the origin (r_1 = {r1}): "
-                "the grid is too coarse for the profile\n")
-            assert not (tmp_path / "out").exists()
+            for command in (["solve", "--mass", "1"], ["sweep", "--masses", "1,2"]):
+                code = main([*command, "--builtin", "pure_power", "--dim", "1", "--param",
+                             "p=8", "--points", points, "--radius", radius,
+                             "--max-iters", "20", "--out", str(tmp_path / "out")])
+                assert code == EXIT_USAGE
+                assert capsys.readouterr().err == (
+                    f"error: the start vanishes at every node past the origin (r_1 = {r1}): "
+                    "the grid is too coarse for the profile\n")
+                assert not (tmp_path / "out").exists()
 
     def test_unset_descent_settings_keep_their_defaults(self):
         assert cli.build_options({}, 2.0) == SolveOptions(mass=2.0)
         cfg = {"solve.max_iters": "9", "solve.grad_tol": "1e-5", "solve.seed": "3",
                "solve.force": "true"}
+        # solve.seed, like solve.force, is not a setting solve and sweep share
         assert cli.build_options(cfg, 2.0) == SolveOptions(
-            mass=2.0, max_iters=9, grad_tol=1e-5, seed=3)
+            mass=2.0, max_iters=9, grad_tol=1e-5)
 
     def test_missing_mass_usage(self, tmp_path):
         assert main(["solve", "--builtin", "pure_power", "--param", "p=8",
@@ -801,9 +818,8 @@ class TestSweepCommand:
         assert len(rows) == 5
         verdicts = json.loads((tmp_path / "verdicts.json").read_text())
         assert verdicts["verdicts"]["nonincreasing"]["verdict"]
-        assert verdicts["chains"][0] == "cold"
+        assert "chains" not in verdicts
         assert verdicts["warm_starts"][0] is None
-        assert set(verdicts["chains"][1:]) <= {"warm", "cold"}
         assert set(verdicts["warm_starts"][1:]) <= {"iterate", "profile"}
         # one progress line per mass point on stderr, the same record as
         # verdicts.json; stdout keeps its two lines
@@ -811,11 +827,11 @@ class TestSweepCommand:
         assert [line.split()[0] for line in out.splitlines()] == ["E_m:", "positive=True"]
         lines = err.splitlines()
         assert len(lines) == 4
-        for line, m, chain, start, conv in zip(lines, verdicts["masses"], verdicts["chains"],
-                                               verdicts["warm_starts"], verdicts["converged"]):
+        for line, m, start, conv in zip(lines, verdicts["masses"], verdicts["warm_starts"],
+                                        verdicts["converged"]):
             fields = dict(item.split("=") for item in line.split())
             assert float(fields["m"]) == pytest.approx(m, rel=1e-5)
-            assert fields["chain"] == chain
+            assert "chain" not in fields
             assert fields["warm_start"] == str(start)
             assert fields["converged"] == str(conv)
             assert int(fields["iterations"]) > 0
@@ -880,13 +896,13 @@ class TestSweepCommand:
                                    newton_steps=0, endpoint="frame"),
                    None]
 
-        def fake_sweep(grid, nl, masses_, opts, cold_restarts=0):
+        def fake_sweep(grid, nl, masses_, opts):
             return SweepResult(
                 masses=masses, energies=energies, multipliers=multipliers,
                 converged=converged,
                 verdicts=_verdicts(masses[:2], energies[:2], multipliers[:2], converged[:2]),
                 reports=reports, failures=[{"mass": 4.0, "error": "boom"}],
-                chains=["cold", "warm", None], warm_starts=[None, "iterate", "profile"])
+                warm_starts=[None, "iterate", "profile"])
 
         monkeypatch.setattr(cli, "sweep", fake_sweep)
         main(self.ARGS + ["--out", str(tmp_path)])
@@ -894,11 +910,11 @@ class TestSweepCommand:
         # the failed point is a blank in the sparkline, not a traceback
         assert out.splitlines()[0] == "E_m: █_ "
         assert err.splitlines() == [
-            "m=1 chain=cold warm_start=None converged=True iterations=12 termination=gradient"
+            "m=1 warm_start=None converged=True iterations=12 termination=gradient"
             " projections=25 brackets=90 newton=2 endpoint=polished",
-            "m=2 chain=warm warm_start=iterate converged=False iterations=800 termination=budget"
+            "m=2 warm_start=iterate converged=False iterations=800 termination=budget"
             " projections=1700 brackets=5100 newton=0 endpoint=frame",
-            "m=4 chain=None warm_start=profile failed",
+            "m=4 warm_start=profile failed",
         ]
 
     def test_perturbation_flag_fails_verdict(self, tmp_path, monkeypatch):

@@ -530,7 +530,7 @@ class TestNewtonPolishExit:
         opts = SolveOptions(mass=0.5, grad_tol=1e-8, max_iters=800)
         res = sweep(grid, nl, [0.5, 1.0, 2.0, 4.0, 8.0], opts)
         rep = res.reports[-1]
-        assert res.chains[-1] == "warm"
+        assert res.warm_starts[-1] == "iterate"
         log, (_, steps) = polishes[-1]
         assert steps == rep.newton_steps >= 1
         # the start's mu and residual come from its certificate, so each
@@ -624,7 +624,9 @@ class TestDirectionFallbacks:
         ("_base_metric", lambda vec, gs: -vec),
         # infinite along the gradient, so the slope is +inf, not nan
         ("_strip", lambda vec, gs: np.where(gs != 0.0, np.copysign(np.inf, gs), 0.0)),
-    ], ids=["uphill", "nonfinite"])
+        # NaN out of the metric, before the tangent projection
+        ("_base_metric", lambda vec, gs: np.full_like(vec, np.nan)),
+    ], ids=["uphill", "nonfinite", "nan_metric"])
     def test_failed_lbfgs_direction_takes_the_base_metric(self, p8, monkeypatch,
                                                           hook, spoil):
         engine, args = self.state(p8)
@@ -649,6 +651,16 @@ class TestDirectionFallbacks:
         engine, args = self.state(p8)
         base = engine._base_metric
         monkeypatch.setattr(engine, "_base_metric", lambda u, g, q: -base(u, g, q))
+        gshape = args[2]
+        r, slope = engine.direction(*args)
+        assert r is gshape.values
+        assert slope == engine.grid.inner(gshape.values, gshape.values) > 0
+
+    def test_nan_base_metric_takes_the_shape_gradient(self, p8, monkeypatch):
+        engine, args = self.state(p8)
+        base = engine._base_metric
+        monkeypatch.setattr(engine, "_base_metric",
+                            lambda u, g, q: np.full_like(base(u, g, q), np.nan))
         gshape = args[2]
         r, slope = engine.direction(*args)
         assert r is gshape.values

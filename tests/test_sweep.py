@@ -2,11 +2,13 @@ import importlib
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nlsground import (
+    ConfigurationError,
     NonconformanceError,
     SolveOptions,
     SolveReport,
@@ -116,7 +118,7 @@ def line_sweep():
     grid = make_grid(1, 60.0, 3001, stretch=150.0)
     masses = list(np.geomspace(0.3, 3.0, 6))
     opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=900)
-    return sweep(grid, nl, masses, opts, cold_restarts=0), masses
+    return sweep(grid, nl, masses, opts), masses
 
 
 class TestSweepSolver:
@@ -142,14 +144,15 @@ class TestSweepSolver:
                 )
 
     def test_warm_cold_consistency(self):
+        # the chain's energies agree with a cold multistart at each mass
         nl = builtin("pure_power", 1, p=8.0)
         grid = make_grid(1, 40.0, 2001, stretch=60.0)
         masses = [0.8, 1.0, 1.3]
         opts = SolveOptions(mass=1.0, grad_tol=1e-8, max_iters=900)
-        warm = sweep(grid, nl, masses, opts, cold_restarts=0)
-        cold = sweep(grid, nl, masses, opts, cold_restarts=3)
-        for a, b in zip(warm.energies, cold.energies):
-            assert a == pytest.approx(b, rel=1e-3)
+        warm = sweep(grid, nl, masses, opts)
+        for m, e in zip(masses, warm.energies):
+            cold, _ = multistart_minimize(grid, nl, replace(opts, mass=m), restarts=3)
+            assert e == pytest.approx(cold.energy, rel=1e-3)
 
     def test_warm_points_start_in_the_descent_class(self):
         # each converged point hands on its descent iterate; warm starts
@@ -175,8 +178,8 @@ class TestSweepSolver:
 
 
 class TestAscendingChain:
-    """One warm descent per mass point after the first, plus the cold
-    replicas: no second chain revisits the non-converged points."""
+    """One descent per mass point: no cold replica runs beside the chain,
+    and no second chain revisits the non-converged points."""
 
     MASSES = [0.5, 1.0, 2.0, 4.0]
 
@@ -201,128 +204,118 @@ class TestAscendingChain:
         expected = initial_profile(profile.grid, m, custom=profile)
         return np.array_equal(start.values, expected.values)
 
-    def run_chain(self, monkeypatch, cold_restarts, warm=None, cold=None):
-        """Sweep with faked solves; warm(grid, m) and cold(grid, m), if
-        given, return the warm descent's and the cold multistart's report
-        (or raise) in place of fake_report."""
+    def run_chain(self, monkeypatch, solve=None):
+        """Sweep with a faked minimize; solve(grid, m), if given, returns
+        its report (or raises) in place of fake_report.  Returns the
+        result and minimize's calls, (opts, start) each."""
         grid = make_grid(1, 20.0, 301)
-        warm_calls, cold_calls = [], []
-        warm = warm or self.fake_report
-        cold = cold or self.fake_report
+        calls = []
+        solve = solve or self.fake_report
 
         def fake_minimize(grid, nl, opts, start):
-            warm_calls.append((opts, start))
-            return warm(grid, opts.mass)
+            calls.append((opts, start))
+            return solve(grid, opts.mass)
 
-        def fake_multistart(grid, nl, opts, restarts):
-            cold_calls.extend([opts.mass] * restarts)
-            return cold(grid, opts.mass), []
+        monkeypatch.setattr(importlib.import_module("nlsground.sweep"), "minimize",
+                            fake_minimize)
+        res = sweep(grid, builtin("pure_power", 1, p=8.0), self.MASSES,
+                    SolveOptions(mass=1.0))
+        return res, calls
 
-        module = importlib.import_module("nlsground.sweep")
-        monkeypatch.setattr(module, "minimize", fake_minimize)
-        monkeypatch.setattr(module, "multistart_minimize", fake_multistart)
-        opts = SolveOptions(mass=1.0)
-        res = sweep(grid, builtin("pure_power", 1, p=8.0), self.MASSES, opts,
-                    cold_restarts=cold_restarts)
-        return res, warm_calls, cold_calls
-
-    @pytest.mark.parametrize("cold_restarts", [0, 2])
-    def test_minimize_calls_per_point(self, monkeypatch, cold_restarts):
+    def test_minimize_calls_per_point(self, monkeypatch):
+        # one minimize call per point, the first included, and no
+        # multistart anywhere
+        optimizer = importlib.import_module("nlsground.optimizer")
+        multistarts = []
+        monkeypatch.setattr(optimizer, "multistart_minimize",
+                            lambda *a, **k: multistarts.append(a))
         masses = self.MASSES
-        res, warm_calls, cold_calls = self.run_chain(monkeypatch, cold_restarts)
-        assert [o.mass for o, _ in warm_calls] == masses[1:]
-        cold = masses[:1] if cold_restarts == 0 else masses
-        assert cold_calls == [m for m in cold for _ in range(max(cold_restarts, 1))]
+        res, calls = self.run_chain(monkeypatch)
+        assert [o.mass for o, _ in calls] == masses
+        assert multistarts == []
+        assert not hasattr(importlib.import_module("nlsground.sweep"),
+                           "multistart_minimize")
         assert list(res.converged) == [False, False, True, True]
         assert list(res.energies) == [1.0 / m for m in masses]
 
-    @pytest.mark.parametrize("cold_restarts", [0, 2])
-    def test_warm_start_rule(self, monkeypatch, cold_restarts):
-        # a converged point hands on its descent iterate, an unconverged
-        # one its reported profile
-        res, warm_calls, _ = self.run_chain(monkeypatch, cold_restarts)
-        for prev, (opts, start) in zip(res.reports, warm_calls):
+    def test_warm_start_rule(self, monkeypatch):
+        # the first point takes minimize's default start; after it a
+        # converged point hands on its descent iterate, an unconverged one
+        # its reported profile
+        res, calls = self.run_chain(monkeypatch)
+        assert calls[0][1] is None
+        for prev, (opts, start) in zip(res.reports, calls[1:]):
             expected = prev.iterate if prev.converged else prev.profile
             assert self.started_from(start, expected, opts.mass)
         assert res.warm_starts == [None, "profile", "profile", "iterate"]
-        # the first point has only the cold chain; elsewhere the warm
-        # report wins the tie with the cold replicas' equal energy
-        assert res.chains == ["cold", "warm", "warm", "warm"]
         payload = res.as_dict()
-        assert payload["chains"] == res.chains
+        assert "chains" not in payload
         assert payload["warm_starts"] == res.warm_starts
 
-    def test_cold_report_wins_when_only_it_converged(self, monkeypatch):
-        # the warm report is lower but unconverged: the converged cold
-        # report is kept
-        def warm(grid, m):
-            return self.fake_report(grid, m, energy=0.5 / m, converged=False)
-
-        def cold(grid, m):
-            return self.fake_report(grid, m, converged=True)
-
-        res, _, _ = self.run_chain(monkeypatch, 2, warm=warm, cold=cold)
-        assert res.chains == ["cold"] * 4
-        assert list(res.energies) == [1.0 / m for m in self.MASSES]
-        assert list(res.converged) == [True] * 4
-        assert all(r.converged for r in res.reports)
-
-    def test_cold_report_wins_with_the_lower_energy(self, monkeypatch):
-        # both converged: the lower energy decides, whichever chain has it
-        def warm(grid, m):
-            return self.fake_report(grid, m, converged=True)
-
-        def cold(grid, m):
-            return self.fake_report(grid, m, energy=(0.5 if m == 2.0 else 2.0) / m,
-                                    converged=True)
-
-        res, warm_calls, _ = self.run_chain(monkeypatch, 2, warm=warm, cold=cold)
-        assert res.chains == ["cold", "warm", "cold", "warm"]
-        assert list(res.energies) == [2.0 / 0.5, 1.0 / 1.0, 0.5 / 2.0, 1.0 / 4.0]
-        # the next warm descent starts from the kept report's iterate
-        assert self.started_from(warm_calls[2][1], res.reports[2].iterate, 4.0)
-
     def test_failed_point(self, monkeypatch):
-        def warm(grid, m):
+        def solve(grid, m):
             if m == 2.0:
                 raise RuntimeError("descent blew up")
             return self.fake_report(grid, m)
 
-        res, warm_calls, _ = self.run_chain(monkeypatch, 0, warm=warm)
+        res, calls = self.run_chain(monkeypatch, solve)
         assert res.failures == [{"mass": 2.0, "error": "descent blew up"}]
-        assert res.chains == ["cold", "warm", None, "warm"]
         assert res.reports[2] is None
         assert math.isnan(res.energies[2]) and math.isnan(res.multipliers[2])
         assert not res.converged[2]
-        # the failed warm descent was given the unconverged m = 1 profile
+        # the failed descent was given the unconverged m = 1 profile
         assert res.warm_starts == [None, "profile", "profile", "profile"]
         # the point after it warm-starts from the last good report, m = 1's
-        assert [o.mass for o, _ in warm_calls] == [1.0, 2.0, 4.0]
-        assert self.started_from(warm_calls[2][1], res.reports[1].profile, 4.0)
+        assert [o.mass for o, _ in calls] == self.MASSES
+        assert self.started_from(calls[3][1], res.reports[1].profile, 4.0)
 
     def test_failed_cold_first_point(self, monkeypatch):
-        def cold(grid, m):
+        def solve(grid, m):
             if m == 0.5:
                 raise ValueError("no start")
             return self.fake_report(grid, m)
 
-        res, warm_calls, cold_calls = self.run_chain(monkeypatch, 0, cold=cold)
+        res, calls = self.run_chain(monkeypatch, solve)
         assert res.failures == [{"mass": 0.5, "error": "no start"}]
-        assert res.chains == [None, "cold", "warm", "warm"]
         assert res.warm_starts == [None, None, "profile", "iterate"]
-        # with no good report yet, the next point starts cold
-        assert cold_calls == [0.5, 1.0]
-        assert [o.mass for o, _ in warm_calls] == [2.0, 4.0]
+        # with no good report yet, the next point also starts cold
+        assert [start is None for _, start in calls] == [True, True, False, False]
+        assert [o.mass for o, _ in calls] == self.MASSES
 
     def test_more_than_a_quarter_failed_raises(self, monkeypatch):
-        def warm(grid, m):
+        def solve(grid, m):
             if m >= 2.0:
                 raise RuntimeError("stalled")
             return self.fake_report(grid, m)
 
         message = "^sweep failed at 2 of 4 points: m=2.0: stalled; m=4.0: stalled$"
         with pytest.raises(NonconformanceError, match=message):
-            self.run_chain(monkeypatch, 0, warm=warm)
+            self.run_chain(monkeypatch, solve)
+
+    def test_overflow_at_one_mass_is_a_failed_point(self, monkeypatch):
+        # a descent whose values overflow raises ConfigurationError from
+        # GridFunction; that is a fault of its point, judged by the quarter
+        # rule like any other
+        def solve(grid, m):
+            if m == 2.0:
+                raise ConfigurationError("profile values must be finite")
+            return self.fake_report(grid, m)
+
+        res, calls = self.run_chain(monkeypatch, solve)
+        assert res.failures == [{"mass": 2.0, "error": "profile values must be finite"}]
+        assert res.reports[2] is None
+        assert [o.mass for o, _ in calls] == self.MASSES
+
+    def test_vanishing_start_is_refused_before_any_descent(self, monkeypatch):
+        # exp(-r^2) underflows at every node past the origin of this grid
+        # at every mass: a fault of the grid, raised once
+        calls = []
+        monkeypatch.setattr(importlib.import_module("nlsground.sweep"), "minimize",
+                            lambda *a: calls.append(a))
+        with pytest.raises(ConfigurationError, match="the start vanishes"):
+            sweep(make_grid(1, 1e30, 401), builtin("pure_power", 1, p=8.0),
+                  self.MASSES, SolveOptions(mass=1.0))
+        assert calls == []
 
 
 class TestHypothesisGate:
@@ -350,7 +343,7 @@ class TestHypothesisGate:
     def test_one_check_per_sweep(self, monkeypatch, tmp_path):
         calls = self.count_checks(monkeypatch)
         code = cli.main(["sweep", *self.PROBLEM, *self.GRID, "--masses", "1,1.5,2",
-                         "--cold-restarts", "2", "--out", str(tmp_path)])
+                         "--out", str(tmp_path)])
         assert code in (cli.EXIT_OK, cli.EXIT_VERDICT_FAIL)
         assert calls == ["pure_power"]
 
@@ -367,7 +360,7 @@ class TestHypothesisGate:
         grid = make_grid(1, 20.0, 301)
         p8 = builtin("pure_power", 1, p=8.0)
         opts = SolveOptions(mass=1.0, max_iters=10)
-        sweep(grid, p8, [1.0, 1.5], opts, cold_restarts=1)
+        sweep(grid, p8, [1.0, 1.5], opts)
         multistart_minimize(grid, p8, opts, restarts=2)
         assert calls == []
 
